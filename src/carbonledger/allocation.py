@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Iterable, Sequence
 
-from .errors import NoAllocationsError
 from .model import (
     UNALLOCATED_USER,
     GcuUsageRecord,
@@ -108,21 +107,6 @@ def idle_share_table(
         denom = sum(per_user.values())
         fractions[key] = {user: w / denom for user, w in per_user.items()}
     return fractions
-
-
-def idle_fraction(
-    user: str,
-    cluster_id: str,
-    hour: datetime,
-    allocations: Sequence[ResourceAllocationRecord],
-    weighting: PowerWeighting = PowerWeighting(),
-) -> float:
-    """One user's fraction of a cluster-hour's weighted allocation."""
-    table = idle_share_table(allocations, weighting)
-    per_user = table.get((cluster_id, hour))
-    if per_user is None:
-        raise NoAllocationsError(f"no weighted allocations in {cluster_id!r} at {format_hour(hour)}")
-    return per_user.get(user, 0.0)
 
 
 def allocate_idle(

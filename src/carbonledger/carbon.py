@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 from .allocation import Ledger
 from .errors import MissingIntensityError
@@ -50,21 +50,6 @@ class EmissionRecord:
 def co2_kg(energy_wh: float, intensity_g_per_kwh: float) -> float:
     """kgCO2e from watt-hours and gCO2e/kWh (the only unit conversion here)."""
     return energy_wh * intensity_g_per_kwh / 1e6
-
-
-class IntensityFeedFetcher(Protocol):
-    """Plug-in seam for sourcing intensity tables from a live provider.
-
-    The core never performs network IO; a fetcher implementation can be
-    used to materialize the same records the CSV feeds carry and build an
-    ``IntensityFeed`` from them. None ships with the package.
-    """
-
-    def fetch_hourly(
-        self, zone_ids: Sequence[str], start: datetime, end: datetime
-    ) -> list[CarbonIntensityRecord]: ...
-
-    def fetch_annual(self, zone_ids: Sequence[str], year: int) -> list[AnnualIntensityRecord]: ...
 
 
 class IntensityFeed:
@@ -128,19 +113,17 @@ def compute_emissions(
     feed: IntensityFeed,
     topology: ClusterTopology,
     default_pue: float = DEFAULT_PUE,
-    cluster_pue_defaults: Mapping[str, float] | None = None,
     allow_missing_intensity: bool = False,
     missing_intensity_default: float = 0.0,
     cluster_to_country: Mapping[str, str] | None = None,
 ) -> EmissionsResult:
     """Emissions per ledger entry: IT energy x PUE x zone intensity.
 
-    A missing PUE falls back to the per-cluster (or global) default and is
-    flagged. Missing intensity aborts the run unless explicitly allowed,
-    in which case the configured default is substituted and flagged.
+    A missing PUE falls back to the default and is flagged. Missing
+    intensity aborts the run unless explicitly allowed, in which case the
+    configured default is substituted and flagged.
     """
     pue_by_key = {(p.cluster_id, p.hour): p.pue for p in pue_records}
-    cluster_pue_defaults = cluster_pue_defaults or {}
     records: list[EmissionRecord] = []
     notices: list[Notice] = []
     missing_pue: set[tuple[str, datetime]] = set()
@@ -149,7 +132,7 @@ def compute_emissions(
         it_wh = cell.idle_wh + cell.dynamic_wh
         pue = pue_by_key.get((cluster, hour))
         if pue is None:
-            pue = cluster_pue_defaults.get(cluster, default_pue)
+            pue = default_pue
             if it_wh > 0.0 and (cluster, hour) not in missing_pue:
                 missing_pue.add((cluster, hour))
                 notices.append(

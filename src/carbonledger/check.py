@@ -8,6 +8,7 @@ customer report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -56,6 +57,9 @@ def run_end_to_end(
 
 
 def _relative_gap(a: float, b: float) -> float:
+    """Relative difference of two totals; infinite when either is not finite."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
     scale = max(abs(a), abs(b))
     if scale == 0.0:
         return 0.0
@@ -77,7 +81,7 @@ def closure_failures(bundle: Bundle, artifacts: RunArtifacts, rel_tol: float = R
         for key, expected in measured.items():
             got = totals.get(key, 0.0)
             if expected == 0.0:
-                if abs(got) > 1e-6:
+                if not abs(got) <= 1e-6:
                     failures.append(f"{ledger.stage}: energy {got} appeared in powerless {key}")
             elif _relative_gap(got, expected) > rel_tol:
                 failures.append(
@@ -175,7 +179,7 @@ def _diff_table(name: str, pipeline: Mapping, oracle: Mapping, out: list[TableDi
         b = oracle.get(key, 0.0)
         if abs(a) <= floor and abs(b) <= floor:
             continue
-        deviation = abs(a - b) / max(abs(a), abs(b))
+        deviation = _relative_gap(a, b)
         if deviation > worst:
             worst = deviation
         if deviation > 0.0:

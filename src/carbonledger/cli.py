@@ -46,7 +46,6 @@ class RunConfig:
     default_pue: float = 1.10
     allow_missing_intensity: bool = False
     missing_intensity_default: float = 0.0
-    currency: str = "USD"
     energy_round_wh: float = 1.0
     carbon_round_g: float = 1.0
 
@@ -90,6 +89,17 @@ def _clip_bundle(bundle: Bundle, config: RunConfig) -> Bundle:
     return clipped
 
 
+def _refuses(bundle: Bundle, report_dir: Path | None) -> bool:
+    """Validate, report into ``report_dir`` if given; True (and say so) on violations."""
+    violations = validate_bundle(bundle)
+    if report_dir is not None:
+        report_dir.mkdir(parents=True, exist_ok=True)
+        tables.write_validation_report(violations, report_dir / "validation_report.csv")
+    if violations:
+        print(f"refusing to run on {len(violations)} validation violation(s)", file=sys.stderr)
+    return bool(violations)
+
+
 def cmd_validate(config: RunConfig) -> int:
     bundle = tables.read_bundle(config.input_dir)
     violations = validate_bundle(bundle)
@@ -110,11 +120,7 @@ def cmd_run(config: RunConfig) -> int:
     if config.output_dir is None:
         raise InputError("run requires --output")
     bundle = _clip_bundle(tables.read_bundle(config.input_dir), config)
-    violations = validate_bundle(bundle)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    tables.write_validation_report(violations, config.output_dir / "validation_report.csv")
-    if violations:
-        print(f"refusing to run on {len(violations)} validation violation(s)", file=sys.stderr)
+    if _refuses(bundle, config.output_dir):
         return EXIT_DATA
 
     artifacts = check.run_end_to_end(
@@ -166,6 +172,8 @@ def cmd_simulate(spec: simulate.ScenarioSpec, out_dir: Path) -> int:
 def cmd_oracle_check(config: RunConfig, tolerance: float = check.REL_TOL) -> int:
     config.validate()
     bundle = _clip_bundle(tables.read_bundle(config.input_dir), config)
+    if _refuses(bundle, config.output_dir):
+        return EXIT_DATA
     report = check.compare_with_oracle(bundle, rounds=config.rounds, default_pue=config.default_pue)
     for name in sorted(report.table_max):
         print(f"table {name}: max relative deviation {report.table_max[name]:.3e}")
@@ -234,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--default-pue", type=float, default=1.10)
         p.add_argument("--allow-missing-intensity", action="store_true")
         p.add_argument("--missing-intensity-default", type=float, default=0.0)
-        p.add_argument("--currency", default="USD")
         p.add_argument("--round-wh", type=float, default=1.0, help="energy report rounding step")
         p.add_argument("--round-g", type=float, default=1.0, help="carbon report rounding step in grams")
 
@@ -277,7 +284,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         default_pue=getattr(args, "default_pue", 1.10),
         allow_missing_intensity=getattr(args, "allow_missing_intensity", False),
         missing_intensity_default=getattr(args, "missing_intensity_default", 0.0),
-        currency=getattr(args, "currency", "USD"),
         energy_round_wh=getattr(args, "round_wh", 1.0),
         carbon_round_g=getattr(args, "round_g", 1.0),
     )

@@ -9,10 +9,6 @@ class InputError(CarbonLedgerError):
     """Malformed or mismatched input handed to an operation."""
 
 
-class NoAllocationsError(CarbonLedgerError):
-    """No user holds any weighted resource allocation in a cluster-hour."""
-
-
 class MissingIntensityError(CarbonLedgerError):
     """No hourly or annual carbon intensity is available for a cluster-hour."""
 

@@ -14,9 +14,11 @@ identified by their start timestamp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 #: Reserved user receiving shared energy that no real user can claim.
@@ -298,10 +300,6 @@ class Bundle:
     def topology(self) -> ClusterTopology:
         return ClusterTopology.from_rows(self.zone_map)
 
-    def hours(self) -> list[datetime]:
-        """Sorted distinct hours present in the power samples."""
-        return sorted({s.hour for s in self.power_samples})
-
 
 @dataclass(frozen=True, slots=True)
 class Violation:
@@ -369,10 +367,37 @@ def validate_fleet(
     return violations
 
 
+def _non_finite(bundle: Bundle) -> list[Violation]:
+    """A ``non-finite-value`` violation for every NaN or infinite number.
+
+    Each record is named by its first field, its identifier.
+    """
+    violations: list[Violation] = []
+    for table in fields(bundle):
+        records = getattr(bundle, table.name)
+        if not records:
+            continue
+        columns = fields(records[0])
+        numbers = [c.name for c in columns if c.type == "float"]
+        numbers += [f"{c.name}.{part.name}" for c in columns if c.type == "ResourceVector"
+                    for part in fields(ResourceVector)]
+        for attribute in numbers:
+            get = attrgetter(attribute)
+            if all(map(math.isfinite, map(get, records))):
+                continue
+            violations.extend(
+                Violation("non-finite-value", getattr(r, columns[0].name), f"{table.name} {attribute} is {get(r)}")
+                for r in records
+                if not math.isfinite(get(r))
+            )
+    return violations
+
+
 def validate_bundle(bundle: Bundle) -> list[Violation]:
     """Fleet checks plus cross-table checks over all remaining inputs."""
     topology = bundle.topology()
     violations = validate_fleet(bundle.machines, bundle.power_samples, topology, bundle.gcu_usage)
+    violations.extend(_non_finite(bundle))
 
     region_by_cluster: dict[str, str] = {}
     zone_by_cluster: dict[str, str] = {}

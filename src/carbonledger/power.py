@@ -5,10 +5,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .errors import InputError
-from .model import ClusterTopology, MachineRecord, PowerSample
+from .model import MachineRecord, PowerSample
 
 log = logging.getLogger(__name__)
 
@@ -77,31 +77,3 @@ def split_fleet(
                 log.debug("machine %s has no sample for %d hour(s); treated as powered off", machine_id, missing)
     return splits
 
-
-@dataclass(frozen=True, slots=True)
-class ClusterPower:
-    idle_watts: float
-    dynamic_watts: float
-
-    @property
-    def total_watts(self) -> float:
-        return self.idle_watts + self.dynamic_watts
-
-
-def cluster_power_series(
-    splits: Iterable[MachinePowerSplit],
-    topology: ClusterTopology,
-    machines: Sequence[MachineRecord],
-) -> dict[tuple[str, datetime], ClusterPower]:
-    """Sum idle and dynamic power per (cluster, hour)."""
-    cluster_of: Mapping[str, str] = {m.machine_id: m.cluster_id for m in machines}
-    idle: dict[tuple[str, datetime], float] = {}
-    dynamic: dict[tuple[str, datetime], float] = {}
-    for s in splits:
-        cluster = cluster_of.get(s.machine_id)
-        if cluster is None or cluster not in topology.clusters:
-            raise InputError(f"machine {s.machine_id!r} does not resolve to a known cluster")
-        key = (cluster, s.hour)
-        idle[key] = idle.get(key, 0.0) + s.idle_watts
-        dynamic[key] = dynamic.get(key, 0.0) + s.dynamic_watts
-    return {key: ClusterPower(idle[key], dynamic[key]) for key in sorted(idle)}

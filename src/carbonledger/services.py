@@ -51,51 +51,6 @@ def colossus_providers(usages: Iterable[ServiceUsageRecord]) -> frozenset[str]:
     return frozenset(rec.provider for rec in usages if rec.colossus_style)
 
 
-def major_fraction(
-    consumer: str,
-    provider: str,
-    cluster_id: str,
-    hour: datetime,
-    usages: Sequence[ServiceUsageRecord],
-) -> float:
-    """Consumer's share of the provider's total compute-unit usage there.
-
-    Zero denominator means no reallocation happens for that provider in
-    that cluster-hour; by convention the fraction is 0.
-    """
-    numerator = 0.0
-    denominator = 0.0
-    for rec in usages:
-        if rec.provider != provider or rec.cluster_id != cluster_id or rec.hour != hour:
-            continue
-        denominator += rec.usage.gcu
-        if rec.consumer == consumer:
-            numerator += rec.usage.gcu
-    return numerator / denominator if denominator > 0.0 else 0.0
-
-
-def colossus_fraction(
-    consumer: str,
-    provider: str,
-    cluster_id: str,
-    hour: datetime,
-    usages: Sequence[ServiceUsageRecord],
-    weighting: PowerWeighting = PowerWeighting(),
-) -> float:
-    """Storage-style share: usage-power blend of GCU, SSD, and HDD (no RAM)."""
-    w = weighting.usage
-    numerator = 0.0
-    denominator = 0.0
-    for rec in usages:
-        if rec.provider != provider or rec.cluster_id != cluster_id or rec.hour != hour:
-            continue
-        blended = w.gcu * rec.usage.gcu + w.ssd_tib * rec.usage.ssd_tib + w.hdd_tib * rec.usage.hdd_tib
-        denominator += blended
-        if rec.consumer == consumer:
-            numerator += blended
-    return numerator / denominator if denominator > 0.0 else 0.0
-
-
 def apply_major_realloc(
     ledger: Ledger,
     usages: Sequence[ServiceUsageRecord],
@@ -217,14 +172,6 @@ def identify_provider(
     if len(candidates) > 1:
         notices.append(Notice("provider-tie", service, f"tie broken to {candidates[0]!r}"))
     return candidates[0], notices
-
-
-def minor_fraction(consumer_net_cost: float, provider: UserCostSummary, service: str) -> float:
-    """Fraction of the provider's energy owed to one consumer of a service."""
-    denominator = provider.clamped_denominator(service)
-    if denominator <= 0.0 or consumer_net_cost <= 0.0:
-        return 0.0
-    return consumer_net_cost / denominator
 
 
 @dataclass(slots=True)

@@ -1,20 +1,31 @@
 """CSV schemas for input bundles and report outputs.
 
-CSV was chosen for diff-ability and language neutrality. Writers sort
-rows by their key columns and format numbers with shortest round-trip
-precision, so identical data always serializes to identical bytes.
-Report rounding happens here at serialization time only.
+CSV was chosen for diff-ability and language neutrality. Bundle I/O is
+driven by one codec table, ``TABLES``: each input table maps to its
+``Bundle`` field, its record type, and one column per record attribute,
+each with the codec that formats and parses it. ``SCHEMAS`` (the headers)
+is derived from that table, so headers cannot drift from the codecs.
+Writers sort rows by their key columns and format numbers with shortest
+round-trip precision, so identical data always serializes to identical
+bytes. Readers reject any cell a codec cannot parse, NaN and infinities
+included, with an ``InputError`` naming the file, line and column; each
+read parses a distinct hour string only once. Report rounding happens
+here at serialization time only.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import logging
+import math
+from dataclasses import dataclass
 from datetime import date
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import InputError
 from .model import (
@@ -44,36 +55,16 @@ log = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
-SCHEMAS: dict[str, tuple[str, ...]] = {
-    "machines": ("machine_id", "cluster_id", "sharing", "owner_user", "idle_rating_watts"),
-    "power_samples": ("machine_id", "hour_utc", "measured_power_watts"),
-    "resource_allocations": ("user", "cluster_id", "hour_utc", "gcu", "ram_gib", "ssd_tib", "hdd_tib"),
-    "gcu_usage": ("user", "machine_id", "hour_utc", "gcu_used"),
-    "service_usage": (
-        "consumer", "provider", "cluster_id", "hour_utc",
-        "gcu", "ram_gib", "ssd_tib", "hdd_tib", "colossus_style",
-    ),
-    "net_cost": ("user", "service", "day_utc", "net_cost"),
-    "non_service_cost": ("user", "day_utc", "cost"),
-    "pue": ("cluster_id", "hour_utc", "pue"),
-    "carbon_intensity": ("zone_id", "hour_utc", "g_per_kwh"),
-    "annual_intensity": ("zone_id", "year", "g_per_kwh"),
-    "zone_map": ("cluster_id", "zone_id", "region_id"),
-    "sku_catalog": (
-        "sku_id", "product_id", "provider_user", "list_price_per_unit", "usage_unit", "is_commitment",
-    ),
-    "billing_usage": ("sku_id", "region_id", "billing_account", "month", "usage_units"),
-}
-
-REQUIRED_TABLES = ("machines", "power_samples", "zone_map")
-
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
 
 
 def _parse_bool(text: str) -> bool:
@@ -81,11 +72,109 @@ def _parse_bool(text: str) -> bool:
         return True
     if text in ("false", "False", "0", ""):
         return False
-    raise InputError(f"cannot parse boolean {text!r}")
+    raise ValueError(f"cannot parse boolean {text!r}")
 
 
-def _parse_day(text: str) -> date:
-    return date.fromisoformat(text)
+@dataclass(frozen=True, slots=True)
+class Codec:
+    """How one kind of cell becomes text and back."""
+
+    format: Callable[[Any], str]
+    parse: Callable[[str], Any]
+
+
+TEXT = Codec(str, str)
+OPTIONAL = Codec(lambda value: value or "", lambda text: text or None)
+FLOAT = Codec(_fmt, _parse_float)
+INT = Codec(str, int)
+BOOL = Codec(lambda value: "true" if value else "false", _parse_bool)
+DAY = Codec(date.isoformat, date.fromisoformat)
+SHARING = Codec(attrgetter("value"), Sharing)
+HOUR = Codec(format_hour, parse_hour)  # memoized per read or write call
+
+
+@dataclass(frozen=True, slots=True)
+class Column:
+    name: str
+    codec: Codec = TEXT
+    attribute: str = ""  # the column name if empty; dotted for a ResourceVector field
+
+
+@dataclass(frozen=True, slots=True)
+class Table:
+    """One bundle table: its ``Bundle`` field, record type and columns.
+
+    Columns follow the record's field order; dotted columns fill the
+    record's ResourceVector, also in field order.
+    """
+
+    field: str
+    record: type
+    columns: tuple[Column, ...]
+
+    def make(self) -> Callable[..., Any]:
+        """A constructor taking one parsed cell per column."""
+        nested = [i for i, column in enumerate(self.columns) if "." in column.attribute]
+        if not nested:
+            return self.record
+        lo, hi, record = nested[0], nested[-1] + 1, self.record
+        return lambda *cells: record(*cells[:lo], ResourceVector(*cells[lo:hi]), *cells[hi:])
+
+
+HOUR_UTC = Column("hour_utc", HOUR, "hour")
+DAY_UTC = Column("day_utc", DAY, "day")
+G_PER_KWH = Column("g_per_kwh", FLOAT, "intensity_g_per_kwh")
+
+
+def _vector(attribute: str) -> tuple[Column, ...]:
+    return tuple(Column(name, FLOAT, f"{attribute}.{name}") for name in ("gcu", "ram_gib", "ssd_tib", "hdd_tib"))
+
+
+TABLES: dict[str, Table] = {
+    "machines": Table("machines", MachineRecord, (
+        Column("machine_id"), Column("cluster_id"), Column("sharing", SHARING),
+        Column("owner_user", OPTIONAL), Column("idle_rating_watts", FLOAT),
+    )),
+    "power_samples": Table("power_samples", PowerSample, (
+        Column("machine_id"), HOUR_UTC, Column("measured_power_watts", FLOAT),
+    )),
+    "resource_allocations": Table("resource_allocations", ResourceAllocationRecord, (
+        Column("user"), Column("cluster_id"), HOUR_UTC, *_vector("allocation"),
+    )),
+    "gcu_usage": Table("gcu_usage", GcuUsageRecord, (
+        Column("user"), Column("machine_id"), HOUR_UTC, Column("gcu_used", FLOAT),
+    )),
+    "service_usage": Table("service_usage", ServiceUsageRecord, (
+        Column("consumer"), Column("provider"), Column("cluster_id"), HOUR_UTC,
+        *_vector("usage"), Column("colossus_style", BOOL),
+    )),
+    "net_cost": Table("net_costs", NetCostRecord, (
+        Column("user"), Column("service"), DAY_UTC, Column("net_cost", FLOAT),
+    )),
+    "non_service_cost": Table("non_service_costs", NonServiceCostRecord, (
+        Column("user"), DAY_UTC, Column("cost", FLOAT),
+    )),
+    "pue": Table("pue", PueRecord, (Column("cluster_id"), HOUR_UTC, Column("pue", FLOAT))),
+    "carbon_intensity": Table("carbon_intensity", CarbonIntensityRecord, (Column("zone_id"), HOUR_UTC, G_PER_KWH)),
+    "annual_intensity": Table("annual_intensity", AnnualIntensityRecord, (
+        Column("zone_id"), Column("year", INT), G_PER_KWH,
+    )),
+    "zone_map": Table("zone_map", ZoneMapRow, (Column("cluster_id"), Column("zone_id", OPTIONAL), Column("region_id"))),
+    "sku_catalog": Table("sku_catalog", SkuRecord, (
+        Column("sku_id"), Column("product_id"), Column("provider_user"),
+        Column("list_price_per_unit", FLOAT), Column("usage_unit"), Column("is_commitment", BOOL),
+    )),
+    "billing_usage": Table("billing_usage", SkuUsageRecord, (
+        Column("sku_id"), Column("region_id"), Column("billing_account", OPTIONAL), Column("month"),
+        Column("usage_units", FLOAT),
+    )),
+}
+
+SCHEMAS: dict[str, tuple[str, ...]] = {
+    name: tuple(column.name for column in table.columns) for name, table in TABLES.items()
+}
+
+REQUIRED_TABLES = ("machines", "power_samples", "zone_map")
 
 
 def quantize(value: float, step: float) -> float:
@@ -102,111 +191,16 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]])
         writer.writerows(rows)
 
 
-def _read_csv(path: Path, table: str) -> list[dict[str, str]]:
-    expected = SCHEMAS[table]
-    with path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        if tuple(reader.fieldnames or ()) != expected:
-            raise InputError(
-                f"{path.name}: header {reader.fieldnames} does not match schema {list(expected)}"
-            )
-        return list(reader)
-
-
 def write_bundle(bundle: Bundle, directory: Path, manifest_extra: dict | None = None) -> Path:
     """Serialize every input table plus a manifest with content hashes."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-
-    _write_csv(
-        directory / "machines.csv",
-        SCHEMAS["machines"],
-        sorted(
-            (m.machine_id, m.cluster_id, m.sharing.value, m.owner_user or "", _fmt(m.idle_rating_watts))
-            for m in bundle.machines
-        ),
-    )
-    _write_csv(
-        directory / "power_samples.csv",
-        SCHEMAS["power_samples"],
-        sorted((s.machine_id, format_hour(s.hour), _fmt(s.measured_power_watts)) for s in bundle.power_samples),
-    )
-    _write_csv(
-        directory / "resource_allocations.csv",
-        SCHEMAS["resource_allocations"],
-        sorted(
-            (
-                a.user, a.cluster_id, format_hour(a.hour),
-                _fmt(a.allocation.gcu), _fmt(a.allocation.ram_gib),
-                _fmt(a.allocation.ssd_tib), _fmt(a.allocation.hdd_tib),
-            )
-            for a in bundle.resource_allocations
-        ),
-    )
-    _write_csv(
-        directory / "gcu_usage.csv",
-        SCHEMAS["gcu_usage"],
-        sorted((u.user, u.machine_id, format_hour(u.hour), _fmt(u.gcu_used)) for u in bundle.gcu_usage),
-    )
-    _write_csv(
-        directory / "service_usage.csv",
-        SCHEMAS["service_usage"],
-        sorted(
-            (
-                s.consumer, s.provider, s.cluster_id, format_hour(s.hour),
-                _fmt(s.usage.gcu), _fmt(s.usage.ram_gib), _fmt(s.usage.ssd_tib), _fmt(s.usage.hdd_tib),
-                _fmt_bool(s.colossus_style),
-            )
-            for s in bundle.service_usage
-        ),
-    )
-    _write_csv(
-        directory / "net_cost.csv",
-        SCHEMAS["net_cost"],
-        sorted((n.user, n.service, n.day.isoformat(), _fmt(n.net_cost)) for n in bundle.net_costs),
-    )
-    _write_csv(
-        directory / "non_service_cost.csv",
-        SCHEMAS["non_service_cost"],
-        sorted((n.user, n.day.isoformat(), _fmt(n.cost)) for n in bundle.non_service_costs),
-    )
-    _write_csv(
-        directory / "pue.csv",
-        SCHEMAS["pue"],
-        sorted((p.cluster_id, format_hour(p.hour), _fmt(p.pue)) for p in bundle.pue),
-    )
-    _write_csv(
-        directory / "carbon_intensity.csv",
-        SCHEMAS["carbon_intensity"],
-        sorted((c.zone_id, format_hour(c.hour), _fmt(c.intensity_g_per_kwh)) for c in bundle.carbon_intensity),
-    )
-    _write_csv(
-        directory / "annual_intensity.csv",
-        SCHEMAS["annual_intensity"],
-        sorted((a.zone_id, str(a.year), _fmt(a.intensity_g_per_kwh)) for a in bundle.annual_intensity),
-    )
-    _write_csv(
-        directory / "zone_map.csv",
-        SCHEMAS["zone_map"],
-        sorted((z.cluster_id, z.zone_id or "", z.region_id) for z in bundle.zone_map),
-    )
-    _write_csv(
-        directory / "sku_catalog.csv",
-        SCHEMAS["sku_catalog"],
-        sorted(
-            (s.sku_id, s.product_id, s.provider_user, _fmt(s.list_price_per_unit), s.usage_unit,
-             _fmt_bool(s.is_commitment))
-            for s in bundle.sku_catalog
-        ),
-    )
-    _write_csv(
-        directory / "billing_usage.csv",
-        SCHEMAS["billing_usage"],
-        sorted(
-            (b.sku_id, b.region_id, b.billing_account or "", b.month, _fmt(b.usage_units))
-            for b in bundle.billing_usage
-        ),
-    )
+    hour = functools.cache(format_hour)
+    for name, table in TABLES.items():
+        cells = [(attrgetter(c.attribute or c.name), hour if c.codec is HOUR else c.codec.format)
+                 for c in table.columns]
+        rows = sorted(tuple(fmt(get(record)) for get, fmt in cells) for record in getattr(bundle, table.field))
+        _write_csv(directory / f"{name}.csv", SCHEMAS[name], rows)
 
     hashes = {
         f"{table}.csv": hashlib.sha256((directory / f"{table}.csv").read_bytes()).hexdigest()
@@ -219,84 +213,45 @@ def write_bundle(bundle: Bundle, directory: Path, manifest_extra: dict | None = 
     return manifest_path
 
 
+def _read_table(path: Path, table: Table, header: tuple[str, ...], hour: Callable[[str], Any]) -> list:
+    parsers = [hour if c.codec is HOUR else c.codec.parse for c in table.columns]
+    make = table.make()
+    records = []
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        found = next(reader, [])
+        if tuple(found) != header:
+            raise InputError(f"{path.name}: header {found} does not match schema {list(header)}")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != len(parsers):
+                    raise ValueError(f"{len(row)} cells where the schema has {len(parsers)}")
+                records.append(make(*[parse(text) for parse, text in zip(parsers, row)]))
+            except ValueError as exc:
+                where = f"{path.name} line {reader.line_num}"
+                for column, parse, text in zip(table.columns, parsers, row):
+                    try:
+                        parse(text)
+                    except ValueError as cell_exc:
+                        raise InputError(f"{where}, column {column.name}: {cell_exc}") from None
+                raise InputError(f"{where}: {exc}") from None
+    return records
+
+
 def read_bundle(directory: Path) -> Bundle:
     """Load a bundle directory; non-required tables may be absent."""
     directory = Path(directory)
-    for table in REQUIRED_TABLES:
-        if not (directory / f"{table}.csv").exists():
-            raise InputError(f"required input file {table}.csv missing from {directory}")
-
-    def rows(table: str) -> list[dict[str, str]]:
-        path = directory / f"{table}.csv"
-        if not path.exists():
-            return []
-        return _read_csv(path, table)
-
+    for name in REQUIRED_TABLES:
+        if not (directory / f"{name}.csv").exists():
+            raise InputError(f"required input file {name}.csv missing from {directory}")
+    hour = functools.cache(parse_hour)
     bundle = Bundle()
-    for r in rows("machines"):
-        bundle.machines.append(
-            MachineRecord(
-                r["machine_id"], r["cluster_id"], Sharing(r["sharing"]),
-                r["owner_user"] or None, float(r["idle_rating_watts"]),
-            )
-        )
-    for r in rows("power_samples"):
-        bundle.power_samples.append(
-            PowerSample(r["machine_id"], parse_hour(r["hour_utc"]), float(r["measured_power_watts"]))
-        )
-    for r in rows("resource_allocations"):
-        bundle.resource_allocations.append(
-            ResourceAllocationRecord(
-                r["user"], r["cluster_id"], parse_hour(r["hour_utc"]),
-                ResourceVector(float(r["gcu"]), float(r["ram_gib"]), float(r["ssd_tib"]), float(r["hdd_tib"])),
-            )
-        )
-    for r in rows("gcu_usage"):
-        bundle.gcu_usage.append(
-            GcuUsageRecord(r["user"], r["machine_id"], parse_hour(r["hour_utc"]), float(r["gcu_used"]))
-        )
-    for r in rows("service_usage"):
-        bundle.service_usage.append(
-            ServiceUsageRecord(
-                r["consumer"], r["provider"], r["cluster_id"], parse_hour(r["hour_utc"]),
-                ResourceVector(float(r["gcu"]), float(r["ram_gib"]), float(r["ssd_tib"]), float(r["hdd_tib"])),
-                _parse_bool(r["colossus_style"]),
-            )
-        )
-    for r in rows("net_cost"):
-        bundle.net_costs.append(
-            NetCostRecord(r["user"], r["service"], _parse_day(r["day_utc"]), float(r["net_cost"]))
-        )
-    for r in rows("non_service_cost"):
-        bundle.non_service_costs.append(
-            NonServiceCostRecord(r["user"], _parse_day(r["day_utc"]), float(r["cost"]))
-        )
-    for r in rows("pue"):
-        bundle.pue.append(PueRecord(r["cluster_id"], parse_hour(r["hour_utc"]), float(r["pue"])))
-    for r in rows("carbon_intensity"):
-        bundle.carbon_intensity.append(
-            CarbonIntensityRecord(r["zone_id"], parse_hour(r["hour_utc"]), float(r["g_per_kwh"]))
-        )
-    for r in rows("annual_intensity"):
-        bundle.annual_intensity.append(
-            AnnualIntensityRecord(r["zone_id"], int(r["year"]), float(r["g_per_kwh"]))
-        )
-    for r in rows("zone_map"):
-        bundle.zone_map.append(ZoneMapRow(r["cluster_id"], r["zone_id"] or None, r["region_id"]))
-    for r in rows("sku_catalog"):
-        bundle.sku_catalog.append(
-            SkuRecord(
-                r["sku_id"], r["product_id"], r["provider_user"],
-                float(r["list_price_per_unit"]), r["usage_unit"], _parse_bool(r["is_commitment"]),
-            )
-        )
-    for r in rows("billing_usage"):
-        bundle.billing_usage.append(
-            SkuUsageRecord(
-                r["sku_id"], r["region_id"], r["billing_account"] or None, r["month"],
-                float(r["usage_units"]),
-            )
-        )
+    for name, table in TABLES.items():
+        path = directory / f"{name}.csv"
+        if path.exists():
+            setattr(bundle, table.field, _read_table(path, table, SCHEMAS[name], hour))
     return bundle
 
 

@@ -5,10 +5,9 @@ from carbonledger.allocation import (
     allocate_dynamic,
     allocate_idle,
     build_machine_ledger,
-    idle_fraction,
+    idle_share_table,
     weighted_allocation,
 )
-from carbonledger.errors import NoAllocationsError
 from carbonledger.model import (
     UNALLOCATED_USER,
     GcuUsageRecord,
@@ -38,24 +37,31 @@ def test_weighted_allocation_zero_vector():
 
 def test_idle_fraction_sole_claimant():
     allocations = [alloc("alice", gcu=3.0)]
-    assert idle_fraction("alice", "c0", H(0), allocations) == 1.0
+    assert idle_share_table(allocations, WEIGHTS) == {("c0", H(0)): {"alice": 1.0}}
 
 
 def test_idle_fraction_two_users():
     allocations = [alloc("a", gcu=10, ram_gib=200), alloc("b", ssd_tib=1, hdd_tib=6)]
-    assert idle_fraction("a", "c0", H(0), allocations) == pytest.approx(20.0 / 22.0, abs=1e-12)
-    assert idle_fraction("b", "c0", H(0), allocations) == pytest.approx(2.0 / 22.0, abs=1e-12)
+    shares = idle_share_table(allocations, WEIGHTS)[("c0", H(0))]
+    assert shares["a"] == pytest.approx(20.0 / 22.0, abs=1e-12)
+    assert shares["b"] == pytest.approx(2.0 / 22.0, abs=1e-12)
 
 
-def test_idle_fraction_all_zero_raises():
-    with pytest.raises(NoAllocationsError):
-        idle_fraction("a", "c0", H(0), [alloc("a", gcu=0.0)])
+def test_idle_share_all_zero_cluster_hour_is_absent():
+    # No weighted allocation: no fractions, so shared idle goes to the overhead user.
+    allocations = [alloc("a", gcu=0.0)]
+    assert idle_share_table(allocations, WEIGHTS) == {}
+    machines = [shared_machine("m0", idle=40.0)]
+    idle, notices = allocate_idle(split_fleet(machines, [sample("m0", 0, 100.0)]), machines, allocations)
+    assert idle == {(UNALLOCATED_USER, "c0", H(0)): 40.0}
+    assert [n.code for n in notices] == ["unallocated-idle"]
 
 
 def test_idle_fractions_sum_to_one():
     allocations = [alloc(f"u{i}", gcu=float(i + 1)) for i in range(7)]
-    total = sum(idle_fraction(f"u{i}", "c0", H(0), allocations) for i in range(7))
-    assert total == pytest.approx(1.0, abs=1e-12)
+    shares = idle_share_table(allocations, WEIGHTS)[("c0", H(0))]
+    assert sorted(shares) == [f"u{i}" for i in range(7)]
+    assert sum(shares.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_allocate_idle_prod_user_holds_everything():
@@ -161,10 +167,10 @@ def test_fractions_are_scale_invariant(vectors, scale):
         alloc(u, gcu=v[0] * scale, ram_gib=v[1] * scale, ssd_tib=v[2] * scale, hdd_tib=v[3] * scale)
         for u, v in zip(users, vectors)
     ]
+    original = idle_share_table(base, WEIGHTS)[("c0", H(0))]
+    rescaled = idle_share_table(scaled, WEIGHTS)[("c0", H(0))]
     for user in users:
-        original = idle_fraction(user, "c0", H(0), base)
-        rescaled = idle_fraction(user, "c0", H(0), scaled)
-        assert rescaled == pytest.approx(original, abs=1e-12)
+        assert rescaled[user] == pytest.approx(original[user], abs=1e-12)
 
 
 @settings(max_examples=30)

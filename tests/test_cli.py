@@ -1,9 +1,13 @@
 import csv
+import dataclasses
+import math
 
 import pytest
 
+from carbonledger.check import closure_failures, run_end_to_end
 from carbonledger.cli import main
-from carbonledger.simulate import generate, preset_spec
+from carbonledger.model import validate_bundle
+from carbonledger.simulate import ScenarioSpec, generate, preset_spec
 from carbonledger.tables import write_bundle
 
 
@@ -130,3 +134,29 @@ def test_oracle_check_empty_bundle_passes(tmp_path):
     bundle_dir = tmp_path / "empty"
     write_bundle(Bundle(), bundle_dir)
     assert main(["oracle-check", "--input", str(bundle_dir)]) == 0
+
+
+def test_run_and_oracle_check_refuse_a_duplicated_power_sample(tmp_path):
+    bundle = generate(preset_spec("figure1"))
+    bundle.power_samples.append(bundle.power_samples[0])
+    bundle_dir = tmp_path / "duplicated"
+    write_bundle(bundle, bundle_dir)
+    assert main(["run", "--input", str(bundle_dir), "--output", str(tmp_path / "reports")]) == 1
+    assert main(["oracle-check", "--input", str(bundle_dir)]) == 1
+
+
+def test_nan_power_sample_fails_closed(tmp_path):
+    # Once reported NaN kgCO2e with no closure failure and exit 0.
+    bundle = generate(ScenarioSpec(seed=3, machine_count=40, user_count=6, hours=24))
+    bundle.billing_usage.clear()
+    bundle.power_samples[0] = dataclasses.replace(bundle.power_samples[0], measured_power_watts=math.nan)
+
+    assert "non-finite-value" in {v.code for v in validate_bundle(bundle)}
+    artifacts = run_end_to_end(bundle)
+    assert math.isnan(artifacts.emissions.total_kg())
+    assert closure_failures(bundle, artifacts) != []
+
+    bundle_dir = tmp_path / "nan"
+    write_bundle(bundle, bundle_dir)
+    for command in ("run", "oracle-check"):
+        assert main([command, "--input", str(bundle_dir), "--output", str(tmp_path / command)]) == 2

@@ -1,3 +1,4 @@
+import math
 import random
 
 from hypothesis import given, strategies as st
@@ -7,6 +8,9 @@ from carbonledger.model import (
     ClusterTopology,
     GcuUsageRecord,
     MachineRecord,
+    PueRecord,
+    ResourceAllocationRecord,
+    ResourceVector,
     Sharing,
     SkuRecord,
     SkuUsageRecord,
@@ -104,3 +108,17 @@ def test_bundle_topology_partial_zone_map():
     )
     assert topology.cluster_to_zone == {"c0": "z0"}
     assert topology.cluster_to_region == {"c0": "r0", "c1": "r0"}
+
+
+def test_non_finite_numbers_flagged():
+    bundle = Bundle()
+    bundle.zone_map.append(ZoneMapRow("c0", "z0", "r0"))
+    bundle.machines.append(shared_machine("m0"))
+    bundle.power_samples.append(sample("m0", 0, math.nan))
+    bundle.resource_allocations.append(ResourceAllocationRecord("alice", "c0", H(0), ResourceVector(ssd_tib=math.inf)))
+    bundle.pue.append(PueRecord("c0", H(0), 1.2))
+    found = [(v.subject, v.detail) for v in validate_bundle(bundle) if v.code == "non-finite-value"]
+    assert found == [
+        ("alice", "resource_allocations allocation.ssd_tib is inf"),
+        ("m0", "power_samples measured_power_watts is nan"),
+    ]

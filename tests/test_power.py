@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from carbonledger.errors import InputError
-from carbonledger.model import ClusterTopology, ZoneMapRow
-from carbonledger.power import cluster_power_series, split_fleet, split_power
+from carbonledger.model import ClusterTopology, ZoneMapRow, validate_fleet
+from carbonledger.power import split_fleet, split_power
 
 from conftest import H, sample, shared_machine
 
@@ -66,34 +66,32 @@ def test_higher_rating_never_lowers_idle(measured, low, high):
     assert split_high.dynamic_watts <= split_low.dynamic_watts
 
 
-def test_cluster_series_single_machine(topology_one_cluster):
+def test_cluster_series_single_machine():
     machines = [shared_machine("m0", idle=6.0)]
     splits = split_fleet(machines, [sample("m0", 0, 14.0)])
-    series = cluster_power_series(splits, topology_one_cluster, machines)
-    power = series[("c0", H(0))]
-    assert (power.idle_watts, power.dynamic_watts, power.total_watts) == (6.0, 8.0, 14.0)
+    assert [(s.machine_id, s.hour) for s in splits] == [("m0", H(0))]
+    assert [(s.idle_watts, s.dynamic_watts, s.total_watts) for s in splits] == [(6.0, 8.0, 14.0)]
 
 
-def test_cluster_series_figure_scenario_night(topology_one_cluster):
+def test_cluster_series_figure_scenario_night():
     machines = [shared_machine("m0", idle=6e6)]
     splits = split_fleet(machines, [sample("m0", 0, 12e6)])
-    power = cluster_power_series(splits, topology_one_cluster, machines)[("c0", H(0))]
-    assert (power.idle_watts, power.dynamic_watts, power.total_watts) == (6e6, 6e6, 12e6)
+    assert [(s.idle_watts, s.dynamic_watts, s.total_watts) for s in splits] == [(6e6, 6e6, 12e6)]
 
 
-def test_missing_sample_contributes_nothing(topology_one_cluster):
+def test_missing_sample_contributes_nothing():
     machines = [shared_machine("m0"), shared_machine("m1")]
     splits = split_fleet(machines, [sample("m0", 0, 40.0)])
-    series = cluster_power_series(splits, topology_one_cluster, machines)
-    assert series[("c0", H(0))].total_watts == 40.0
+    assert [(s.machine_id, s.total_watts) for s in splits] == [("m0", 40.0)]
 
 
 def test_unknown_cluster_rejected():
     machines = [shared_machine("m0", cluster="ghost")]
-    splits = split_fleet(machines, [sample("m0", 0, 10.0)])
+    samples = [sample("m0", 0, 10.0)]
     topology = ClusterTopology.from_rows([ZoneMapRow("c0", "z0", "r0")])
+    assert [(v.code, v.subject) for v in validate_fleet(machines, samples, topology)] == [("unknown-cluster", "m0")]
     with pytest.raises(InputError):
-        cluster_power_series(splits, topology, machines)
+        split_fleet(machines, [sample("ghost-machine", 0, 10.0)])
 
 
 @given(data=st.data())
@@ -107,9 +105,9 @@ def test_random_fleet_totals_match_independent_resummation(data):
         measured = data.draw(watts, label=f"measured{i}")
         machines.append(shared_machine(f"m{i}", idle=rating))
         samples.append(sample(f"m{i}", 0, measured))
-    topology = ClusterTopology.from_rows([ZoneMapRow("c0", "z0", "r0")])
-    series = cluster_power_series(split_fleet(machines, samples), topology, machines)
+    splits = split_fleet(machines, samples)
     expected_total = sum(s.measured_power_watts for s in samples)
-    got = series[("c0", H(0))]
-    assert got.total_watts == pytest.approx(expected_total, rel=1e-12)
-    assert got.idle_watts + got.dynamic_watts == pytest.approx(expected_total, rel=1e-12)
+    idle = sum(s.idle_watts for s in splits)
+    dynamic = sum(s.dynamic_watts for s in splits)
+    assert sum(s.total_watts for s in splits) == pytest.approx(expected_total, rel=1e-12)
+    assert idle + dynamic == pytest.approx(expected_total, rel=1e-12)

@@ -16,10 +16,7 @@ from carbonledger.services import (
     apply_major_realloc,
     apply_minor_realloc_round,
     build_day_plans,
-    colossus_fraction,
     identify_provider,
-    major_fraction,
-    minor_fraction,
     run_allocation_pipeline,
 )
 from carbonledger.simulate import generate, preset_spec
@@ -42,24 +39,31 @@ def ledger_of(cells: dict) -> Ledger:
 
 # --- major-service fractions -------------------------------------------------
 
+def major_shares(provider, rows, dynamic_wh=1.0):
+    """Each consumer's fraction of the provider's dynamic energy after the major stage."""
+    ledger = ledger_of({(provider, "c0", H(0)): EnergyCell(idle_wh=0.0, dynamic_wh=dynamic_wh)})
+    cells = apply_major_realloc(ledger, rows).cells
+    return {user: cell.dynamic_wh / dynamic_wh for (user, _, _), cell in cells.items()}
+
+
 def test_major_fraction_sole_consumer():
     rows = [usage_row("a", "svc", gcu=12.0)]
-    assert major_fraction("a", "svc", "c0", H(0), rows) == 1.0
+    assert major_shares("svc", rows) == {"svc": 0.0, "a": 1.0}
 
 
 def test_major_fraction_share_of_total():
     rows = [usage_row("a", "svc", gcu=30.0), usage_row("b", "svc", gcu=90.0)]
-    assert major_fraction("a", "svc", "c0", H(0), rows) == pytest.approx(0.25, abs=1e-15)
+    assert major_shares("svc", rows)["a"] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_major_fraction_zero_usage_consumer():
     rows = [usage_row("a", "svc", gcu=0.0), usage_row("b", "svc", gcu=5.0)]
-    assert major_fraction("a", "svc", "c0", H(0), rows) == 0.0
+    assert major_shares("svc", rows) == {"svc": 0.0, "b": 1.0}
 
 
 def test_colossus_fraction_sole_consumer():
     rows = [usage_row("a", "col", hdd=5.0, colossus=True)]
-    assert colossus_fraction("a", "col", "c0", H(0), rows) == 1.0
+    assert major_shares("col", rows) == {"col": 0.0, "a": 1.0}
 
 
 def test_colossus_fraction_symmetry():
@@ -67,7 +71,7 @@ def test_colossus_fraction_symmetry():
         usage_row("a", "col", gcu=2.0, ssd=1.0, hdd=6.0, colossus=True),
         usage_row("b", "col", gcu=2.0, ssd=1.0, hdd=6.0, colossus=True),
     ]
-    assert colossus_fraction("a", "col", "c0", H(0), rows) == pytest.approx(0.5, abs=1e-15)
+    assert major_shares("col", rows)["a"] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_colossus_fraction_weights_storage_types():
@@ -76,7 +80,7 @@ def test_colossus_fraction_weights_storage_types():
         usage_row("a", "col", hdd=10.0, colossus=True),
         usage_row("b", "col", ssd=10.0, colossus=True),
     ]
-    assert colossus_fraction("a", "col", "c0", H(0), rows) == pytest.approx(1.0 / 7.0, abs=1e-12)
+    assert major_shares("col", rows)["a"] == pytest.approx(1.0 / 7.0, abs=1e-12)
 
 
 def test_apply_major_without_usage_is_identity():
@@ -151,19 +155,32 @@ def test_cost_summary_clamp_invariants():
 
 def test_minor_fraction_worked_example():
     # 1000 paid of 10000 revenue, costs equal revenue: exactly 10%.
-    provider = UserCostSummary("blobstore", 10000.0, {"blob": -10000.0})
-    assert minor_fraction(1000.0, provider, "blob") == pytest.approx(0.10, abs=1e-15)
+    net = [NetCostRecord("blobstore", "blob", DAY, -10000.0), NetCostRecord("a", "blob", DAY, 1000.0)]
+    plans, _ = build_day_plans(net, [NonServiceCostRecord("blobstore", DAY, 10000.0)])
+    [(consumer, fraction)] = plans[DAY].outflows["blobstore"]
+    assert consumer == "a"
+    assert fraction == pytest.approx(0.10, abs=1e-15)
 
 
 def test_minor_fraction_balanced_service_sums_to_one():
-    provider = UserCostSummary("k", 2000.0, {"s": -1000.0})
-    fractions = [minor_fraction(600.0, provider, "s"), minor_fraction(400.0, provider, "s")]
-    assert sum(fractions) == pytest.approx(1.0, abs=1e-12)
+    net = [
+        NetCostRecord("k", "s", DAY, -1000.0),
+        NetCostRecord("a", "s", DAY, 600.0),
+        NetCostRecord("b", "s", DAY, 400.0),
+    ]
+    plans, notices = build_day_plans(net, [NonServiceCostRecord("k", DAY, 2000.0)])
+    assert sum(f for _, f in plans[DAY].outflows["k"]) == pytest.approx(1.0, abs=1e-12)
+    assert notices == []
 
 
 def test_minor_fraction_zero_cost_consumer():
-    provider = UserCostSummary("k", 0.0, {"s": -10.0})
-    assert minor_fraction(0.0, provider, "s") == 0.0
+    net = [
+        NetCostRecord("k", "s", DAY, -10.0),
+        NetCostRecord("z", "s", DAY, 0.0),
+        NetCostRecord("b", "s", DAY, 4.0),
+    ]
+    plans, _ = build_day_plans(net, [])
+    assert plans[DAY].outflows["k"] == [("b", pytest.approx(0.4, abs=1e-15))]
 
 
 def test_day_plan_clamps_negative_consumer_cost():
@@ -204,6 +221,10 @@ def test_minor_fractions_never_exceed_one(payments, base_cost):
     plans, _ = build_day_plans(net, [NonServiceCostRecord("k", DAY, base_cost)])
     outflows = plans[DAY].outflows.get("k", [])
     assert sum(f for _, f in outflows) <= 1.0 + 1e-12
+    # Each consumer's share is its payment over the clamped denominator.
+    denominator = max(revenue, base_cost - revenue)
+    expected = {f"u{i}": p / denominator for i, p in enumerate(payments) if p > 0.0}
+    assert dict(outflows) == pytest.approx(expected, rel=1e-12)
 
 
 # --- minor rounds ------------------------------------------------------------

@@ -1,9 +1,12 @@
 import csv
+import json
+from collections import Counter
+from dataclasses import fields
 
 import pytest
 
 from carbonledger.errors import InputError
-from carbonledger.simulate import ScenarioSpec, generate, preset_spec
+from carbonledger.simulate import PRESETS, ScenarioSpec, generate, preset_spec
 from carbonledger.tables import (
     SCHEMAS,
     quantize,
@@ -11,38 +14,24 @@ from carbonledger.tables import (
     write_bundle,
 )
 
-
-def _sorted_records(bundle):
-    return {
-        "machines": sorted(bundle.machines, key=lambda m: m.machine_id),
-        "power_samples": sorted(bundle.power_samples, key=lambda s: (s.machine_id, s.hour)),
-        "resource_allocations": sorted(
-            bundle.resource_allocations, key=lambda a: (a.user, a.cluster_id, a.hour)
-        ),
-        "gcu_usage": sorted(bundle.gcu_usage, key=lambda u: (u.user, u.machine_id, u.hour)),
-        "service_usage": sorted(
-            bundle.service_usage, key=lambda s: (s.consumer, s.provider, s.cluster_id, s.hour)
-        ),
-        "net_costs": sorted(bundle.net_costs, key=lambda n: (n.user, n.service, n.day)),
-        "non_service_costs": sorted(bundle.non_service_costs, key=lambda n: (n.user, n.day)),
-        "pue": sorted(bundle.pue, key=lambda p: (p.cluster_id, p.hour)),
-        "carbon_intensity": sorted(bundle.carbon_intensity, key=lambda c: (c.zone_id, c.hour)),
-        "annual_intensity": sorted(bundle.annual_intensity, key=lambda a: (a.zone_id, a.year)),
-        "zone_map": sorted(bundle.zone_map, key=lambda z: z.cluster_id),
-        "sku_catalog": sorted(bundle.sku_catalog, key=lambda s: s.sku_id),
-        "billing_usage": sorted(
-            bundle.billing_usage, key=lambda b: (b.sku_id, b.region_id, b.billing_account or "", b.month)
-        ),
-    }
+ROUNDTRIP_SPECS = {name: preset_spec(name) for name in PRESETS}
+ROUNDTRIP_SPECS["seeded"] = ScenarioSpec(
+    seed=5, machine_count=12, user_count=5, hours=6, include_unbilled_usage=True, cyclic_economy=True
+)
 
 
-def test_bundle_roundtrip_preserves_every_record(tmp_path):
-    original = generate(
-        ScenarioSpec(seed=5, machine_count=12, user_count=5, hours=6, include_unbilled_usage=True)
-    )
-    write_bundle(original, tmp_path)
-    reloaded = read_bundle(tmp_path)
-    assert _sorted_records(reloaded) == _sorted_records(original)
+def _records(bundle):
+    return {table.name: Counter(getattr(bundle, table.name)) for table in fields(bundle)}
+
+
+@pytest.mark.parametrize("name", ROUNDTRIP_SPECS)
+def test_bundle_roundtrip_preserves_every_record(name, tmp_path):
+    original = generate(ROUNDTRIP_SPECS[name])
+    first = json.loads(write_bundle(original, tmp_path / "first").read_text())
+    reloaded = read_bundle(tmp_path / "first")
+    assert _records(reloaded) == _records(original)
+    second = json.loads(write_bundle(reloaded, tmp_path / "second").read_text())
+    assert second["files"] == first["files"]
 
 
 def test_written_headers_match_declared_schemas(tmp_path):
@@ -89,3 +78,29 @@ def test_quantize_steps():
     assert quantize(1234.6, 1.0) == 1235.0
     assert quantize(0.35288, 0.001) == pytest.approx(0.353)
     assert quantize(123.456, 0.0) == 123.456
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_number_is_rejected_with_its_location(tmp_path, text):
+    write_bundle(generate(preset_spec("figure1")), tmp_path)
+    path = tmp_path / "power_samples.csv"
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + "," + text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match="power_samples.csv line 3, column measured_power_watts: non-finite"):
+        read_bundle(tmp_path)
+
+
+def test_unparsable_cell_and_short_row_name_their_line(tmp_path):
+    write_bundle(generate(preset_spec("figure1")), tmp_path)
+    path = tmp_path / "power_samples.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].replace(":00Z", ":30Z")
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match="power_samples.csv line 2, column hour_utc: "):
+        read_bundle(tmp_path)
+    del lines[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match="power_samples.csv line 2: 2 cells where the schema has 3"):
+        read_bundle(tmp_path)
