@@ -23,7 +23,7 @@ from .model import (
     validate_fleet,
 )
 from .oracle import oracle_allocate
-from .power import MachinePowerSplit, split_power
+from .power import FleetSplit, split_fleet
 from .services import AllocationResult, run_allocation_pipeline
 from .simulate import PRESETS, ScenarioSpec, generate, preset_spec
 
@@ -33,11 +33,11 @@ __all__ = [
     "ClusterTopology",
     "EmissionRecord",
     "EnergyCell",
+    "FleetSplit",
     "FootprintReport",
     "IntensityFeed",
     "IntensitySource",
     "Ledger",
-    "MachinePowerSplit",
     "MachineRecord",
     "PRESETS",
     "PowerSample",
@@ -54,7 +54,7 @@ __all__ = [
     "preset_spec",
     "run_allocation_pipeline",
     "run_end_to_end",
-    "split_power",
+    "split_fleet",
     "validate_bundle",
     "validate_fleet",
     "weighted_allocation",

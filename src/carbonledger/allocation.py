@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .model import (
     UNALLOCATED_USER,
@@ -25,7 +25,7 @@ from .model import (
     Sharing,
     format_hour,
 )
-from .power import MachinePowerSplit
+from .power import FleetSplit
 
 log = logging.getLogger(__name__)
 
@@ -110,7 +110,7 @@ def idle_share_table(
 
 
 def allocate_idle(
-    splits: Iterable[MachinePowerSplit],
+    split: FleetSplit,
     machines: Sequence[MachineRecord],
     allocations: Sequence[ResourceAllocationRecord],
     weighting: PowerWeighting = PowerWeighting(),
@@ -127,14 +127,16 @@ def allocate_idle(
     shared_totals: dict[tuple[str, datetime], float] = {}
     notices: list[Notice] = []
 
-    for s in splits:
-        machine = by_id[s.machine_id]
-        if machine.sharing is Sharing.DEDICATED:
-            key = (machine.owner_user or UNALLOCATED_USER, machine.cluster_id, s.hour)
-            idle[key] = idle.get(key, 0.0) + s.idle_watts
-        else:
-            ch = (machine.cluster_id, s.hour)
-            shared_totals[ch] = shared_totals.get(ch, 0.0) + s.idle_watts
+    for part in split:
+        hour = part.hour
+        for machine_id, watts in zip(part.machine_ids, part.idle_watts):
+            machine = by_id[machine_id]
+            if machine.sharing is Sharing.DEDICATED:
+                key = (machine.owner_user or UNALLOCATED_USER, machine.cluster_id, hour)
+                idle[key] = idle.get(key, 0.0) + watts
+            else:
+                ch = (machine.cluster_id, hour)
+                shared_totals[ch] = shared_totals.get(ch, 0.0) + watts
 
     for (cluster, hour), total in shared_totals.items():
         if total == 0.0:
@@ -154,7 +156,7 @@ def allocate_idle(
 
 
 def allocate_dynamic(
-    splits: Iterable[MachinePowerSplit],
+    split: FleetSplit,
     machines: Sequence[MachineRecord],
     usage: Sequence[GcuUsageRecord],
     allocations: Sequence[ResourceAllocationRecord] = (),
@@ -167,58 +169,66 @@ def allocate_dynamic(
     zero recorded usage keeps conservation intact: a dedicated machine's
     owner takes it, a shared machine falls back to the idle-allocation
     fractions (and then to the unallocated-overhead user).
+
+    Usage is bucketed by hour once and grouped by machine one hour at a
+    time, so only one hour's grouping is alive at any point.
     """
     by_id = {m.machine_id: m for m in machines}
-    usage_by_mh: dict[tuple[str, datetime], list[tuple[str, float]]] = {}
+    usage_by_hour: dict[datetime, list[GcuUsageRecord]] = {}
     for rec in usage:
         if rec.gcu_used <= 0.0:
             continue
-        usage_by_mh.setdefault((rec.machine_id, rec.hour), []).append((rec.user, rec.gcu_used))
+        usage_by_hour.setdefault(rec.hour, []).append(rec)
 
     fractions = idle_share_table(allocations, weighting) if allocations else {}
     dynamic: dict[LedgerKey, float] = {}
     notices: list[Notice] = []
 
-    for s in splits:
-        if s.dynamic_watts == 0.0:
-            continue
-        machine = by_id[s.machine_id]
-        cluster = machine.cluster_id
-        users = usage_by_mh.get((s.machine_id, s.hour))
-        if users:
-            total = sum(g for _, g in users)
-            for user, gcu in users:
-                key = (user, cluster, s.hour)
-                dynamic[key] = dynamic.get(key, 0.0) + s.dynamic_watts * (gcu / total)
-            continue
-        if machine.sharing is Sharing.DEDICATED and machine.owner_user:
-            key = (machine.owner_user, cluster, s.hour)
-            dynamic[key] = dynamic.get(key, 0.0) + s.dynamic_watts
-            continue
-        per_user = fractions.get((cluster, s.hour))
-        if per_user:
-            for user, fraction in per_user.items():
-                key = (user, cluster, s.hour)
-                dynamic[key] = dynamic.get(key, 0.0) + fraction * s.dynamic_watts
-        else:
-            notices.append(
-                Notice("unallocated-dynamic", s.machine_id, f"no usage or allocations at {format_hour(s.hour)}")
-            )
-            key = (UNALLOCATED_USER, cluster, s.hour)
-            dynamic[key] = dynamic.get(key, 0.0) + s.dynamic_watts
+    for part in split:
+        hour = part.hour
+        usage_by_machine: dict[str, list[GcuUsageRecord]] = {}
+        for rec in usage_by_hour.pop(hour, ()):
+            usage_by_machine.setdefault(rec.machine_id, []).append(rec)
+        for machine_id, watts in zip(part.machine_ids, part.dynamic_watts):
+            if watts == 0.0:
+                continue
+            machine = by_id[machine_id]
+            cluster = machine.cluster_id
+            users = usage_by_machine.get(machine_id)
+            if users:
+                total = sum(rec.gcu_used for rec in users)
+                for rec in users:
+                    key = (rec.user, cluster, hour)
+                    dynamic[key] = dynamic.get(key, 0.0) + watts * (rec.gcu_used / total)
+                continue
+            if machine.sharing is Sharing.DEDICATED and machine.owner_user:
+                key = (machine.owner_user, cluster, hour)
+                dynamic[key] = dynamic.get(key, 0.0) + watts
+                continue
+            per_user = fractions.get((cluster, hour))
+            if per_user:
+                for user, fraction in per_user.items():
+                    key = (user, cluster, hour)
+                    dynamic[key] = dynamic.get(key, 0.0) + fraction * watts
+            else:
+                notices.append(
+                    Notice("unallocated-dynamic", machine_id, f"no usage or allocations at {format_hour(hour)}")
+                )
+                key = (UNALLOCATED_USER, cluster, hour)
+                dynamic[key] = dynamic.get(key, 0.0) + watts
     return dynamic, notices
 
 
 def build_machine_ledger(
-    splits: Sequence[MachinePowerSplit],
+    split: FleetSplit,
     machines: Sequence[MachineRecord],
     allocations: Sequence[ResourceAllocationRecord],
     usage: Sequence[GcuUsageRecord],
     weighting: PowerWeighting = PowerWeighting(),
 ) -> tuple[Ledger, list[Notice]]:
     """Machine-stage ledger: idle plus dynamic, before any reallocation."""
-    idle, idle_notices = allocate_idle(splits, machines, allocations, weighting)
-    dynamic, dyn_notices = allocate_dynamic(splits, machines, usage, allocations, weighting)
+    idle, idle_notices = allocate_idle(split, machines, allocations, weighting)
+    dynamic, dyn_notices = allocate_dynamic(split, machines, usage, allocations, weighting)
     cells: dict[LedgerKey, EnergyCell] = {}
     for key, wh in idle.items():
         cells[key] = EnergyCell(idle_wh=wh)

@@ -127,6 +127,8 @@ def compute_emissions(
     records: list[EmissionRecord] = []
     notices: list[Notice] = []
     missing_pue: set[tuple[str, datetime]] = set()
+    # Intensity depends only on the cluster-hour; None marks a missing one.
+    resolved: dict[tuple[str, datetime], tuple[float, IntensitySource] | None] = {}
 
     for (user, cluster, hour), cell in sorted(ledger.cells.items()):
         it_wh = cell.idle_wh + cell.dynamic_wh
@@ -138,11 +140,17 @@ def compute_emissions(
                 notices.append(
                     Notice("missing-pue", cluster, f"default {pue} used at {format_hour(hour)}")
                 )
-        try:
-            intensity, source = resolve_intensity(cluster, hour, topology, feed, cluster_to_country)
-        except MissingIntensityError:
-            if not allow_missing_intensity:
-                raise
+        if (cluster, hour) not in resolved:
+            try:
+                resolved[cluster, hour] = resolve_intensity(cluster, hour, topology, feed, cluster_to_country)
+            except MissingIntensityError:
+                if not allow_missing_intensity:
+                    raise
+                resolved[cluster, hour] = None
+        found = resolved[cluster, hour]
+        if found is not None:
+            intensity, source = found
+        else:
             intensity, source = missing_intensity_default, IntensitySource.DEFAULT
             notices.append(
                 Notice("missing-intensity", cluster, f"default {intensity} g/kWh at {format_hour(hour)}")

@@ -209,13 +209,16 @@ def compute_customer_footprints(
 
     for month in sorted({rec.month for rec in billing}):
         month_billing = [rec for rec in billing if rec.month == month]
-        month_emissions = [rec for rec in emissions if month_of(rec.hour) == month]
 
         provider_kg: dict[str, float] = {}
         provider_wh: dict[str, float] = {}
-        for rec in month_emissions:
+        records_by_user: dict[str, list[EmissionRecord]] = {}
+        for rec in emissions:
+            if month_of(rec.hour) != month:
+                continue
             provider_kg[rec.user] = provider_kg.get(rec.user, 0.0) + rec.kg_co2e
             provider_wh[rec.user] = provider_wh.get(rec.user, 0.0) + rec.energy_it_wh
+            records_by_user.setdefault(rec.user, []).append(rec)
         month_scope = scope if scope is not None else set(provider_kg)
         total_scope_kg = sum(provider_kg.get(user, 0.0) for user in month_scope)
         if total_scope_kg <= 0.0:
@@ -242,7 +245,7 @@ def compute_customer_footprints(
             }
             try:
                 rates = sku_energy_rates(provider, energy_wh, skus, month_billing)
-                intensity_by_region = regional_intensity(provider, month_emissions, topology)
+                intensity_by_region = regional_intensity(provider, records_by_user.get(provider, []), topology)
                 alpha = alpha_balance(provider, total_kg, rates, intensity_by_region, provider_usage)
             except NoBillableUsageError as exc:
                 notices.append(Notice("unallocatable-provider", provider, f"{exc} in {month}"))

@@ -1,11 +1,19 @@
-"""Split measured machine power into clamped idle and dynamic components."""
+"""Split measured machine power into clamped idle and dynamic components.
+
+The split is columnar and bucketed by hour: each hour holds the sampled
+machines in sample order plus one idle and one dynamic column of watts.
+Every ledger key contains its hour, so walking the split hour by hour
+sums each ledger cell in the same order as walking the samples would.
+"""
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from array import array
+from collections import Counter
+from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import InputError
 from .model import MachineRecord, PowerSample
@@ -13,67 +21,70 @@ from .model import MachineRecord, PowerSample
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, slots=True)
-class MachinePowerSplit:
-    """Idle/dynamic decomposition of one machine-hour.
+@dataclass(slots=True)
+class HourSplit:
+    """Idle/dynamic decomposition of every sampled machine in one hour.
 
-    idle + dynamic reproduces the measured power exactly because dynamic
-    is computed as measured minus idle.
+    Row ``i`` belongs to ``machine_ids[i]``. Idle is the recorded rating
+    clamped to measured power, and dynamic is measured minus idle, so
+    ``0 <= idle <= measured`` and ``dynamic >= 0``.
     """
 
-    machine_id: str
     hour: datetime
-    idle_watts: float
-    dynamic_watts: float
+    machine_ids: list[str] = field(default_factory=list)
+    idle_watts: array = field(default_factory=lambda: array("d"))
+    dynamic_watts: array = field(default_factory=lambda: array("d"))
 
-    @property
-    def total_watts(self) -> float:
-        return self.idle_watts + self.dynamic_watts
+    def __len__(self) -> int:
+        return len(self.machine_ids)
 
 
-def split_power(machine: MachineRecord, sample: PowerSample) -> MachinePowerSplit:
-    """Clamp idle to measured power and attribute the remainder as dynamic.
+@dataclass(slots=True)
+class FleetSplit:
+    """Every sampled machine-hour, one ``HourSplit`` per hour.
 
-    The clamp absorbs mis-configured idle ratings, guaranteeing
-    0 <= idle <= measured and dynamic >= 0.
+    Hours come in the order they first appear in the samples; ``len()``
+    is the number of machine-hours.
     """
-    if machine.machine_id != sample.machine_id:
-        raise InputError(f"sample for {sample.machine_id!r} paired with machine {machine.machine_id!r}")
-    if sample.measured_power_watts < 0:
-        raise InputError(f"negative measured power {sample.measured_power_watts} on {machine.machine_id!r}")
-    idle = min(machine.idle_rating_watts, sample.measured_power_watts)
-    return MachinePowerSplit(
-        machine_id=machine.machine_id,
-        hour=sample.hour,
-        idle_watts=idle,
-        dynamic_watts=sample.measured_power_watts - idle,
-    )
+
+    hours: list[HourSplit] = field(default_factory=list)
+
+    def __iter__(self) -> Iterator[HourSplit]:
+        return iter(self.hours)
+
+    def __len__(self) -> int:
+        return sum(len(part) for part in self.hours)
 
 
-def split_fleet(
-    machines: Sequence[MachineRecord], samples: Sequence[PowerSample]
-) -> list[MachinePowerSplit]:
+def split_fleet(machines: Sequence[MachineRecord], samples: Sequence[PowerSample]) -> FleetSplit:
     """Split every sampled machine-hour.
 
-    A machine with no sample for some hour simply contributes no split
-    (treated as powered off); the gap is logged once per machine.
+    A machine with no sample for some hour simply contributes no row
+    (treated as powered off); at DEBUG level the gap is logged once per
+    machine.
     """
     by_id = {m.machine_id: m for m in machines}
-    splits: list[MachinePowerSplit] = []
+    buckets: dict[datetime, HourSplit] = {}
     for sample in samples:
         machine = by_id.get(sample.machine_id)
         if machine is None:
             raise InputError(f"power sample references unknown machine {sample.machine_id!r}")
-        splits.append(split_power(machine, sample))
+        measured = sample.measured_power_watts
+        if measured < 0:
+            raise InputError(f"negative measured power {measured} on {machine.machine_id!r}")
+        part = buckets.get(sample.hour)
+        if part is None:
+            part = buckets[sample.hour] = HourSplit(sample.hour)
+        # The clamp absorbs mis-configured idle ratings.
+        idle = min(machine.idle_rating_watts, measured)
+        part.machine_ids.append(sample.machine_id)
+        part.idle_watts.append(idle)
+        part.dynamic_watts.append(measured - idle)
 
-    hours = {s.hour for s in samples}
-    if hours:
-        sampled: dict[str, int] = {}
-        for s in samples:
-            sampled[s.machine_id] = sampled.get(s.machine_id, 0) + 1
+    if buckets and log.isEnabledFor(logging.DEBUG):
+        sampled = Counter(machine_id for part in buckets.values() for machine_id in part.machine_ids)
         for machine_id in by_id:
-            missing = len(hours) - sampled.get(machine_id, 0)
+            missing = len(buckets) - sampled[machine_id]
             if missing > 0:
                 log.debug("machine %s has no sample for %d hour(s); treated as powered off", machine_id, missing)
-    return splits
-
+    return FleetSplit(list(buckets.values()))

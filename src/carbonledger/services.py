@@ -316,9 +316,9 @@ def run_allocation_pipeline(
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    splits = split_fleet(bundle.machines, bundle.power_samples)
+    split = split_fleet(bundle.machines, bundle.power_samples)
     machine_ledger, notices = build_machine_ledger(
-        splits, bundle.machines, bundle.resource_allocations, bundle.gcu_usage, weighting
+        split, bundle.machines, bundle.resource_allocations, bundle.gcu_usage, weighting
     )
     stages = [machine_ledger]
     stages.append(apply_major_realloc(machine_ledger, bundle.service_usage, weighting, storage_style))

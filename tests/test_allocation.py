@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from carbonledger.allocation import (
     idle_share_table,
     weighted_allocation,
 )
+from carbonledger.errors import InputError
 from carbonledger.model import (
     UNALLOCATED_USER,
     GcuUsageRecord,
@@ -15,6 +18,7 @@ from carbonledger.model import (
     ResourceVector,
 )
 from carbonledger.power import split_fleet
+from carbonledger.simulate import ScenarioSpec, generate
 
 from conftest import H, alloc, dedicated_machine, sample, shared_machine
 
@@ -67,8 +71,8 @@ def test_idle_fractions_sum_to_one():
 def test_allocate_idle_prod_user_holds_everything():
     # Single shared aggregate; one user owns all allocation, so it takes all idle.
     machines = [shared_machine("m0", idle=6e6)]
-    splits = split_fleet(machines, [sample("m0", 0, 14e6)])
-    idle, notices = allocate_idle(splits, machines, [alloc("prod", gcu=100.0)])
+    split = split_fleet(machines, [sample("m0", 0, 14e6)])
+    idle, notices = allocate_idle(split, machines, [alloc("prod", gcu=100.0)])
     assert idle == {("prod", "c0", H(0)): 6e6}
     assert notices == []
 
@@ -79,15 +83,15 @@ def test_allocate_idle_dedicated_goes_to_owner():
         dedicated_machine("m1", owner="alice", idle=20.0),
         dedicated_machine("m2", owner="bob", idle=10.0),
     ]
-    splits = split_fleet(machines, [sample("m0", 0, 50.0), sample("m1", 0, 25.0), sample("m2", 0, 90.0)])
-    idle, _ = allocate_idle(splits, machines, [])
+    split = split_fleet(machines, [sample("m0", 0, 50.0), sample("m1", 0, 25.0), sample("m2", 0, 90.0)])
+    idle, _ = allocate_idle(split, machines, [])
     assert idle == {("alice", "c0", H(0)): 50.0, ("bob", "c0", H(0)): 10.0}
 
 
 def test_allocate_idle_without_allocations_falls_back():
     machines = [shared_machine("m0", idle=40.0)]
-    splits = split_fleet(machines, [sample("m0", 0, 100.0)])
-    idle, notices = allocate_idle(splits, machines, [])
+    split = split_fleet(machines, [sample("m0", 0, 100.0)])
+    idle, notices = allocate_idle(split, machines, [])
     assert idle == {(UNALLOCATED_USER, "c0", H(0)): 40.0}
     assert [n.code for n in notices] == ["unallocated-idle"]
 
@@ -95,9 +99,9 @@ def test_allocate_idle_without_allocations_falls_back():
 def test_allocate_dynamic_daytime_split():
     # 8 MW dynamic, 75/25 usage split: 6 MW and 2 MW.
     machines = [shared_machine("m0", idle=6e6)]
-    splits = split_fleet(machines, [sample("m0", 0, 14e6)])
+    split = split_fleet(machines, [sample("m0", 0, 14e6)])
     usage = [GcuUsageRecord("prod", "m0", H(0), 60.0), GcuUsageRecord("non-prod", "m0", H(0), 20.0)]
-    dynamic, _ = allocate_dynamic(splits, machines, usage)
+    dynamic, _ = allocate_dynamic(split, machines, usage)
     assert dynamic[("prod", "c0", H(0))] == pytest.approx(6e6, rel=1e-12)
     assert dynamic[("non-prod", "c0", H(0))] == pytest.approx(2e6, rel=1e-12)
 
@@ -105,32 +109,32 @@ def test_allocate_dynamic_daytime_split():
 def test_allocate_dynamic_night_split_with_idle_totals():
     # 6 MW dynamic split 50/50 plus prod's 6 MW idle: 9 MW vs 3 MW.
     machines = [shared_machine("m0", idle=6e6)]
-    splits = split_fleet(machines, [sample("m0", 0, 12e6)])
+    split = split_fleet(machines, [sample("m0", 0, 12e6)])
     usage = [GcuUsageRecord("prod", "m0", H(0), 30.0), GcuUsageRecord("non-prod", "m0", H(0), 30.0)]
-    ledger, _ = build_machine_ledger(splits, machines, [alloc("prod", gcu=100.0)], usage)
+    ledger, _ = build_machine_ledger(split, machines, [alloc("prod", gcu=100.0)], usage)
     assert ledger.cells[("prod", "c0", H(0))].total_wh == pytest.approx(9e6, rel=1e-12)
     assert ledger.cells[("non-prod", "c0", H(0))].total_wh == pytest.approx(3e6, rel=1e-12)
 
 
 def test_allocate_dynamic_single_user_takes_all():
     machines = [shared_machine("m0", idle=10.0)]
-    splits = split_fleet(machines, [sample("m0", 0, 25.0)])
-    dynamic, _ = allocate_dynamic(splits, machines, [GcuUsageRecord("solo", "m0", H(0), 2.0)])
+    split = split_fleet(machines, [sample("m0", 0, 25.0)])
+    dynamic, _ = allocate_dynamic(split, machines, [GcuUsageRecord("solo", "m0", H(0), 2.0)])
     assert dynamic == {("solo", "c0", H(0)): 15.0}
 
 
 def test_zero_usage_dedicated_machine_dynamic_goes_to_owner():
     machines = [dedicated_machine("m0", owner="alice", idle=10.0)]
-    splits = split_fleet(machines, [sample("m0", 0, 30.0)])
-    dynamic, _ = allocate_dynamic(splits, machines, [])
+    split = split_fleet(machines, [sample("m0", 0, 30.0)])
+    dynamic, _ = allocate_dynamic(split, machines, [])
     assert dynamic == {("alice", "c0", H(0)): 20.0}
 
 
 def test_zero_usage_shared_machine_dynamic_follows_idle_fractions():
     machines = [shared_machine("m0", idle=10.0)]
-    splits = split_fleet(machines, [sample("m0", 0, 30.0)])
+    split = split_fleet(machines, [sample("m0", 0, 30.0)])
     allocations = [alloc("a", gcu=30.0), alloc("b", gcu=10.0)]
-    dynamic, _ = allocate_dynamic(splits, machines, [], allocations)
+    dynamic, _ = allocate_dynamic(split, machines, [], allocations)
     assert dynamic[("a", "c0", H(0))] == pytest.approx(15.0, rel=1e-12)
     assert dynamic[("b", "c0", H(0))] == pytest.approx(5.0, rel=1e-12)
 
@@ -138,12 +142,12 @@ def test_zero_usage_shared_machine_dynamic_follows_idle_fractions():
 def test_dynamic_is_per_machine_local():
     # A user with no usage on m1 receives nothing from m1.
     machines = [shared_machine("m0", idle=0.0), shared_machine("m1", idle=0.0)]
-    splits = split_fleet(machines, [sample("m0", 0, 10.0), sample("m1", 0, 50.0)])
+    split = split_fleet(machines, [sample("m0", 0, 10.0), sample("m1", 0, 50.0)])
     usage = [
         GcuUsageRecord("a", "m0", H(0), 5.0),
         GcuUsageRecord("b", "m1", H(0), 5.0),
     ]
-    dynamic, _ = allocate_dynamic(splits, machines, usage)
+    dynamic, _ = allocate_dynamic(split, machines, usage)
     assert dynamic[("a", "c0", H(0))] == 10.0
     assert dynamic[("b", "c0", H(0))] == 50.0
 
@@ -193,8 +197,8 @@ def test_machine_ledger_conserves_measured_power(data):
             if data.draw(st.booleans(), label=f"uses-{i}-{user}"):
                 usage.append(GcuUsageRecord(user, f"m{i}", H(0), data.draw(positive, label=f"g{i}{user}")))
     allocations = [alloc(u, gcu=data.draw(positive, label=f"alloc-{u}")) for u in users]
-    splits = split_fleet(machines, samples)
-    ledger, _ = build_machine_ledger(splits, machines, allocations, usage)
+    split = split_fleet(machines, samples)
+    ledger, _ = build_machine_ledger(split, machines, allocations, usage)
     measured_total = sum(s.measured_power_watts for s in samples)
     assert ledger.total_wh() == pytest.approx(measured_total, rel=1e-9)
 
@@ -218,3 +222,51 @@ def test_permuting_user_labels_permutes_outputs():
         mirrored = ledger_swapped.cells[(swap[user], cluster, hour)]
         assert mirrored.idle_wh == pytest.approx(cell.idle_wh, rel=1e-12)
         assert mirrored.dynamic_wh == pytest.approx(cell.dynamic_wh, rel=1e-12)
+
+
+def machine_stage(bundle, samples, usage):
+    split = split_fleet(bundle.machines, samples)
+    allocations = bundle.resource_allocations
+    idle, _ = allocate_idle(split, bundle.machines, allocations)
+    dynamic, _ = allocate_dynamic(split, bundle.machines, usage, allocations)
+    ledger, _ = build_machine_ledger(split, bundle.machines, allocations, usage)
+    return idle, dynamic, ledger.cells
+
+
+def test_cross_hour_order_leaves_machine_stage_cells_exactly_equal():
+    # The generator writes samples and usage machine by machine; a stable
+    # sort by hour (or by hour descending) regroups them hour by hour but
+    # keeps the order within each hour, so every cell must match bit for bit.
+    bundle = generate(ScenarioSpec(seed=4, machine_count=60, user_count=6, cluster_count=3, hours=8))
+    assert any(m.owner_user for m in bundle.machines)
+    machine_major = machine_stage(bundle, bundle.power_samples, bundle.gcu_usage)
+    for reverse in (False, True):
+        samples = sorted(bundle.power_samples, key=lambda s: s.hour, reverse=reverse)
+        usage = sorted(bundle.gcu_usage, key=lambda u: u.hour, reverse=reverse)
+        assert samples != bundle.power_samples
+        assert machine_stage(bundle, samples, usage) == machine_major
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [sample("ghost", 1, 10.0), sample("m1", 1, -0.5)],
+    ids=["unknown-machine", "negative-power"],
+)
+def test_split_fleet_rejects_bad_sample_in_a_later_hour(bad):
+    machines = [shared_machine("m0"), shared_machine("m1")]
+    samples = [sample("m0", 0, 10.0), sample("m1", 0, 10.0), sample("m0", 1, 10.0), bad]
+    with pytest.raises(InputError):
+        split_fleet(machines, samples)
+
+
+def test_missing_sample_is_logged_at_debug(caplog):
+    machines = [shared_machine("m0"), shared_machine("m1")]
+    samples = [sample("m0", 0, 10.0), sample("m1", 0, 10.0), sample("m0", 1, 10.0)]
+    with caplog.at_level(logging.INFO, logger="carbonledger.power"):
+        split_fleet(machines, samples)
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="carbonledger.power"):
+        assert len(split_fleet(machines, samples)) == 3
+    assert [r.getMessage() for r in caplog.records] == [
+        "machine m1 has no sample for 1 hour(s); treated as powered off"
+    ]

@@ -1,9 +1,15 @@
 import csv
 import dataclasses
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import carbonledger
 from carbonledger.check import closure_failures, run_end_to_end
 from carbonledger.cli import main
 from carbonledger.model import validate_bundle
@@ -160,3 +166,55 @@ def test_nan_power_sample_fails_closed(tmp_path):
     write_bundle(bundle, bundle_dir)
     for command in ("run", "oracle-check"):
         assert main([command, "--input", str(bundle_dir), "--output", str(tmp_path / command)]) == 2
+
+
+#: SHA-256 of the run reports. Refactors must keep them byte-identical under
+#: every hash seed. footprint_report.csv is left out: its beta sums over a
+#: set of users, so its last bits follow PYTHONHASHSEED.
+RECORDED_REPORTS = {
+    "figure1": (
+        ["--preset", "figure1"],
+        {
+            "user_energy.csv": "419879f6bc371a255c8764ea3d870018995508c6888a6454c30ee5c97c978481",
+            "emissions.csv": "56044229a9fe0cbd76a350bd3725842d92f52f0833f05e701238b5f8a1ae4299",
+            "flow_summary.csv": "5212cd9c832af59cd9e2824f3f0dc40aee53653e41a1560604a97ae4153eb3d8",
+        },
+    ),
+    "seed5-300-cyclic-unbilled": (
+        ["--seed", "5", "--machines", "300", "--cyclic-economy", "--unbilled-usage"],
+        {
+            "user_energy.csv": "324d9a8001e223be76f6d62b76af4674e8c1fdd1dbb568de1d50fbed51a1eba6",
+            "emissions.csv": "61ceeca9b7bbf8d325b0164a1235e7f5c8c29dd1268aecb8e8b5c3dc172d1f33",
+            "flow_summary.csv": "c6f468603b7f4378c70257d933b69cd1c0bc493e21c9d00241b38309966e6dad",
+        },
+    ),
+}
+
+#: Simulates into argv[1], runs, and prints "<report> <sha256>" per report
+#: named in argv[2]; argv[3:] are the simulate options.
+RUN_AND_HASH = """
+import contextlib, hashlib, io, sys
+from carbonledger.cli import main
+work, names, options = sys.argv[1], sys.argv[2].split(","), sys.argv[3:]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["simulate", "--output", work + "/bundle", *options]) == 0
+    assert main(["run", "--input", work + "/bundle", "--output", work + "/reports"]) == 0
+for name in names:
+    with open(work + "/reports/" + name, "rb") as handle:
+        print(name, hashlib.sha256(handle.read()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "42"])
+@pytest.mark.parametrize("case", sorted(RECORDED_REPORTS))
+def test_run_reports_match_recorded_digests(case, hash_seed, tmp_path):
+    args, expected = RECORDED_REPORTS[case]
+    src = str(Path(carbonledger.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_AND_HASH, str(tmp_path), ",".join(expected), *args],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert dict(line.split() for line in done.stdout.splitlines()) == expected
