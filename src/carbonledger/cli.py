@@ -231,6 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="carbonledger",
         description="Data-center energy attribution and carbon accounting pipeline",
     )
+    parser.add_argument(
+        "--log-level", choices=("DEBUG", "INFO", "WARNING", "ERROR"), default="WARNING",
+        help="least severe log message to print (default WARNING)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_run_flags(p: argparse.ArgumentParser, need_output: bool) -> None:
@@ -290,8 +294,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig acts once per process, but main() may run many times in one.
+    logging.getLogger().setLevel(args.log_level)
     try:
         if args.command == "validate":
             return cmd_validate(RunConfig(input_dir=args.input, output_dir=args.output))

@@ -8,9 +8,17 @@ is derived from that table, so headers cannot drift from the codecs.
 Writers sort rows by their key columns and format numbers with shortest
 round-trip precision, so identical data always serializes to identical
 bytes. Readers reject any cell a codec cannot parse, NaN and infinities
-included, with an ``InputError`` naming the file, line and column; each
-read parses a distinct hour string only once. Report rounding happens
-here at serialization time only.
+included, with an ``InputError`` naming the file, line and column.
+
+Caches live for one call only, so their memory goes with the call or
+with the bundle it returns. One ``read_bundle`` call parses each distinct
+hour string once and stores equal ``TEXT`` and ``OPTIONAL`` cells once:
+a machine id repeated on every power sample and usage row is one string
+shared by all of them. Each ``write_bundle``, ``write_user_energy`` and
+``write_emissions`` call formats each distinct hour once. The two large
+report writers, ``write_user_energy`` and ``write_emissions``, stream
+their rows to the file and hold only the sorted keys or records. Report
+rounding happens here at serialization time only.
 """
 
 from __future__ import annotations
@@ -213,8 +221,8 @@ def write_bundle(bundle: Bundle, directory: Path, manifest_extra: dict | None = 
     return manifest_path
 
 
-def _read_table(path: Path, table: Table, header: tuple[str, ...], hour: Callable[[str], Any]) -> list:
-    parsers = [hour if c.codec is HOUR else c.codec.parse for c in table.columns]
+def _read_table(path: Path, table: Table, header: tuple[str, ...], per_read: dict[Codec, Callable]) -> list:
+    parsers = [per_read.get(c.codec, c.codec.parse) for c in table.columns]
     make = table.make()
     records = []
     with path.open(newline="") as handle:
@@ -246,12 +254,18 @@ def read_bundle(directory: Path) -> Bundle:
     for name in REQUIRED_TABLES:
         if not (directory / f"{name}.csv").exists():
             raise InputError(f"required input file {name}.csv missing from {directory}")
-    hour = functools.cache(parse_hour)
+    # Equal text cells, across all tables, become one string object.
+    share = {}.setdefault
+    per_read = {
+        HOUR: functools.cache(parse_hour),
+        TEXT: lambda text: share(text, text),
+        OPTIONAL: lambda text: share(text, text) or None,
+    }
     bundle = Bundle()
     for name, table in TABLES.items():
         path = directory / f"{name}.csv"
         if path.exists():
-            setattr(bundle, table.field, _read_table(path, table, SCHEMAS[name], hour))
+            setattr(bundle, table.field, _read_table(path, table, SCHEMAS[name], per_read))
     return bundle
 
 
@@ -261,37 +275,40 @@ def write_validation_report(violations: Sequence[Violation], path: Path) -> None
 
 def write_user_energy(stages, path: Path, energy_step: float = 1.0) -> None:
     """Final ledger with one total column per pipeline stage."""
-    final = stages[-1]
+    final = stages[-1].cells
     header = ["user", "cluster_id", "hour_utc", "idle_wh", "dynamic_wh"]
     header.extend(f"{ledger.stage}_wh" for ledger in stages)
     keys = sorted({key for ledger in stages for key in ledger.cells})
-    rows = []
-    for key in keys:
-        user, cluster, hour = key
-        cell = final.cells.get(key)
-        row = [
-            user, cluster, format_hour(hour),
-            _fmt(quantize(cell.idle_wh if cell else 0.0, energy_step)),
-            _fmt(quantize(cell.dynamic_wh if cell else 0.0, energy_step)),
-        ]
-        for ledger in stages:
-            stage_cell = ledger.cells.get(key)
-            row.append(_fmt(quantize(stage_cell.total_wh if stage_cell else 0.0, energy_step)))
-        rows.append(row)
-    _write_csv(Path(path), header, rows)
+    hour = functools.cache(format_hour)
+
+    def wh(value: float) -> str:
+        return _fmt(quantize(value, energy_step))
+
+    def rows():
+        for key in keys:
+            user, cluster, at = key
+            cell = final.get(key)
+            yield (
+                user, cluster, hour(at),
+                wh(cell.idle_wh if cell else 0.0), wh(cell.dynamic_wh if cell else 0.0),
+                *(wh(ledger.cells[key].total_wh if key in ledger.cells else 0.0) for ledger in stages),
+            )
+
+    _write_csv(Path(path), header, rows())
 
 
 def write_emissions(records, path: Path, energy_step: float = 1.0, carbon_step_g: float = 1.0) -> None:
-    rows = [
+    hour = functools.cache(format_hour)
+    rows = (
         (
-            r.user, r.cluster_id, format_hour(r.hour),
+            r.user, r.cluster_id, hour(r.hour),
             _fmt(quantize(r.energy_it_wh, energy_step)),
             _fmt(quantize(r.energy_total_wh, energy_step)),
             _fmt(quantize(r.kg_co2e, carbon_step_g / 1000.0)),
             r.intensity_source.value,
         )
-        for r in sorted(records, key=lambda r: (r.user, r.cluster_id, r.hour))
-    ]
+        for r in sorted(records, key=attrgetter("user", "cluster_id", "hour"))
+    )
     _write_csv(
         Path(path),
         ("user", "cluster_id", "hour_utc", "energy_it_wh", "energy_total_wh", "kg_co2e", "intensity_source"),

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import logging
 import math
 import os
 import subprocess
@@ -71,6 +72,24 @@ def test_run_produces_reports_with_figure_values(figure1_dir, tmp_path, capsys):
     with (out / "flow_summary.csv").open(newline="") as handle:
         totals = [float(r["energy_wh"]) for r in csv.DictReader(handle) if r["user"] == "TOTAL"]
     assert len(totals) == 4 and len(set(totals)) == 1
+
+
+def test_log_level_flag_shows_debug_lines_only_when_asked(tmp_path, caplog):
+    bundle = generate(ScenarioSpec(seed=3, machine_count=6, user_count=3, cluster_count=1, hours=2))
+    del bundle.power_samples[0]
+    write_bundle(bundle, tmp_path / "bundle")
+    run = ["run", "--input", str(tmp_path / "bundle"), "--output", str(tmp_path / "reports")]
+    root = logging.getLogger()
+    saved = root.level
+    try:
+        # DEBUG first: the default run after it must lower the level again.
+        for flags, shown in ((["--log-level", "DEBUG"], True), ([], False)):
+            caplog.clear()
+            assert main([*flags, *run]) == 0
+            missing = [r for r in caplog.records if "has no sample for 1 hour(s)" in r.getMessage()]
+            assert bool(missing) == shown
+    finally:
+        root.setLevel(saved)
 
 
 def test_run_empty_date_range_exits_two(figure1_dir, tmp_path):

@@ -1,10 +1,12 @@
 import csv
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 
 import pytest
 
+from carbonledger.check import run_end_to_end
 from carbonledger.errors import InputError
 from carbonledger.simulate import PRESETS, ScenarioSpec, generate, preset_spec
 from carbonledger.tables import (
@@ -12,6 +14,8 @@ from carbonledger.tables import (
     quantize,
     read_bundle,
     write_bundle,
+    write_emissions,
+    write_user_energy,
 )
 
 ROUNDTRIP_SPECS = {name: preset_spec(name) for name in PRESETS}
@@ -32,6 +36,41 @@ def test_bundle_roundtrip_preserves_every_record(name, tmp_path):
     assert _records(reloaded) == _records(original)
     second = json.loads(write_bundle(reloaded, tmp_path / "second").read_text())
     assert second["files"] == first["files"]
+
+
+def test_read_bundle_stores_each_text_cell_once(tmp_path):
+    write_bundle(generate(ROUNDTRIP_SPECS["seeded"]), tmp_path)
+    bundle = read_bundle(tmp_path)
+    machine_ids = {m.machine_id: m.machine_id for m in bundle.machines}
+    assert bundle.power_samples and bundle.gcu_usage
+    assert all(s.machine_id is machine_ids[s.machine_id] for s in bundle.power_samples)
+    assert all(u.machine_id is machine_ids[u.machine_id] for u in bundle.gcu_usage)
+    assert None in {m.owner_user for m in bundle.machines}
+    assert None in {u.billing_account for u in bundle.billing_usage}
+
+
+@pytest.fixture(scope="module")
+def cli_1k_artifacts():
+    """The cli-1k shape of the benchmark: 11.4k ledger cells and emission records."""
+    return run_end_to_end(generate(ScenarioSpec(seed=7, machine_count=1000, user_count=50, cluster_count=20, hours=12)))
+
+
+REPORT_WRITERS = {
+    "user_energy": lambda artifacts, path: write_user_energy(artifacts.allocation.stages, path),
+    "emissions": lambda artifacts, path: write_emissions(artifacts.emissions.records, path),
+}
+
+
+@pytest.mark.parametrize("name", REPORT_WRITERS)
+def test_report_writer_streams_its_rows(name, cli_1k_artifacts, tmp_path):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        REPORT_WRITERS[name](cli_1k_artifacts, tmp_path / f"{name}.csv")
+        peak_mib = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mib < 2.0, f"write_{name} peaked {peak_mib:.2f} MiB above its inputs"
 
 
 def test_written_headers_match_declared_schemas(tmp_path):
