@@ -16,7 +16,6 @@ from .model import (
     ClusterTopology,
     MachineRecord,
     PowerSample,
-    PowerWeighting,
     ResourceVector,
     Sharing,
     validate_bundle,
@@ -41,7 +40,6 @@ __all__ = [
     "MachineRecord",
     "PRESETS",
     "PowerSample",
-    "PowerWeighting",
     "ResourceVector",
     "ScenarioSpec",
     "Sharing",

@@ -14,14 +14,13 @@ from datetime import datetime
 from typing import Sequence
 
 from .model import (
+    RESOURCE_WEIGHTS,
     UNALLOCATED_USER,
     GcuUsageRecord,
     MachineRecord,
     Notice,
-    PowerWeighting,
     ResourceAllocationRecord,
     ResourceVector,
-    ResourceWeights,
     Sharing,
     format_hour,
 )
@@ -75,29 +74,27 @@ class Ledger:
         return out
 
 
-def weighted_allocation(vector: ResourceVector, weights: ResourceWeights) -> float:
+def weighted_allocation(vector: ResourceVector) -> float:
     """Collapse a resource vector to a single busy-power-equivalent number."""
     return (
-        weights.gcu * vector.gcu
-        + weights.ram_gib * vector.ram_gib
-        + weights.ssd_tib * vector.ssd_tib
-        + weights.hdd_tib * vector.hdd_tib
+        RESOURCE_WEIGHTS.gcu * vector.gcu
+        + RESOURCE_WEIGHTS.ram_gib * vector.ram_gib
+        + RESOURCE_WEIGHTS.ssd_tib * vector.ssd_tib
+        + RESOURCE_WEIGHTS.hdd_tib * vector.hdd_tib
     )
 
 
 def idle_share_table(
     allocations: Sequence[ResourceAllocationRecord],
-    weighting: PowerWeighting,
 ) -> dict[tuple[str, datetime], dict[str, float]]:
     """Per cluster-hour, each user's fraction of the weighted allocation.
 
     Cluster-hours whose weighted total is zero are absent from the result.
     Fractions over the present users sum to 1.
     """
-    weights = weighting.busy
     sums: dict[tuple[str, datetime], dict[str, float]] = {}
     for rec in allocations:
-        w = weighted_allocation(rec.allocation, weights)
+        w = weighted_allocation(rec.allocation)
         if w == 0.0:
             continue
         per_user = sums.setdefault((rec.cluster_id, rec.hour), {})
@@ -113,7 +110,6 @@ def allocate_idle(
     split: FleetSplit,
     machines: Sequence[MachineRecord],
     allocations: Sequence[ResourceAllocationRecord],
-    weighting: PowerWeighting = PowerWeighting(),
 ) -> tuple[dict[LedgerKey, float], list[Notice]]:
     """Idle watt-hours per (user, cluster, hour).
 
@@ -122,7 +118,7 @@ def allocate_idle(
     would break conservation.
     """
     by_id = {m.machine_id: m for m in machines}
-    fractions = idle_share_table(allocations, weighting)
+    fractions = idle_share_table(allocations)
     idle: dict[LedgerKey, float] = {}
     shared_totals: dict[tuple[str, datetime], float] = {}
     notices: list[Notice] = []
@@ -160,7 +156,6 @@ def allocate_dynamic(
     machines: Sequence[MachineRecord],
     usage: Sequence[GcuUsageRecord],
     allocations: Sequence[ResourceAllocationRecord] = (),
-    weighting: PowerWeighting = PowerWeighting(),
 ) -> tuple[dict[LedgerKey, float], list[Notice]]:
     """Dynamic watt-hours per (user, cluster, hour).
 
@@ -180,7 +175,7 @@ def allocate_dynamic(
             continue
         usage_by_hour.setdefault(rec.hour, []).append(rec)
 
-    fractions = idle_share_table(allocations, weighting) if allocations else {}
+    fractions = idle_share_table(allocations) if allocations else {}
     dynamic: dict[LedgerKey, float] = {}
     notices: list[Notice] = []
 
@@ -224,11 +219,10 @@ def build_machine_ledger(
     machines: Sequence[MachineRecord],
     allocations: Sequence[ResourceAllocationRecord],
     usage: Sequence[GcuUsageRecord],
-    weighting: PowerWeighting = PowerWeighting(),
 ) -> tuple[Ledger, list[Notice]]:
     """Machine-stage ledger: idle plus dynamic, before any reallocation."""
-    idle, idle_notices = allocate_idle(split, machines, allocations, weighting)
-    dynamic, dyn_notices = allocate_dynamic(split, machines, usage, allocations, weighting)
+    idle, idle_notices = allocate_idle(split, machines, allocations)
+    dynamic, dyn_notices = allocate_dynamic(split, machines, usage, allocations)
     cells: dict[LedgerKey, EnergyCell] = {}
     for key, wh in idle.items():
         cells[key] = EnergyCell(idle_wh=wh)

@@ -2,8 +2,9 @@
 
 Each (user, cluster, hour) ledger entry is grossed up by the cluster's
 hourly PUE and multiplied by the grid carbon intensity of the cluster's
-zone, falling back to annual averages where hourly data is missing.
-Market-based accounting (clean-energy purchases) is out of scope.
+zone, falling back to the zone's annual average where hourly data is
+missing. A cluster without a zone has no intensity. Market-based
+accounting (clean-energy purchases) is out of scope.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import logging
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .allocation import Ledger
 from .errors import MissingIntensityError
@@ -75,12 +76,10 @@ def resolve_intensity(
     hour: datetime,
     topology: ClusterTopology,
     feed: IntensityFeed,
-    cluster_to_country: Mapping[str, str] | None = None,
 ) -> tuple[float, IntensitySource]:
-    """Hourly zone intensity if present, else the annual average.
+    """Hourly zone intensity if present, else the zone's annual average.
 
-    Clusters without a zone mapping fall back to an annual entry keyed by
-    a configured country code. Raises when neither feed covers the hour.
+    Raises when the cluster has no zone or neither feed covers the hour.
     """
     zone = topology.cluster_to_zone.get(cluster_id)
     if zone is not None:
@@ -88,11 +87,6 @@ def resolve_intensity(
         if value is not None:
             return value, IntensitySource.HOURLY
         annual = feed.annual(zone, hour.year)
-        if annual is not None:
-            return annual, IntensitySource.ANNUAL_FALLBACK
-    country = (cluster_to_country or {}).get(cluster_id)
-    if country is not None:
-        annual = feed.annual(country, hour.year)
         if annual is not None:
             return annual, IntensitySource.ANNUAL_FALLBACK
     raise MissingIntensityError(cluster_id, format_hour(hour))
@@ -115,7 +109,6 @@ def compute_emissions(
     default_pue: float = DEFAULT_PUE,
     allow_missing_intensity: bool = False,
     missing_intensity_default: float = 0.0,
-    cluster_to_country: Mapping[str, str] | None = None,
 ) -> EmissionsResult:
     """Emissions per ledger entry: IT energy x PUE x zone intensity.
 
@@ -142,7 +135,7 @@ def compute_emissions(
                 )
         if (cluster, hour) not in resolved:
             try:
-                resolved[cluster, hour] = resolve_intensity(cluster, hour, topology, feed, cluster_to_country)
+                resolved[cluster, hour] = resolve_intensity(cluster, hour, topology, feed)
             except MissingIntensityError:
                 if not allow_missing_intensity:
                     raise

@@ -12,13 +12,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .carbon import EmissionsResult, IntensityFeed, compute_emissions
+from .carbon import DEFAULT_PUE, EmissionsResult, IntensityFeed, compute_emissions
 from .footprint import FootprintResult, compute_customer_footprints
-from .model import Bundle, PowerWeighting
+from .model import Bundle
 from .oracle import oracle_allocate
 from .services import AllocationResult, run_allocation_pipeline
 
 REL_TOL = 1e-9
+
+#: How many of the largest oracle deviations a comparison keeps.
+KEEP_WORST = 10
 
 
 @dataclass(slots=True)
@@ -31,15 +34,13 @@ class RunArtifacts:
 def run_end_to_end(
     bundle: Bundle,
     rounds: int = 2,
-    weighting: PowerWeighting = PowerWeighting(),
-    default_pue: float = 1.10,
+    default_pue: float = DEFAULT_PUE,
     allow_missing_intensity: bool = False,
     missing_intensity_default: float = 0.0,
-    cluster_to_country: Mapping[str, str] | None = None,
 ) -> RunArtifacts:
     """Allocation, emissions, and customer footprints in one pass."""
     topology = bundle.topology()
-    allocation = run_allocation_pipeline(bundle, weighting=weighting, rounds=rounds)
+    allocation = run_allocation_pipeline(bundle, rounds=rounds)
     emissions = compute_emissions(
         allocation.final,
         bundle.pue,
@@ -48,7 +49,6 @@ def run_end_to_end(
         default_pue=default_pue,
         allow_missing_intensity=allow_missing_intensity,
         missing_intensity_default=missing_intensity_default,
-        cluster_to_country=cluster_to_country,
     )
     footprints = compute_customer_footprints(
         emissions.records, topology, bundle.sku_catalog, bundle.billing_usage
@@ -187,16 +187,10 @@ def _diff_table(name: str, pipeline: Mapping, oracle: Mapping, out: list[TableDi
     return worst
 
 
-def compare_with_oracle(
-    bundle: Bundle,
-    rounds: int = 2,
-    weighting: PowerWeighting = PowerWeighting(),
-    default_pue: float = 1.10,
-    keep_worst: int = 10,
-) -> ComparisonReport:
+def compare_with_oracle(bundle: Bundle, rounds: int = 2, default_pue: float = DEFAULT_PUE) -> ComparisonReport:
     """Run pipeline and oracle on the same bundle and diff every table."""
-    artifacts = run_end_to_end(bundle, rounds=rounds, weighting=weighting, default_pue=default_pue)
-    reference = oracle_allocate(bundle, rounds=rounds, weighting=weighting, default_pue=default_pue)
+    artifacts = run_end_to_end(bundle, rounds=rounds, default_pue=default_pue)
+    reference = oracle_allocate(bundle, rounds=rounds, default_pue=default_pue)
 
     diffs: list[TableDiff] = []
     table_max: dict[str, float] = {}
@@ -248,5 +242,5 @@ def compare_with_oracle(
     return ComparisonReport(
         max_deviation=max(table_max.values(), default=0.0),
         table_max=table_max,
-        worst=diffs[:keep_worst],
+        worst=diffs[:KEEP_WORST],
     )

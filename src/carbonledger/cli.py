@@ -17,6 +17,7 @@ from datetime import date, datetime
 from pathlib import Path
 
 from . import check, simulate, tables
+from .carbon import DEFAULT_PUE
 from .errors import (
     BetaUndefinedError,
     CarbonLedgerError,
@@ -39,15 +40,15 @@ class RunConfig:
     """Knobs shared by the run and oracle-check commands."""
 
     input_dir: Path
-    output_dir: Path | None = None
-    start: date | None = None
-    end: date | None = None
-    rounds: int = 2
-    default_pue: float = 1.10
-    allow_missing_intensity: bool = False
-    missing_intensity_default: float = 0.0
-    energy_round_wh: float = 1.0
-    carbon_round_g: float = 1.0
+    output_dir: Path | None
+    start: date | None
+    end: date | None
+    rounds: int
+    default_pue: float
+    allow_missing_intensity: bool
+    missing_intensity_default: float
+    energy_round_wh: float
+    carbon_round_g: float
 
     def validate(self) -> None:
         if self.rounds < 1:
@@ -100,10 +101,10 @@ def _refuses(bundle: Bundle, report_dir: Path | None) -> bool:
     return bool(violations)
 
 
-def cmd_validate(config: RunConfig) -> int:
-    bundle = tables.read_bundle(config.input_dir)
+def cmd_validate(input_dir: Path, output_dir: Path | None) -> int:
+    bundle = tables.read_bundle(input_dir)
     violations = validate_bundle(bundle)
-    report_dir = config.output_dir or config.input_dir
+    report_dir = output_dir or input_dir
     report_dir.mkdir(parents=True, exist_ok=True)
     tables.write_validation_report(violations, report_dir / "validation_report.csv")
     if violations:
@@ -243,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--start", type=_parse_date, default=None, help="first day (inclusive, UTC)")
         p.add_argument("--end", type=_parse_date, default=None, help="end day (exclusive, UTC)")
         p.add_argument("--rounds", type=int, default=2, help="minor reallocation rounds")
-        p.add_argument("--default-pue", type=float, default=1.10)
+        p.add_argument("--default-pue", type=float, default=DEFAULT_PUE)
         p.add_argument("--allow-missing-intensity", action="store_true")
         p.add_argument("--missing-intensity-default", type=float, default=0.0)
         p.add_argument("--round-wh", type=float, default=1.0, help="energy report rounding step")
@@ -281,15 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         input_dir=args.input,
-        output_dir=getattr(args, "output", None),
-        start=getattr(args, "start", None),
-        end=getattr(args, "end", None),
-        rounds=getattr(args, "rounds", 2),
-        default_pue=getattr(args, "default_pue", 1.10),
-        allow_missing_intensity=getattr(args, "allow_missing_intensity", False),
-        missing_intensity_default=getattr(args, "missing_intensity_default", 0.0),
-        energy_round_wh=getattr(args, "round_wh", 1.0),
-        carbon_round_g=getattr(args, "round_g", 1.0),
+        output_dir=args.output,
+        start=args.start,
+        end=args.end,
+        rounds=args.rounds,
+        default_pue=args.default_pue,
+        allow_missing_intensity=args.allow_missing_intensity,
+        missing_intensity_default=args.missing_intensity_default,
+        energy_round_wh=args.round_wh,
+        carbon_round_g=args.round_g,
     )
 
 
@@ -300,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.getLogger().setLevel(args.log_level)
     try:
         if args.command == "validate":
-            return cmd_validate(RunConfig(input_dir=args.input, output_dir=args.output))
+            return cmd_validate(args.input, args.output)
         if args.command == "run":
             return cmd_run(_config_from_args(args))
         if args.command == "simulate":

@@ -195,13 +195,12 @@ def compute_customer_footprints(
     topology: ClusterTopology,
     skus: Sequence[SkuRecord],
     billing: Sequence[SkuUsageRecord],
-    scope: set[str] | None = None,
 ) -> FootprintResult:
     """Monthly account footprints with full carbon closure.
 
-    ``scope`` is the set of users whose emissions must end up on customer
-    reports; it defaults to every user carrying energy in the month, so
-    overhead users inflate beta rather than disappearing.
+    Every user carrying energy in the month is in scope: its emissions
+    must end up on customer reports, so overhead users inflate beta
+    rather than disappearing.
     """
     notices: list[Notice] = []
     reports: list[FootprintReport] = []
@@ -219,8 +218,9 @@ def compute_customer_footprints(
             provider_kg[rec.user] = provider_kg.get(rec.user, 0.0) + rec.kg_co2e
             provider_wh[rec.user] = provider_wh.get(rec.user, 0.0) + rec.energy_it_wh
             records_by_user.setdefault(rec.user, []).append(rec)
-        month_scope = scope if scope is not None else set(provider_kg)
-        total_scope_kg = sum(provider_kg.get(user, 0.0) for user in month_scope)
+        # Set order moves beta's last bits with the hash seed; the benchmark's
+        # recorded footprint digest was taken with this order.
+        total_scope_kg = sum(provider_kg[user] for user in set(provider_kg))
         if total_scope_kg <= 0.0:
             notices.append(Notice("empty-month", month, "no emissions in scope; month skipped"))
             continue

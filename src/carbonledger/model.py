@@ -90,22 +90,6 @@ class ResourceVector:
     ssd_tib: float = 0.0
     hdd_tib: float = 0.0
 
-    def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(
-            self.gcu + other.gcu,
-            self.ram_gib + other.ram_gib,
-            self.ssd_tib + other.ssd_tib,
-            self.hdd_tib + other.hdd_tib,
-        )
-
-    def scaled(self, factor: float) -> "ResourceVector":
-        return ResourceVector(
-            self.gcu * factor,
-            self.ram_gib * factor,
-            self.ssd_tib * factor,
-            self.hdd_tib * factor,
-        )
-
     def is_zero(self) -> bool:
         return self.gcu == 0.0 and self.ram_gib == 0.0 and self.ssd_tib == 0.0 and self.hdd_tib == 0.0
 
@@ -139,30 +123,20 @@ class GcuUsageRecord:
 class ResourceWeights:
     """Per-resource factors converting quantities to a common power scale.
 
-    The defaults encode the equivalent-busy-power convention of
-    1 compute unit == 20 GiB RAM == 1 TiB SSD == 6 TiB HDD.
+    One set serves both uses: idle shares weigh resource allocations by
+    it, and storage-style service reallocation blends usage by it, since
+    no separate usage-power calibration ships with the artifact.
     """
 
-    gcu: float = 1.0
-    ram_gib: float = 1.0 / 20.0
-    ssd_tib: float = 1.0
-    hdd_tib: float = 1.0 / 6.0
+    gcu: float
+    ram_gib: float
+    ssd_tib: float
+    hdd_tib: float
 
 
-@dataclass(frozen=True, slots=True)
-class PowerWeighting:
-    """Busy-power weights for allocations plus usage-power weights.
-
-    ``usage`` is consulted only by the storage-style service reallocation
-    variant; it defaults to the busy weights because no separate
-    usage-power calibration ships with the artifact.
-    """
-
-    busy: ResourceWeights = ResourceWeights()
-    usage: ResourceWeights = ResourceWeights()
-
-
-DEFAULT_WEIGHTING = PowerWeighting()
+#: The paper's equivalent-busy-power convention:
+#: 1 compute unit == 20 GiB RAM == 1 TiB SSD == 6 TiB HDD.
+RESOURCE_WEIGHTS = ResourceWeights(gcu=1.0, ram_gib=1.0 / 20.0, ssd_tib=1.0, hdd_tib=1.0 / 6.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,7 +223,7 @@ class CarbonIntensityRecord:
 
 @dataclass(frozen=True, slots=True)
 class AnnualIntensityRecord:
-    """Annual-average grid intensity, keyed by zone or country code."""
+    """Annual-average grid intensity of one zone."""
 
     zone_id: str
     year: int
@@ -431,13 +405,30 @@ def validate_bundle(bundle: Bundle) -> list[Violation]:
         if len(flags) > 1:
             violations.append(Violation("mixed-service-style", provider, "provider flagged both storage-style and not"))
 
+    # A second feed row for a key would silently replace the first.
+    seen_pue: set[tuple[str, datetime]] = set()
     for p in bundle.pue:
+        if (p.cluster_id, p.hour) in seen_pue:
+            violations.append(
+                Violation("duplicate-pue", p.cluster_id, f"second pue row for hour {format_hour(p.hour)}")
+            )
+        seen_pue.add((p.cluster_id, p.hour))
         if p.pue < 1.0:
             violations.append(Violation("pue-below-one", p.cluster_id, f"pue {p.pue} at {format_hour(p.hour)}"))
+    seen_hourly: set[tuple[str, datetime]] = set()
     for ci in bundle.carbon_intensity:
+        if (ci.zone_id, ci.hour) in seen_hourly:
+            violations.append(
+                Violation("duplicate-intensity", ci.zone_id, f"second hourly row for hour {format_hour(ci.hour)}")
+            )
+        seen_hourly.add((ci.zone_id, ci.hour))
         if ci.intensity_g_per_kwh < 0:
             violations.append(Violation("negative-value", ci.zone_id, f"hourly intensity {ci.intensity_g_per_kwh}"))
+    seen_annual: set[tuple[str, int]] = set()
     for ai in bundle.annual_intensity:
+        if (ai.zone_id, ai.year) in seen_annual:
+            violations.append(Violation("duplicate-intensity", ai.zone_id, f"second annual row for year {ai.year}"))
+        seen_annual.add((ai.zone_id, ai.year))
         if ai.intensity_g_per_kwh < 0:
             violations.append(Violation("negative-value", ai.zone_id, f"annual intensity {ai.intensity_g_per_kwh}"))
     for sku in bundle.sku_catalog:

@@ -17,7 +17,6 @@ from .errors import OracleSizeError
 from .model import (
     UNALLOCATED_USER,
     Bundle,
-    PowerWeighting,
     Sharing,
     day_of,
     month_of,
@@ -26,6 +25,16 @@ from .model import (
 MAX_MACHINES = 200
 MAX_USERS = 20
 MAX_HOURS = 72
+
+# The paper's weights, spelled out here rather than imported:
+# 1 compute unit == 20 GiB RAM == 1 TiB SSD == 6 TiB HDD.
+GCU_WEIGHT = 1.0
+RAM_GIB_WEIGHT = 1.0 / 20.0
+SSD_TIB_WEIGHT = 1.0
+HDD_TIB_WEIGHT = 1.0 / 6.0
+
+#: PUE assumed for a cluster-hour with no PUE row.
+DEFAULT_PUE = 1.10
 
 
 @dataclass(slots=True)
@@ -60,8 +69,7 @@ def _collect_users(bundle: Bundle) -> list[str]:
 def oracle_allocate(
     bundle: Bundle,
     rounds: int = 2,
-    weighting: PowerWeighting = PowerWeighting(),
-    default_pue: float = 1.10,
+    default_pue: float = DEFAULT_PUE,
 ) -> OracleResult:
     """Recompute the whole allocation by exhaustive enumeration."""
     hours = sorted({s.hour for s in bundle.power_samples})
@@ -81,8 +89,6 @@ def oracle_allocate(
     index = {user: i for i, user in enumerate(users)}
     n = len(users)
     clusters = sorted({m.cluster_id for m in bundle.machines})
-    busy = weighting.busy
-    use = weighting.usage
 
     # Stage vectors: idle[cluster][hour] and dynamic[cluster][hour], dense per user.
     idle_vec: dict[tuple[str, datetime], list[float]] = {}
@@ -107,8 +113,8 @@ def oracle_allocate(
                     continue
                 v = a.allocation
                 weight_by_user[index[a.user]] += (
-                    busy.gcu * v.gcu + busy.ram_gib * v.ram_gib
-                    + busy.ssd_tib * v.ssd_tib + busy.hdd_tib * v.hdd_tib
+                    GCU_WEIGHT * v.gcu + RAM_GIB_WEIGHT * v.ram_gib
+                    + SSD_TIB_WEIGHT * v.ssd_tib + HDD_TIB_WEIGHT * v.hdd_tib
                 )
             weight_total = sum(weight_by_user)
 
@@ -183,8 +189,8 @@ def oracle_allocate(
                 for r in provider_rows:
                     if storage:
                         blended = (
-                            use.gcu * r.usage.gcu + use.ssd_tib * r.usage.ssd_tib
-                            + use.hdd_tib * r.usage.hdd_tib
+                            GCU_WEIGHT * r.usage.gcu + SSD_TIB_WEIGHT * r.usage.ssd_tib
+                            + HDD_TIB_WEIGHT * r.usage.hdd_tib
                         )
                     else:
                         blended = r.usage.gcu

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from datetime import date, datetime
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .allocation import (
     STAGE_AFTER_MAJOR,
@@ -22,11 +22,11 @@ from .allocation import (
     minor_round_stage,
 )
 from .model import (
+    RESOURCE_WEIGHTS,
     Bundle,
     NetCostRecord,
     NonServiceCostRecord,
     Notice,
-    PowerWeighting,
     ServiceUsageRecord,
     day_of,
 )
@@ -46,26 +46,17 @@ def _usage_groups(
     return groups
 
 
-def colossus_providers(usages: Iterable[ServiceUsageRecord]) -> frozenset[str]:
-    """Providers whose reallocation uses the storage-style weighted blend."""
-    return frozenset(rec.provider for rec in usages if rec.colossus_style)
-
-
-def apply_major_realloc(
-    ledger: Ledger,
-    usages: Sequence[ServiceUsageRecord],
-    weighting: PowerWeighting = PowerWeighting(),
-    storage_style: frozenset[str] | None = None,
-) -> Ledger:
+def apply_major_realloc(ledger: Ledger, usages: Sequence[ServiceUsageRecord]) -> Ledger:
     """Move each major provider's dynamic energy to its consumers.
 
     Idle energy stays put: resource allocations already attribute it to
     end users. All moves are computed against the incoming ledger
-    snapshot, so the result does not depend on provider order.
+    snapshot, so the result does not depend on provider order. Providers
+    whose records carry the storage-style flag split by a weighted blend
+    of compute and storage usage, the rest by compute usage alone.
     """
-    if storage_style is None:
-        storage_style = colossus_providers(usages)
-    w = weighting.usage
+    storage_style = {rec.provider for rec in usages if rec.colossus_style}
+    w = RESOURCE_WEIGHTS
 
     cells = dict(ledger.cells)
     gains: dict[LedgerKey, float] = {}
@@ -303,12 +294,7 @@ class AllocationResult:
         raise KeyError(name)
 
 
-def run_allocation_pipeline(
-    bundle: Bundle,
-    weighting: PowerWeighting = PowerWeighting(),
-    rounds: int = 2,
-    storage_style: frozenset[str] | None = None,
-) -> AllocationResult:
+def run_allocation_pipeline(bundle: Bundle, rounds: int = 2) -> AllocationResult:
     """Run the full allocation: idle, dynamic, major, then minor rounds.
 
     ``rounds`` defaults to the standard two net-cost rounds; more rounds
@@ -318,10 +304,10 @@ def run_allocation_pipeline(
         raise ValueError("rounds must be >= 1")
     split = split_fleet(bundle.machines, bundle.power_samples)
     machine_ledger, notices = build_machine_ledger(
-        split, bundle.machines, bundle.resource_allocations, bundle.gcu_usage, weighting
+        split, bundle.machines, bundle.resource_allocations, bundle.gcu_usage
     )
     stages = [machine_ledger]
-    stages.append(apply_major_realloc(machine_ledger, bundle.service_usage, weighting, storage_style))
+    stages.append(apply_major_realloc(machine_ledger, bundle.service_usage))
 
     plans, plan_notices = build_day_plans(bundle.net_costs, bundle.non_service_costs)
     notices.extend(plan_notices)

@@ -40,10 +40,18 @@ GENERATOR_ID = "carbonledger-fleetsim-v1"
 
 PRESETS = ("figure1", "sankey-small", "overhead-pool", "two-accounts", "balanced-service")
 
-_DEFAULT_START = datetime(2023, 6, 5, 0, 0, tzinfo=timezone.utc)
+#: First hour of every generated bundle.
+START = datetime(2023, 6, 5, 0, 0, tzinfo=timezone.utc)
 
 #: Servers draw roughly this share of peak power while idle.
-DEFAULT_IDLE_FRACTION = 0.45
+IDLE_FRACTION = 0.45
+
+#: Amplitude of the random fleet's daily utilization cycle around its 0.55 mean.
+DIURNAL_AMPLITUDE = 0.3
+
+#: SKUs per billing provider, and billing accounts, of the random fleet.
+SKUS_PER_PROVIDER = 2
+ACCOUNT_COUNT = 2
 
 #: Default hourly grid-intensity distribution (2022 global statistics).
 DEFAULT_INTENSITY_MEAN = 320.8
@@ -60,24 +68,15 @@ class ScenarioSpec:
     user_count: int = 5
     cluster_count: int = 2
     hours: int = 24
-    start: datetime = _DEFAULT_START
-    diurnal_amplitude: float = 0.3
-    idle_fraction: float = DEFAULT_IDLE_FRACTION
     economy_depth: int = 2
     cyclic_economy: bool = False
     intensity_mean: float = DEFAULT_INTENSITY_MEAN
     intensity_std: float = DEFAULT_INTENSITY_STD
-    skus_per_provider: int = 2
-    account_count: int = 2
     include_unbilled_usage: bool = False
 
     def validate(self) -> None:
         if self.preset is not None and self.preset not in PRESETS:
             raise ScenarioError(f"unknown preset {self.preset!r}")
-        if not 0.0 < self.idle_fraction < 1.0:
-            raise ScenarioError(f"idle fraction {self.idle_fraction} must lie in (0, 1)")
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ScenarioError(f"diurnal amplitude {self.diurnal_amplitude} must lie in [0, 1)")
         if self.machine_count < 1 or self.user_count < 1 or self.cluster_count < 1:
             raise ScenarioError("machine, user, and cluster counts must be positive")
         if self.hours < 1:
@@ -138,7 +137,7 @@ def intensity_feed(
     if zones is None:
         zones = [f"zone-{i:02d}" for i in range(spec.cluster_count)]
     if hours is None:
-        hours = hour_range(spec.start, spec.hours)
+        hours = hour_range(START, spec.hours)
     mean, std = spec.intensity_mean, spec.intensity_std
     hourly: list[CarbonIntensityRecord] = []
     for zone in zones:
@@ -166,12 +165,6 @@ def _carbon_tables(
     return intensity_feed(spec, zones, hours)
 
 
-def _figure1_hours(start: datetime, count: int) -> tuple[list[datetime], set[datetime]]:
-    hours = hour_range(start, count)
-    daytime = {h for h in hours if 8 <= h.hour < 20}
-    return hours, daytime
-
-
 def _preset_figure1(spec: ScenarioSpec) -> Bundle:
     """One aggregate cluster with a diurnal prod/non-prod pattern.
 
@@ -181,7 +174,8 @@ def _preset_figure1(spec: ScenarioSpec) -> Bundle:
     aggregate into identical machines with unchanged totals.
     """
     n = spec.machine_count
-    hours, daytime = _figure1_hours(spec.start, 24)
+    hours = hour_range(START, 24)
+    daytime = {h for h in hours if 8 <= h.hour < 20}
     cluster = "cluster-01"
     zone, region = "zone-01", "region-01"
     month = month_of(hours[0])
@@ -240,7 +234,7 @@ def _preset_balanced_service(spec: ScenarioSpec) -> Bundle:
     The net-cost round must then hand the provider's entire footprint to
     its two consumers (60/40) and leave it with nothing.
     """
-    hours = hour_range(spec.start, 24)
+    hours = hour_range(START, 24)
     cluster, zone, region = "cluster-01", "zone-01", "region-01"
     month = month_of(hours[0])
 
@@ -279,7 +273,7 @@ def _preset_sankey_small(spec: ScenarioSpec) -> Bundle:
     exactly 10% of its footprint; the rest flows onward to an
     intermediate service and resolves to end users within two rounds.
     """
-    hours = hour_range(spec.start, 24)
+    hours = hour_range(START, 24)
     month = month_of(hours[0])
     clusters = (("cluster-01", "zone-01", "region-01"), ("cluster-02", "zone-02", "region-02"))
 
@@ -347,7 +341,7 @@ def _preset_overhead_pool(spec: ScenarioSpec) -> Bundle:
     The overhead user's emissions can only reach customers through the
     global overhead factor, which must exceed 1.
     """
-    hours = hour_range(spec.start, 24)
+    hours = hour_range(START, 24)
     cluster, zone, region = "cluster-01", "zone-01", "region-01"
     month = month_of(hours[0])
 
@@ -374,7 +368,7 @@ def _preset_overhead_pool(spec: ScenarioSpec) -> Bundle:
 
 def _preset_two_accounts(spec: ScenarioSpec) -> Bundle:
     """Two providers fully billed to two accounts with identical usage."""
-    hours = hour_range(spec.start, 24)
+    hours = hour_range(START, 24)
     cluster, zone, region = "cluster-01", "zone-01", "region-01"
     month = month_of(hours[0])
 
@@ -401,7 +395,7 @@ def _preset_two_accounts(spec: ScenarioSpec) -> Bundle:
 
 def _random_fleet(spec: ScenarioSpec) -> Bundle:
     rng = random.Random(spec.seed)
-    hours = hour_range(spec.start, spec.hours)
+    hours = hour_range(START, spec.hours)
     month_list = sorted({month_of(h) for h in hours})
     clusters = [f"cluster-{i:02d}" for i in range(spec.cluster_count)]
     zones = {c: f"zone-{i:02d}" for i, c in enumerate(clusters)}
@@ -419,7 +413,7 @@ def _random_fleet(spec: ScenarioSpec) -> Bundle:
         dedicated = i > 0 and rng.random() < 0.25
         owner = rng.choice(users) if dedicated else None
         peak = rng.uniform(300.0, 900.0)
-        idle_rating = spec.idle_fraction * peak
+        idle_rating = IDLE_FRACTION * peak
         machine = MachineRecord(
             f"rand-m{i:04d}",
             cluster,
@@ -432,7 +426,7 @@ def _random_fleet(spec: ScenarioSpec) -> Bundle:
         for index, hour in enumerate(hours):
             if rng.random() < 0.02:
                 continue  # telemetry gap: machine treated as powered off
-            swing = spec.diurnal_amplitude * math.sin(2.0 * math.pi * (index + phase) / 24.0)
+            swing = DIURNAL_AMPLITUDE * math.sin(2.0 * math.pi * (index + phase) / 24.0)
             utilization = min(1.0, max(0.0, 0.55 + swing + rng.uniform(-0.08, 0.08)))
             measured = idle_rating + utilization * (peak - idle_rating)
             bundle.power_samples.append(PowerSample(machine.machine_id, hour, measured))
@@ -536,13 +530,13 @@ def _random_fleet(spec: ScenarioSpec) -> Bundle:
     # SKU catalog and billed usage for a subset of users. The anchor user
     # always has one fully billed SKU so at least one provider can absorb
     # emissions and the customer overhead factor stays defined.
-    accounts = [f"acct-{i:02d}" for i in range(spec.account_count)]
+    accounts = [f"acct-{i:02d}" for i in range(ACCOUNT_COUNT)]
     region_list = sorted(set(regions.values()))
     for user in users:
         anchor = user == users[0]
         if not anchor and rng.random() < 0.3:
             continue
-        for s in range(spec.skus_per_provider):
+        for s in range(SKUS_PER_PROVIDER):
             sku_id = f"sku-{user}-{s}"
             bundle.sku_catalog.append(
                 SkuRecord(sku_id, f"product-{user}", user, rng.uniform(0.5, 3.0), "unit")

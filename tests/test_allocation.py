@@ -14,7 +14,6 @@ from carbonledger.errors import InputError
 from carbonledger.model import (
     UNALLOCATED_USER,
     GcuUsageRecord,
-    PowerWeighting,
     ResourceVector,
 )
 from carbonledger.power import split_fleet
@@ -22,31 +21,29 @@ from carbonledger.simulate import ScenarioSpec, generate
 
 from conftest import H, alloc, dedicated_machine, sample, shared_machine
 
-WEIGHTS = PowerWeighting()
-
 
 def test_weighted_allocation_compute_and_ram():
     # 10 compute units + 200 GiB at table weights: 10*1 + 200/20 = 20.
-    assert weighted_allocation(ResourceVector(gcu=10, ram_gib=200), WEIGHTS.busy) == 20.0
+    assert weighted_allocation(ResourceVector(gcu=10, ram_gib=200)) == 20.0
 
 
 def test_weighted_allocation_storage_only():
     # 1 TiB SSD + 6 TiB HDD: 1*1 + 6/6 = 2.
-    assert weighted_allocation(ResourceVector(ssd_tib=1, hdd_tib=6), WEIGHTS.busy) == 2.0
+    assert weighted_allocation(ResourceVector(ssd_tib=1, hdd_tib=6)) == 2.0
 
 
 def test_weighted_allocation_zero_vector():
-    assert weighted_allocation(ResourceVector(), WEIGHTS.busy) == 0.0
+    assert weighted_allocation(ResourceVector()) == 0.0
 
 
 def test_idle_fraction_sole_claimant():
     allocations = [alloc("alice", gcu=3.0)]
-    assert idle_share_table(allocations, WEIGHTS) == {("c0", H(0)): {"alice": 1.0}}
+    assert idle_share_table(allocations) == {("c0", H(0)): {"alice": 1.0}}
 
 
 def test_idle_fraction_two_users():
     allocations = [alloc("a", gcu=10, ram_gib=200), alloc("b", ssd_tib=1, hdd_tib=6)]
-    shares = idle_share_table(allocations, WEIGHTS)[("c0", H(0))]
+    shares = idle_share_table(allocations)[("c0", H(0))]
     assert shares["a"] == pytest.approx(20.0 / 22.0, abs=1e-12)
     assert shares["b"] == pytest.approx(2.0 / 22.0, abs=1e-12)
 
@@ -54,7 +51,7 @@ def test_idle_fraction_two_users():
 def test_idle_share_all_zero_cluster_hour_is_absent():
     # No weighted allocation: no fractions, so shared idle goes to the overhead user.
     allocations = [alloc("a", gcu=0.0)]
-    assert idle_share_table(allocations, WEIGHTS) == {}
+    assert idle_share_table(allocations) == {}
     machines = [shared_machine("m0", idle=40.0)]
     idle, notices = allocate_idle(split_fleet(machines, [sample("m0", 0, 100.0)]), machines, allocations)
     assert idle == {(UNALLOCATED_USER, "c0", H(0)): 40.0}
@@ -63,7 +60,7 @@ def test_idle_share_all_zero_cluster_hour_is_absent():
 
 def test_idle_fractions_sum_to_one():
     allocations = [alloc(f"u{i}", gcu=float(i + 1)) for i in range(7)]
-    shares = idle_share_table(allocations, WEIGHTS)[("c0", H(0))]
+    shares = idle_share_table(allocations)[("c0", H(0))]
     assert sorted(shares) == [f"u{i}" for i in range(7)]
     assert sum(shares.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -171,8 +168,8 @@ def test_fractions_are_scale_invariant(vectors, scale):
         alloc(u, gcu=v[0] * scale, ram_gib=v[1] * scale, ssd_tib=v[2] * scale, hdd_tib=v[3] * scale)
         for u, v in zip(users, vectors)
     ]
-    original = idle_share_table(base, WEIGHTS)[("c0", H(0))]
-    rescaled = idle_share_table(scaled, WEIGHTS)[("c0", H(0))]
+    original = idle_share_table(base)[("c0", H(0))]
+    rescaled = idle_share_table(scaled)[("c0", H(0))]
     for user in users:
         assert rescaled[user] == pytest.approx(original[user], abs=1e-12)
 

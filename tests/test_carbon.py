@@ -51,11 +51,17 @@ def test_resolve_neither_available_raises(topology_one_cluster):
         resolve_intensity("c0", H(0), topology_one_cluster, feed())
 
 
-def test_resolve_unzoned_cluster_uses_country_annual():
+def test_resolve_unzoned_cluster_has_no_intensity():
+    # Annual rows under other keys (a country code, the cluster id) do not cover an unzoned cluster.
     topology = ClusterTopology.from_rows([ZoneMapRow("c9", None, "r0")])
-    f = feed(annual=[AnnualIntensityRecord("XX", 2023, 99.0)])
-    value, source = resolve_intensity("c9", H(0), topology, f, cluster_to_country={"c9": "XX"})
-    assert (value, source) == (99.0, IntensitySource.ANNUAL_FALLBACK)
+    f = feed(annual=[AnnualIntensityRecord("XX", 2023, 99.0), AnnualIntensityRecord("c9", 2023, 99.0)])
+    with pytest.raises(MissingIntensityError):
+        resolve_intensity("c9", H(0), topology, f)
+    ledger = ledger_of({("u", "c9", H(0)): EnergyCell(idle_wh=10.0, dynamic_wh=0.0)})
+    result = compute_emissions(ledger, [PueRecord("c9", H(0), 1.0)], f, topology, allow_missing_intensity=True)
+    assert result.records[0].intensity_source is IntensitySource.DEFAULT
+    assert result.records[0].kg_co2e == 0.0
+    assert [n.code for n in result.notices] == ["missing-intensity"]
 
 
 def test_emission_arithmetic_at_global_mean(topology_one_cluster):

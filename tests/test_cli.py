@@ -170,6 +170,19 @@ def test_run_and_oracle_check_refuse_a_duplicated_power_sample(tmp_path):
     assert main(["oracle-check", "--input", str(bundle_dir)]) == 1
 
 
+def test_run_refuses_a_conflicting_duplicate_pue_row(tmp_path):
+    # Once the second row silently won: 39.83 instead of 39.03 kgCO2e, exit 0.
+    bundle = generate(ScenarioSpec(seed=3, machine_count=20, user_count=5, hours=6))
+    first = bundle.pue[0]
+    bundle.pue.append(dataclasses.replace(first, pue=3.0))
+    bundle_dir = tmp_path / "duplicated"
+    write_bundle(bundle, bundle_dir)
+    assert main(["run", "--input", str(bundle_dir), "--output", str(tmp_path / "reports")]) == 1
+    with (tmp_path / "reports" / "validation_report.csv").open(newline="") as handle:
+        assert [row["code"] for row in csv.DictReader(handle)] == ["duplicate-pue"]
+    assert not (tmp_path / "reports" / "emissions.csv").exists()
+
+
 def test_nan_power_sample_fails_closed(tmp_path):
     # Once reported NaN kgCO2e with no closure failure and exit 0.
     bundle = generate(ScenarioSpec(seed=3, machine_count=40, user_count=6, hours=24))

@@ -4,7 +4,9 @@ import random
 from hypothesis import given, strategies as st
 
 from carbonledger.model import (
+    AnnualIntensityRecord,
     Bundle,
+    CarbonIntensityRecord,
     ClusterTopology,
     GcuUsageRecord,
     MachineRecord,
@@ -121,4 +123,19 @@ def test_non_finite_numbers_flagged():
     assert found == [
         ("alice", "resource_allocations allocation.ssd_tib is inf"),
         ("m0", "power_samples measured_power_watts is nan"),
+    ]
+
+
+def test_duplicate_feed_rows_flagged():
+    # A second row for a feed key would otherwise silently replace the first.
+    bundle = Bundle()
+    bundle.zone_map.append(ZoneMapRow("c0", "z0", "r0"))
+    bundle.pue += [PueRecord("c0", H(0), 1.2), PueRecord("c0", H(1), 1.2), PueRecord("c0", H(0), 3.0)]
+    bundle.carbon_intensity += [CarbonIntensityRecord("z0", H(0), 100.0), CarbonIntensityRecord("z0", H(0), 100.0)]
+    bundle.annual_intensity += [AnnualIntensityRecord("z0", 2023, 300.0), AnnualIntensityRecord("z0", 2023, 400.0)]
+    bundle.annual_intensity.append(AnnualIntensityRecord("z0", 2024, 300.0))
+    assert [(v.code, v.subject, v.detail) for v in validate_bundle(bundle)] == [
+        ("duplicate-intensity", "z0", "second annual row for year 2023"),
+        ("duplicate-intensity", "z0", f"second hourly row for hour {format_hour(H(0))}"),
+        ("duplicate-pue", "c0", f"second pue row for hour {format_hour(H(0))}"),
     ]

@@ -84,8 +84,6 @@ def test_figure1_split_variant_preserves_totals():
 
 def test_contradictory_specs_rejected():
     with pytest.raises(ScenarioError):
-        ScenarioSpec(idle_fraction=1.0).validate()
-    with pytest.raises(ScenarioError):
         ScenarioSpec(intensity_mean=-5.0).validate()
     with pytest.raises(ScenarioError):
         preset_spec("no-such-preset")
