@@ -1,13 +1,15 @@
 """Print a SHA-256 for every report CSV of `carbonledger run`, per case and hash seed.
 
-Each case is a `carbonledger simulate` bundle: every preset, a seeded
-fleet (seed 5, 300 machines, cyclic economy, unbilled usage) and the
-benchmark's cli-1k shape (seed 7, 1000 machines, 50 users, 20 clusters,
-12 h). For each case and each hash seed, `simulate` and then `run`
-execute in child processes under that `PYTHONHASHSEED`, against the
-sources of the checkout holding this script. Run it on two checkouts and
-diff the output to show that a change keeps the bundles and reports
-byte-identical:
+Each case is a `carbonledger simulate` bundle and the options its
+`carbonledger run` gets: every preset, a seeded fleet (seed 5, 300
+machines, cyclic economy, unbilled usage), the same fleet over 48 h run
+on its first day only (`--start/--end`), a seed-3 fleet (100 machines,
+30 users, 4 clusters, 12 h) and the benchmark's cli-1k shape (seed 7,
+1000 machines, 50 users, 20 clusters, 12 h). For each case and each hash
+seed, `simulate` and then `run` execute in child processes under that
+`PYTHONHASHSEED`, against the sources of the checkout holding this
+script. Run it on two checkouts and diff the output to show that a change
+keeps the bundles and reports byte-identical:
 
     python scripts/report_digests.py > after.txt
     python scripts/report_digests.py --hash-seeds 0 3 > after-0-3.txt
@@ -33,9 +35,13 @@ sys.path.insert(0, str(SRC))
 from carbonledger.simulate import PRESETS  # noqa: E402
 
 REPORTS = ("user_energy.csv", "emissions.csv", "footprint_report.csv", "flow_summary.csv")
-CASES = {name: ["--preset", name] for name in PRESETS}
-CASES["seed5-300-cyclic-unbilled"] = ["--seed", "5", "--machines", "300", "--cyclic-economy", "--unbilled-usage"]
-CASES["cli-1k-seed7"] = ["--seed", "7", "--machines", "1000", "--users", "50", "--clusters", "20", "--hours", "12"]
+SEED5 = ["--seed", "5", "--machines", "300", "--cyclic-economy", "--unbilled-usage"]
+#: case → (simulate options, run options)
+CASES = {name: (["--preset", name], []) for name in PRESETS}
+CASES["seed5-300-cyclic-unbilled"] = (SEED5, [])
+CASES["seed5-300-48h-first-day"] = ([*SEED5, "--hours", "48"], ["--start", "2023-06-05", "--end", "2023-06-06"])
+CASES["seed3-100-12h"] = (["--seed", "3", "--machines", "100", "--users", "30", "--clusters", "4", "--hours", "12"], [])
+CASES["cli-1k-seed7"] = (["--seed", "7", "--machines", "1000", "--users", "50", "--clusters", "20", "--hours", "12"], [])
 MANIFEST = "manifest.json"
 
 
@@ -48,11 +54,11 @@ def carbonledger(args: list[str], hash_seed: str) -> None:
         raise RuntimeError(f"carbonledger {' '.join(args)} exited {done.returncode}: {done.stderr.strip()}")
 
 
-def digests(options: list[str], hash_seed: str) -> dict[str, str]:
+def digests(simulate: list[str], run: list[str], hash_seed: str) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as work:
         bundle, reports = Path(work) / "bundle", Path(work) / "reports"
-        carbonledger(["simulate", "--output", str(bundle), *options], hash_seed)
-        carbonledger(["run", "--input", str(bundle), "--output", str(reports)], hash_seed)
+        carbonledger(["simulate", "--output", str(bundle), *simulate], hash_seed)
+        carbonledger(["run", "--input", str(bundle), "--output", str(reports), *run], hash_seed)
         found = {name: hashlib.sha256((reports / name).read_bytes()).hexdigest() for name in REPORTS}
         found[MANIFEST] = hashlib.sha256((bundle / MANIFEST).read_bytes()).hexdigest()
         return found
@@ -63,11 +69,11 @@ def main() -> int:
     parser.add_argument("--hash-seeds", nargs="+", default=["0", "1", "42"], help="PYTHONHASHSEED values")
     args = parser.parse_args()
     failed = False
-    for case, options in CASES.items():
+    for case, (simulate, run) in CASES.items():
         manifests: dict[str, list[str]] = {}
         for hash_seed in args.hash_seeds:
             try:
-                found = digests(options, hash_seed)
+                found = digests(simulate, run, hash_seed)
             except RuntimeError as exc:
                 print(f"error: {case} under hash seed {hash_seed}: {exc}", file=sys.stderr)
                 failed = True

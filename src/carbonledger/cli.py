@@ -12,8 +12,7 @@ import argparse
 import csv
 import logging
 import sys
-from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date
 from pathlib import Path
 
 from . import check, simulate, tables
@@ -34,60 +33,35 @@ EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs shared by the run and oracle-check commands."""
-
-    input_dir: Path
-    output_dir: Path | None
-    start: date | None
-    end: date | None
-    rounds: int
-    default_pue: float
-    allow_missing_intensity: bool
-    missing_intensity_default: float
-    energy_round_wh: float
-    carbon_round_g: float
-
-    def validate(self) -> None:
-        if self.rounds < 1:
-            raise InputError("--rounds must be at least 1")
-        if self.start is not None and self.end is not None and self.start >= self.end:
-            raise InputError(f"empty date range: {self.start} .. {self.end}")
+#: simulate's scenario flags (argparse dests, None when not given) and the ScenarioSpec field each sets.
+SCENARIO_FLAGS = {
+    "machines": "machine_count",
+    "users": "user_count",
+    "clusters": "cluster_count",
+    "hours": "hours",
+    "economy_depth": "economy_depth",
+    "cyclic_economy": "cyclic_economy",
+    "unbilled_usage": "include_unbilled_usage",
+}
 
 
-def _clip_bundle(bundle: Bundle, config: RunConfig) -> Bundle:
-    """Restrict hourly and daily records to the configured date range."""
-    if config.start is None and config.end is None:
+def _clip_bundle(bundle: Bundle, start: date | None, end: date | None) -> Bundle:
+    """Keep the hourly and daily records in [start, end); every other table passes whole."""
+    if start is None and end is None:
         return bundle
 
-    def keep_day(d: date) -> bool:
-        if config.start is not None and d < config.start:
-            return False
-        if config.end is not None and d >= config.end:
-            return False
-        return True
+    def keep(day: date) -> bool:
+        return (start is None or day >= start) and (end is None or day < end)
 
-    def keep_hour(hour: datetime) -> bool:
-        return keep_day(day_of(hour))
-
-    clipped = Bundle(
-        machines=bundle.machines,
-        power_samples=[r for r in bundle.power_samples if keep_hour(r.hour)],
-        resource_allocations=[r for r in bundle.resource_allocations if keep_hour(r.hour)],
-        gcu_usage=[r for r in bundle.gcu_usage if keep_hour(r.hour)],
-        service_usage=[r for r in bundle.service_usage if keep_hour(r.hour)],
-        net_costs=[r for r in bundle.net_costs if keep_day(r.day)],
-        non_service_costs=[r for r in bundle.non_service_costs if keep_day(r.day)],
-        pue=[r for r in bundle.pue if keep_hour(r.hour)],
-        carbon_intensity=[r for r in bundle.carbon_intensity if keep_hour(r.hour)],
-        annual_intensity=bundle.annual_intensity,
-        zone_map=bundle.zone_map,
-        sku_catalog=bundle.sku_catalog,
-        billing_usage=bundle.billing_usage,
-    )
-    return clipped
+    clipped = {}
+    for table in tables.TABLES.values():
+        records = getattr(bundle, table.field)
+        if tables.HOUR_UTC in table.columns:
+            records = [r for r in records if keep(day_of(r.hour))]
+        elif tables.DAY_UTC in table.columns:
+            records = [r for r in records if keep(r.day)]
+        clipped[table.field] = records
+    return Bundle(**clipped)
 
 
 def _refuses(bundle: Bundle, report_dir: Path | None) -> bool:
@@ -116,28 +90,33 @@ def cmd_validate(input_dir: Path, output_dir: Path | None) -> int:
     return EXIT_OK
 
 
-def cmd_run(config: RunConfig) -> int:
-    config.validate()
-    if config.output_dir is None:
-        raise InputError("run requires --output")
-    bundle = _clip_bundle(tables.read_bundle(config.input_dir), config)
-    if _refuses(bundle, config.output_dir):
+def _checked_bundle(args: argparse.Namespace) -> Bundle | None:
+    """The run flags' bundle, read, clipped and validated; None if it is refused."""
+    if args.rounds < 1:
+        raise InputError("--rounds must be at least 1")
+    if args.start is not None and args.end is not None and args.start >= args.end:
+        raise InputError(f"empty date range: {args.start} .. {args.end}")
+    bundle = _clip_bundle(tables.read_bundle(args.input), args.start, args.end)
+    return None if _refuses(bundle, args.output) else bundle
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    bundle = _checked_bundle(args)
+    if bundle is None:
         return EXIT_DATA
 
     artifacts = check.run_end_to_end(
         bundle,
-        rounds=config.rounds,
-        default_pue=config.default_pue,
-        allow_missing_intensity=config.allow_missing_intensity,
-        missing_intensity_default=config.missing_intensity_default,
+        rounds=args.rounds,
+        default_pue=args.default_pue,
+        allow_missing_intensity=args.allow_missing_intensity,
+        missing_intensity_default=args.missing_intensity_default,
     )
-    out = config.output_dir
-    tables.write_user_energy(artifacts.allocation.stages, out / "user_energy.csv", config.energy_round_wh)
-    tables.write_emissions(
-        artifacts.emissions.records, out / "emissions.csv", config.energy_round_wh, config.carbon_round_g
-    )
-    tables.write_footprints(artifacts.footprints.reports, out / "footprint_report.csv", config.carbon_round_g)
-    tables.write_flow_summary(artifacts.allocation.stages, out / "flow_summary.csv", config.energy_round_wh)
+    out = args.output
+    tables.write_user_energy(artifacts.allocation.stages, out / "user_energy.csv", args.round_wh)
+    tables.write_emissions(artifacts.emissions.records, out / "emissions.csv", args.round_wh, args.round_g)
+    tables.write_footprints(artifacts.footprints.reports, out / "footprint_report.csv", args.round_g)
+    tables.write_flow_summary(artifacts.allocation.stages, out / "flow_summary.csv", args.round_wh)
 
     for notice in (
         artifacts.allocation.notices + artifacts.emissions.notices + artifacts.footprints.notices
@@ -170,12 +149,11 @@ def cmd_simulate(spec: simulate.ScenarioSpec, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_check(config: RunConfig, tolerance: float = check.REL_TOL) -> int:
-    config.validate()
-    bundle = _clip_bundle(tables.read_bundle(config.input_dir), config)
-    if _refuses(bundle, config.output_dir):
+def cmd_oracle_check(args: argparse.Namespace) -> int:
+    bundle = _checked_bundle(args)
+    if bundle is None:
         return EXIT_DATA
-    report = check.compare_with_oracle(bundle, rounds=config.rounds, default_pue=config.default_pue)
+    report = check.compare_with_oracle(bundle, rounds=args.rounds, default_pue=args.default_pue)
     for name in sorted(report.table_max):
         print(f"table {name}: max relative deviation {report.table_max[name]:.3e}")
     if report.worst:
@@ -185,15 +163,15 @@ def cmd_oracle_check(config: RunConfig, tolerance: float = check.REL_TOL) -> int
                 f"  {diff.table} {diff.key}: pipeline={diff.pipeline!r} oracle={diff.oracle!r} "
                 f"deviation={diff.deviation:.3e}"
             )
-    if config.output_dir is not None:
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        with (config.output_dir / "oracle_diff.csv").open("w", newline="") as handle:
+    if args.output is not None:
+        args.output.mkdir(parents=True, exist_ok=True)
+        with (args.output / "oracle_diff.csv").open("w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(("table", "key", "pipeline", "oracle", "deviation"))
             for diff in report.worst:
                 writer.writerow((diff.table, diff.key, repr(diff.pipeline), repr(diff.oracle), repr(diff.deviation)))
-    if report.within(tolerance):
-        print(f"oracle agreement: max deviation {report.max_deviation:.3e} < {tolerance:.0e}")
+    if report.within(args.tolerance):
+        print(f"oracle agreement: max deviation {report.max_deviation:.3e} < {args.tolerance:.0e}")
         return EXIT_OK
     print(f"oracle disagreement: max deviation {report.max_deviation:.3e}", file=sys.stderr)
     return EXIT_DATA
@@ -266,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--clusters", type=int, default=None)
     p_sim.add_argument("--hours", type=int, default=None)
     p_sim.add_argument("--economy-depth", type=int, default=None)
-    p_sim.add_argument("--cyclic-economy", action="store_true")
-    p_sim.add_argument("--unbilled-usage", action="store_true")
+    p_sim.add_argument("--cyclic-economy", action="store_true", default=None)
+    p_sim.add_argument("--unbilled-usage", action="store_true", default=None)
 
     p_oracle = sub.add_parser("oracle-check", help="compare pipeline output against the brute-force oracle")
     add_run_flags(p_oracle, need_output=False)
@@ -279,21 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        input_dir=args.input,
-        output_dir=args.output,
-        start=args.start,
-        end=args.end,
-        rounds=args.rounds,
-        default_pue=args.default_pue,
-        allow_missing_intensity=args.allow_missing_intensity,
-        missing_intensity_default=args.missing_intensity_default,
-        energy_round_wh=args.round_wh,
-        carbon_round_g=args.round_g,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
@@ -303,30 +266,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             return cmd_validate(args.input, args.output)
         if args.command == "run":
-            return cmd_run(_config_from_args(args))
+            return cmd_run(args)
         if args.command == "simulate":
-            overrides = {}
-            if args.machines is not None:
-                overrides["machine_count"] = args.machines
-            if args.users is not None:
-                overrides["user_count"] = args.users
-            if args.clusters is not None:
-                overrides["cluster_count"] = args.clusters
-            if args.hours is not None:
-                overrides["hours"] = args.hours
-            if args.economy_depth is not None:
-                overrides["economy_depth"] = args.economy_depth
-            if args.cyclic_economy:
-                overrides["cyclic_economy"] = True
-            if args.unbilled_usage:
-                overrides["include_unbilled_usage"] = True
+            overrides = {
+                field: getattr(args, flag) for flag, field in SCENARIO_FLAGS.items() if getattr(args, flag) is not None
+            }
             if args.preset is not None:
                 spec = simulate.preset_spec(args.preset, seed=args.seed, **overrides)
             else:
                 spec = simulate.ScenarioSpec(seed=args.seed, **overrides)
             return cmd_simulate(spec, args.output)
         if args.command == "oracle-check":
-            return cmd_oracle_check(_config_from_args(args), tolerance=args.tolerance)
+            return cmd_oracle_check(args)
         if args.command == "report":
             return cmd_report(args.input)
         raise InputError(f"unknown command {args.command!r}")

@@ -218,9 +218,7 @@ def compute_customer_footprints(
             provider_kg[rec.user] = provider_kg.get(rec.user, 0.0) + rec.kg_co2e
             provider_wh[rec.user] = provider_wh.get(rec.user, 0.0) + rec.energy_it_wh
             records_by_user.setdefault(rec.user, []).append(rec)
-        # Set order moves beta's last bits with the hash seed; the benchmark's
-        # recorded footprint digest was taken with this order.
-        total_scope_kg = sum(provider_kg[user] for user in set(provider_kg))
+        total_scope_kg = sum(sorted(provider_kg.values()))
         if total_scope_kg <= 0.0:
             notices.append(Notice("empty-month", month, "no emissions in scope; month skipped"))
             continue

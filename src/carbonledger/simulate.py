@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from typing import Any, Callable, NamedTuple
 
 from .errors import ScenarioError
 from .model import (
@@ -37,8 +38,6 @@ from .model import (
 )
 
 GENERATOR_ID = "carbonledger-fleetsim-v1"
-
-PRESETS = ("figure1", "sankey-small", "overhead-pool", "two-accounts", "balanced-service")
 
 #: First hour of every generated bundle.
 START = datetime(2023, 6, 5, 0, 0, tzinfo=timezone.utc)
@@ -70,75 +69,57 @@ class ScenarioSpec:
     hours: int = 24
     economy_depth: int = 2
     cyclic_economy: bool = False
-    intensity_mean: float = DEFAULT_INTENSITY_MEAN
-    intensity_std: float = DEFAULT_INTENSITY_STD
     include_unbilled_usage: bool = False
 
     def validate(self) -> None:
-        if self.preset is not None and self.preset not in PRESETS:
-            raise ScenarioError(f"unknown preset {self.preset!r}")
+        if self.preset is not None:
+            if self.preset not in PRESETS:
+                raise ScenarioError(f"unknown preset {self.preset!r}")
+            # A field left at its default is not a setting.
+            ignored = [
+                f.name for f in fields(self)
+                if f.name not in ("seed", "preset", *PRESETS[self.preset].reads)
+                and getattr(self, f.name) != f.default
+            ]
+            if ignored:
+                raise ScenarioError(f"preset {self.preset!r} does not read {', '.join(ignored)}")
         if self.machine_count < 1 or self.user_count < 1 or self.cluster_count < 1:
             raise ScenarioError("machine, user, and cluster counts must be positive")
         if self.hours < 1:
             raise ScenarioError("hours must be positive")
-        if self.intensity_mean < 0 or self.intensity_std < 0:
-            raise ScenarioError("intensity mean and std must be non-negative")
         if self.economy_depth < 0:
             raise ScenarioError("economy depth must be non-negative")
 
 
-#: Scenario fields each preset pins unless the caller overrides them.
-_PRESET_DEFAULTS: dict[str, dict] = {
-    "figure1": {"machine_count": 1, "hours": 24},
-    "sankey-small": {"hours": 24},
-    "overhead-pool": {"hours": 24},
-    "two-accounts": {"hours": 24},
-    "balanced-service": {"hours": 24},
-}
-
-
 def preset_spec(name: str, seed: int = 0, **overrides) -> ScenarioSpec:
-    """A ScenarioSpec for a named preset with its customary defaults."""
-    if name not in PRESETS:
-        raise ScenarioError(f"unknown preset {name!r}")
-    fields = dict(_PRESET_DEFAULTS[name])
-    fields.update(overrides)
-    return ScenarioSpec(seed=seed, preset=name, **fields)
+    """A validated ScenarioSpec for a named preset; ``overrides`` may set only fields it reads."""
+    reads = PRESETS[name].reads if name in PRESETS else {}
+    spec = ScenarioSpec(seed=seed, preset=name, **{**reads, **overrides})
+    spec.validate()
+    return spec
 
 
 def generate(spec: ScenarioSpec) -> Bundle:
     """Build the full input bundle for a scenario."""
     spec.validate()
-    if spec.preset == "figure1":
-        return _preset_figure1(spec)
-    if spec.preset == "sankey-small":
-        return _preset_sankey_small(spec)
-    if spec.preset == "overhead-pool":
-        return _preset_overhead_pool(spec)
-    if spec.preset == "two-accounts":
-        return _preset_two_accounts(spec)
-    if spec.preset == "balanced-service":
-        return _preset_balanced_service(spec)
-    return _random_fleet(spec)
+    if spec.preset is None:
+        return _random_fleet(spec)
+    return PRESETS[spec.preset].build(spec)
 
 
 def intensity_feed(
-    spec: ScenarioSpec,
-    zones: list[str] | None = None,
-    hours: list[datetime] | None = None,
+    seed: int,
+    zones: list[str],
+    hours: list[datetime],
+    mean: float = DEFAULT_INTENSITY_MEAN,
+    std: float = DEFAULT_INTENSITY_STD,
 ) -> tuple[list[CarbonIntensityRecord], list[AnnualIntensityRecord]]:
     """Seeded hourly intensity series per zone plus the annual table.
 
-    Values follow a lognormal shape matched to the configured mean and
-    standard deviation, clamped at zero. A zero std yields a flat series.
+    Values follow a lognormal shape matched to ``mean`` and ``std``,
+    clamped at zero. A zero std yields a flat series and draws nothing.
     """
-    spec.validate()
-    rng = random.Random(f"{spec.seed}-intensity")
-    if zones is None:
-        zones = [f"zone-{i:02d}" for i in range(spec.cluster_count)]
-    if hours is None:
-        hours = hour_range(START, spec.hours)
-    mean, std = spec.intensity_mean, spec.intensity_std
+    rng = random.Random(f"{seed}-intensity")
     hourly: list[CarbonIntensityRecord] = []
     for zone in zones:
         for hour in hours:
@@ -156,13 +137,17 @@ def intensity_feed(
     return hourly, annual
 
 
-def _carbon_tables(
-    spec: ScenarioSpec, zones: list[str], hours: list[datetime], constant: float | None = None
-) -> tuple[list[CarbonIntensityRecord], list[AnnualIntensityRecord]]:
-    if constant is not None:
-        flat = replace(spec, intensity_mean=constant, intensity_std=0.0)
-        return intensity_feed(flat, zones, hours)
-    return intensity_feed(spec, zones, hours)
+#: The one-cluster presets' cluster, zone and region, and every preset's billing month.
+CLUSTER, ZONE, REGION = "cluster-01", "zone-01", "region-01"
+MONTH = month_of(START)
+
+
+def _one_cluster(spec: ScenarioSpec, intensity: float) -> tuple[Bundle, list[datetime]]:
+    """The one-cluster presets' scaffold: CLUSTER in ZONE and REGION, 24 h at a flat intensity."""
+    hours = hour_range(START, 24)
+    hourly, annual = intensity_feed(spec.seed, [ZONE], hours, mean=intensity, std=0.0)
+    bundle = Bundle(zone_map=[ZoneMapRow(CLUSTER, ZONE, REGION)], carbon_intensity=hourly, annual_intensity=annual)
+    return bundle, hours
 
 
 def _preset_figure1(spec: ScenarioSpec) -> Bundle:
@@ -174,17 +159,11 @@ def _preset_figure1(spec: ScenarioSpec) -> Bundle:
     aggregate into identical machines with unchanged totals.
     """
     n = spec.machine_count
-    hours = hour_range(START, 24)
+    bundle, hours = _one_cluster(spec, DEFAULT_INTENSITY_MEAN)
     daytime = {h for h in hours if 8 <= h.hour < 20}
-    cluster = "cluster-01"
-    zone, region = "zone-01", "region-01"
-    month = month_of(hours[0])
-
-    bundle = Bundle()
-    bundle.zone_map.append(ZoneMapRow(cluster, zone, region))
     for i in range(n):
         bundle.machines.append(
-            MachineRecord(f"figure1-m{i:03d}", cluster, Sharing.SHARED, None, 6e6 / n)
+            MachineRecord(f"figure1-m{i:03d}", CLUSTER, Sharing.SHARED, None, 6e6 / n)
         )
     for hour in hours:
         measured = 14e6 if hour in daytime else 12e6
@@ -198,17 +177,14 @@ def _preset_figure1(spec: ScenarioSpec) -> Bundle:
                 GcuUsageRecord("non-prod", mid, hour, utilization * (1.0 - prod_share) / n)
             )
         bundle.resource_allocations.append(
-            ResourceAllocationRecord("prod", cluster, hour, ResourceVector(gcu=100.0))
+            ResourceAllocationRecord("prod", CLUSTER, hour, ResourceVector(gcu=100.0))
         )
-        bundle.pue.append(PueRecord(cluster, hour, 1.0))
-    hourly, annual = _carbon_tables(spec, [zone], hours, constant=DEFAULT_INTENSITY_MEAN)
-    bundle.carbon_intensity.extend(hourly)
-    bundle.annual_intensity.extend(annual)
+        bundle.pue.append(PueRecord(CLUSTER, hour, 1.0))
 
     bundle.sku_catalog.append(SkuRecord("sku-prod", "product-prod", "prod", 1.0, "unit-hour"))
     bundle.sku_catalog.append(SkuRecord("sku-batch", "product-batch", "non-prod", 1.0, "unit-hour"))
     for sku in ("sku-prod", "sku-batch"):
-        bundle.billing_usage.append(SkuUsageRecord(sku, region, "acct-01", month, 100.0))
+        bundle.billing_usage.append(SkuUsageRecord(sku, REGION, "acct-01", MONTH, 100.0))
     return bundle
 
 
@@ -234,34 +210,26 @@ def _preset_balanced_service(spec: ScenarioSpec) -> Bundle:
     The net-cost round must then hand the provider's entire footprint to
     its two consumers (60/40) and leave it with nothing.
     """
-    hours = hour_range(START, 24)
-    cluster, zone, region = "cluster-01", "zone-01", "region-01"
-    month = month_of(hours[0])
-
-    bundle = Bundle()
-    bundle.zone_map.append(ZoneMapRow(cluster, zone, region))
+    bundle, hours = _one_cluster(spec, DEFAULT_INTENSITY_MEAN)
     _shared_machine_block(
-        bundle, cluster, "bal-m000", hours, 4e5, 1e6,
+        bundle, CLUSTER, "bal-m000", hours, 4e5, 1e6,
         {"svc": 50.0, "user-a": 25.0, "user-b": 25.0},
     )
     for hour in hours:
         for user, gcu in (("svc", 40.0), ("user-a", 30.0), ("user-b", 30.0)):
             bundle.resource_allocations.append(
-                ResourceAllocationRecord(user, cluster, hour, ResourceVector(gcu=gcu))
+                ResourceAllocationRecord(user, CLUSTER, hour, ResourceVector(gcu=gcu))
             )
-        bundle.pue.append(PueRecord(cluster, hour, 1.1))
+        bundle.pue.append(PueRecord(CLUSTER, hour, 1.1))
     for day in sorted({day_of(h) for h in hours}):
         bundle.net_costs.append(NetCostRecord("svc", "svc-api", day, -1000.0))
         bundle.net_costs.append(NetCostRecord("user-a", "svc-api", day, 600.0))
         bundle.net_costs.append(NetCostRecord("user-b", "svc-api", day, 400.0))
         bundle.non_service_costs.append(NonServiceCostRecord("svc", day, 2000.0))
-    hourly, annual = _carbon_tables(spec, [zone], hours, constant=DEFAULT_INTENSITY_MEAN)
-    bundle.carbon_intensity.extend(hourly)
-    bundle.annual_intensity.extend(annual)
     bundle.sku_catalog.append(SkuRecord("sku-a", "product-a", "user-a", 2.0, "unit"))
     bundle.sku_catalog.append(SkuRecord("sku-b", "product-b", "user-b", 1.0, "unit"))
-    bundle.billing_usage.append(SkuUsageRecord("sku-a", region, "acct-01", month, 50.0))
-    bundle.billing_usage.append(SkuUsageRecord("sku-b", region, "acct-01", month, 80.0))
+    bundle.billing_usage.append(SkuUsageRecord("sku-a", REGION, "acct-01", MONTH, 50.0))
+    bundle.billing_usage.append(SkuUsageRecord("sku-b", REGION, "acct-01", MONTH, 80.0))
     return bundle
 
 
@@ -274,7 +242,6 @@ def _preset_sankey_small(spec: ScenarioSpec) -> Bundle:
     intermediate service and resolves to end users within two rounds.
     """
     hours = hour_range(START, 24)
-    month = month_of(hours[0])
     clusters = (("cluster-01", "zone-01", "region-01"), ("cluster-02", "zone-02", "region-02"))
 
     bundle = Bundle()
@@ -323,15 +290,15 @@ def _preset_sankey_small(spec: ScenarioSpec) -> Bundle:
         bundle.non_service_costs.append(NonServiceCostRecord("cloud-storage", day, 3000.0))
 
     zones = [zone for _, zone, _ in clusters]
-    hourly, annual = _carbon_tables(spec, zones, hours)
+    hourly, annual = intensity_feed(spec.seed, zones, hours)
     bundle.carbon_intensity.extend(hourly)
     bundle.annual_intensity.extend(annual)
 
     for user, price in (("ads", 1.5), ("user-one", 1.0), ("user-two", 2.5)):
         bundle.sku_catalog.append(SkuRecord(f"sku-{user}", f"product-{user}", user, price, "unit"))
         for _, _, region in clusters:
-            bundle.billing_usage.append(SkuUsageRecord(f"sku-{user}", region, "acct-01", month, 40.0))
-            bundle.billing_usage.append(SkuUsageRecord(f"sku-{user}", region, "acct-02", month, 60.0))
+            bundle.billing_usage.append(SkuUsageRecord(f"sku-{user}", region, "acct-01", MONTH, 40.0))
+            bundle.billing_usage.append(SkuUsageRecord(f"sku-{user}", region, "acct-02", MONTH, 60.0))
     return bundle
 
 
@@ -341,56 +308,58 @@ def _preset_overhead_pool(spec: ScenarioSpec) -> Bundle:
     The overhead user's emissions can only reach customers through the
     global overhead factor, which must exceed 1.
     """
-    hours = hour_range(START, 24)
-    cluster, zone, region = "cluster-01", "zone-01", "region-01"
-    month = month_of(hours[0])
-
-    bundle = Bundle()
-    bundle.zone_map.append(ZoneMapRow(cluster, zone, region))
-    _shared_machine_block(bundle, cluster, "ovh-shared", hours, 2e5, 6e5, {"svc-a": 40.0})
-    pool = MachineRecord("ovh-pool", cluster, Sharing.DEDICATED, "overhead-pool", 1e5)
+    bundle, hours = _one_cluster(spec, 400.0)
+    _shared_machine_block(bundle, CLUSTER, "ovh-shared", hours, 2e5, 6e5, {"svc-a": 40.0})
+    pool = MachineRecord("ovh-pool", CLUSTER, Sharing.DEDICATED, "overhead-pool", 1e5)
     bundle.machines.append(pool)
     for hour in hours:
         bundle.power_samples.append(PowerSample(pool.machine_id, hour, 1.5e5))
         bundle.resource_allocations.append(
-            ResourceAllocationRecord("svc-a", cluster, hour, ResourceVector(gcu=50.0))
+            ResourceAllocationRecord("svc-a", CLUSTER, hour, ResourceVector(gcu=50.0))
         )
-        bundle.pue.append(PueRecord(cluster, hour, 1.2))
-    hourly, annual = _carbon_tables(spec, [zone], hours, constant=400.0)
-    bundle.carbon_intensity.extend(hourly)
-    bundle.annual_intensity.extend(annual)
+        bundle.pue.append(PueRecord(CLUSTER, hour, 1.2))
     bundle.sku_catalog.append(SkuRecord("sku-a1", "product-a", "svc-a", 2.0, "unit"))
     bundle.sku_catalog.append(SkuRecord("sku-a2", "product-a", "svc-a", 1.0, "unit"))
-    bundle.billing_usage.append(SkuUsageRecord("sku-a1", region, "acct-01", month, 30.0))
-    bundle.billing_usage.append(SkuUsageRecord("sku-a2", region, "acct-01", month, 90.0))
+    bundle.billing_usage.append(SkuUsageRecord("sku-a1", REGION, "acct-01", MONTH, 30.0))
+    bundle.billing_usage.append(SkuUsageRecord("sku-a2", REGION, "acct-01", MONTH, 90.0))
     return bundle
 
 
 def _preset_two_accounts(spec: ScenarioSpec) -> Bundle:
     """Two providers fully billed to two accounts with identical usage."""
-    hours = hour_range(START, 24)
-    cluster, zone, region = "cluster-01", "zone-01", "region-01"
-    month = month_of(hours[0])
-
-    bundle = Bundle()
-    bundle.zone_map.append(ZoneMapRow(cluster, zone, region))
+    bundle, hours = _one_cluster(spec, 250.0)
     _shared_machine_block(
-        bundle, cluster, "two-shared", hours, 3e5, 7e5, {"svc-a": 30.0, "svc-b": 10.0}
+        bundle, CLUSTER, "two-shared", hours, 3e5, 7e5, {"svc-a": 30.0, "svc-b": 10.0}
     )
     for hour in hours:
         for user, gcu in (("svc-a", 60.0), ("svc-b", 20.0)):
             bundle.resource_allocations.append(
-                ResourceAllocationRecord(user, cluster, hour, ResourceVector(gcu=gcu))
+                ResourceAllocationRecord(user, CLUSTER, hour, ResourceVector(gcu=gcu))
             )
-        bundle.pue.append(PueRecord(cluster, hour, 1.15))
-    hourly, annual = _carbon_tables(spec, [zone], hours, constant=250.0)
-    bundle.carbon_intensity.extend(hourly)
-    bundle.annual_intensity.extend(annual)
+        bundle.pue.append(PueRecord(CLUSTER, hour, 1.15))
     for user, price in (("svc-a", 1.75), ("svc-b", 1.0)):
         bundle.sku_catalog.append(SkuRecord(f"sku-{user}", f"product-{user}", user, price, "unit"))
         for account in ("acct-01", "acct-02"):
-            bundle.billing_usage.append(SkuUsageRecord(f"sku-{user}", region, account, month, 50.0))
+            bundle.billing_usage.append(SkuUsageRecord(f"sku-{user}", REGION, account, MONTH, 50.0))
     return bundle
+
+
+class Preset(NamedTuple):
+    """How to build a named scenario."""
+
+    build: Callable[[ScenarioSpec], Bundle]
+    reads: dict[str, Any]  # the spec fields ``build`` reads, with the preset's defaults
+
+
+#: Every named preset. Presets read ``seed`` and the fields in ``reads``;
+#: ``ScenarioSpec.validate`` refuses any other field a preset spec sets.
+PRESETS: dict[str, Preset] = {
+    "figure1": Preset(_preset_figure1, {"machine_count": 1}),
+    "sankey-small": Preset(_preset_sankey_small, {}),
+    "overhead-pool": Preset(_preset_overhead_pool, {}),
+    "two-accounts": Preset(_preset_two_accounts, {}),
+    "balanced-service": Preset(_preset_balanced_service, {}),
+}
 
 
 def _random_fleet(spec: ScenarioSpec) -> Bundle:
@@ -523,7 +492,7 @@ def _random_fleet(spec: ScenarioSpec) -> Bundle:
     for cluster in clusters:
         for hour in hours:
             bundle.pue.append(PueRecord(cluster, hour, rng.uniform(1.05, 1.6)))
-    hourly, annual = intensity_feed(spec, sorted(set(zones.values())), hours)
+    hourly, annual = intensity_feed(spec.seed, sorted(set(zones.values())), hours)
     bundle.carbon_intensity.extend(r for r in hourly if rng.random() >= 0.1)
     bundle.annual_intensity.extend(annual)
 

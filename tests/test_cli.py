@@ -6,13 +6,14 @@ import math
 import os
 import subprocess
 import sys
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 import pytest
 
 import carbonledger
 from carbonledger.check import closure_failures, run_end_to_end
-from carbonledger.cli import main
+from carbonledger.cli import _clip_bundle, main
 from carbonledger.model import validate_bundle
 from carbonledger.simulate import ScenarioSpec, generate, preset_spec
 from carbonledger.tables import write_bundle
@@ -109,6 +110,25 @@ def test_run_respects_date_window(figure1_dir, tmp_path):
     assert code == 0
 
 
+def test_clip_keeps_in_range_hourly_and_daily_records_and_passes_the_rest_whole():
+    bundle = generate(ScenarioSpec(seed=5, machine_count=30, user_count=6, hours=48, cyclic_economy=True))
+    clipped = _clip_bundle(bundle, date(2023, 6, 5), date(2023, 6, 6))
+    second_day = datetime(2023, 6, 6, tzinfo=timezone.utc)
+    hourly = ("power_samples", "resource_allocations", "gcu_usage", "service_usage", "pue", "carbon_intensity")
+    for name in hourly:
+        records = getattr(bundle, name)
+        kept = [r for r in records if r.hour < second_day]
+        assert 0 < len(kept) < len(records), name
+        assert getattr(clipped, name) == kept, name
+    for name in ("net_costs", "non_service_costs"):
+        records = getattr(bundle, name)
+        kept = [r for r in records if r.day == date(2023, 6, 5)]
+        assert 0 < len(kept) < len(records), name
+        assert getattr(clipped, name) == kept, name
+    for name in ("machines", "annual_intensity", "zone_map", "sku_catalog", "billing_usage"):
+        assert getattr(clipped, name) == getattr(bundle, name) != [], name
+
+
 def test_oracle_check_passes_on_presets(figure1_dir):
     assert main(["oracle-check", "--input", str(figure1_dir)]) == 0
 
@@ -138,6 +158,14 @@ def test_report_without_run_exits_two(tmp_path):
 
 def test_simulate_rejects_bad_spec(tmp_path):
     assert main(["simulate", "--output", str(tmp_path / "x"), "--hours", "0"]) == 2
+
+
+def test_simulate_preset_refuses_a_flag_it_ignores(tmp_path):
+    # Once exited 0 with a 24 h bundle.
+    out = tmp_path / "x"
+    assert main(["simulate", "--output", str(out), "--preset", "sankey-small", "--hours", "168"]) == 2
+    assert not out.exists()
+    assert main(["simulate", "--output", str(out), "--preset", "figure1", "--seed", "3", "--machines", "4"]) == 0
 
 
 def test_run_outputs_are_deterministic(figure1_dir, tmp_path):
@@ -201,14 +229,15 @@ def test_nan_power_sample_fails_closed(tmp_path):
 
 
 #: SHA-256 of the run reports. Refactors must keep them byte-identical under
-#: every hash seed. footprint_report.csv is left out: its beta sums over a
-#: set of users, so its last bits follow PYTHONHASHSEED.
+#: every hash seed. The seed-3 fleet's footprint_report.csv once followed
+#: PYTHONHASHSEED, because beta summed its scope in set order.
 RECORDED_REPORTS = {
     "figure1": (
         ["--preset", "figure1"],
         {
             "user_energy.csv": "419879f6bc371a255c8764ea3d870018995508c6888a6454c30ee5c97c978481",
             "emissions.csv": "56044229a9fe0cbd76a350bd3725842d92f52f0833f05e701238b5f8a1ae4299",
+            "footprint_report.csv": "5ff983002add6f4d302481e6d46c46c2c5aca9390dabeb17df199aa88ec8ce67",
             "flow_summary.csv": "5212cd9c832af59cd9e2824f3f0dc40aee53653e41a1560604a97ae4153eb3d8",
         },
     ),
@@ -217,7 +246,17 @@ RECORDED_REPORTS = {
         {
             "user_energy.csv": "324d9a8001e223be76f6d62b76af4674e8c1fdd1dbb568de1d50fbed51a1eba6",
             "emissions.csv": "61ceeca9b7bbf8d325b0164a1235e7f5c8c29dd1268aecb8e8b5c3dc172d1f33",
+            "footprint_report.csv": "e046b32f981f9e54404b74e0f319aa45f80b70abadf5d0bd38e63b515c3f3663",
             "flow_summary.csv": "c6f468603b7f4378c70257d933b69cd1c0bc493e21c9d00241b38309966e6dad",
+        },
+    ),
+    "seed3-100-12h": (
+        ["--seed", "3", "--machines", "100", "--users", "30", "--clusters", "4", "--hours", "12"],
+        {
+            "user_energy.csv": "a1ac4045ec205af6331ff47a4c1f9e7a199d93aee95816948bffd104987c0f3b",
+            "emissions.csv": "0368be229f3dffb540992693f9d10f993f350f1e096d511ef6cbee7e58d257b5",
+            "footprint_report.csv": "f9de0c04ddd084d847d54cb989576fea4e4b3cdc1f105574c92355d22d36aad6",
+            "flow_summary.csv": "d69695e0e70b5ecb60846f38b04b8093e139433564dadfd8addb960f16c86da4",
         },
     ),
 }

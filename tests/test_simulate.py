@@ -84,16 +84,13 @@ def test_figure1_split_variant_preserves_totals():
 
 def test_contradictory_specs_rejected():
     with pytest.raises(ScenarioError):
-        ScenarioSpec(intensity_mean=-5.0).validate()
-    with pytest.raises(ScenarioError):
         preset_spec("no-such-preset")
     with pytest.raises(ScenarioError):
         generate(ScenarioSpec(hours=0))
 
 
 def test_intensity_feed_matches_target_mean():
-    spec = ScenarioSpec(seed=11)
-    hourly, annual = intensity_feed(spec, zones=[f"z{i}" for i in range(10)], hours=[H(i) for i in range(400)])
+    hourly, annual = intensity_feed(11, zones=[f"z{i}" for i in range(10)], hours=[H(i) for i in range(400)])
     values = [r.intensity_g_per_kwh for r in hourly]
     assert len(values) == 4000
     assert statistics.fmean(values) == pytest.approx(320.8, rel=0.05)
@@ -102,6 +99,13 @@ def test_intensity_feed_matches_target_mean():
 
 
 def test_intensity_feed_zero_std_is_flat():
-    spec = ScenarioSpec(seed=3, intensity_std=0.0, intensity_mean=100.0)
-    hourly, _ = intensity_feed(spec, zones=["z"], hours=[H(i) for i in range(5)])
+    hourly, _ = intensity_feed(3, zones=["z"], hours=[H(i) for i in range(5)], mean=100.0, std=0.0)
     assert all(r.intensity_g_per_kwh == 100.0 for r in hourly)
+
+
+def test_presets_refuse_settings_they_ignore():
+    # Once a 168 h sankey-small spec silently gave a 24 h bundle.
+    with pytest.raises(ScenarioError, match="does not read hours"):
+        preset_spec("sankey-small", hours=168)
+    with pytest.raises(ScenarioError, match="does not read machine_count, cyclic_economy"):
+        generate(ScenarioSpec(preset="two-accounts", machine_count=3, cyclic_economy=True))
