@@ -2,7 +2,7 @@
 
 The closure checks assert the accounting identities that make the whole
 scheme trustworthy: no stage creates or destroys energy, every provider's
-energy lands on its SKUs, and every gram of carbon in scope reaches a
+energy lands on its SKUs, and every gram of carbon emitted reaches a
 customer report.
 """
 
@@ -117,23 +117,16 @@ def closure_failures(bundle: Bundle, artifacts: RunArtifacts, rel_tol: float = R
                     f"{month}: provider {provider} SKU energy {wh} Wh != ledger energy {expected} Wh"
                 )
 
-        adjusted: dict[tuple[str, str], float] = {}
-        alpha_providers = set()
-        for regional in allocation.regional:
-            alpha_providers.add(regional.provider_user)
-            for sku_id, rate in allocation.rates.items():
-                if provider_of_sku[sku_id] == regional.provider_user:
-                    adjusted[(sku_id, regional.region_id)] = regional.adjusted_g_per_kwh
         allocated_kg: dict[str, float] = {}
         for (sku_id, region), units in usage_by_sku_region.items():
-            intensity = adjusted.get((sku_id, region))
+            intensity = allocation.adjusted.get((sku_id, region))
             if intensity is None:
                 continue
             provider = provider_of_sku[sku_id]
             allocated_kg[provider] = allocated_kg.get(provider, 0.0) + (
                 allocation.rates[sku_id].wh_per_unit * units * intensity / 1e6
             )
-        for provider in alpha_providers:
+        for provider in allocation.alpha:
             expected = allocation.provider_kg.get(provider, 0.0)
             if _relative_gap(allocated_kg.get(provider, 0.0), expected) > rel_tol:
                 failures.append(
@@ -145,6 +138,11 @@ def closure_failures(bundle: Bundle, artifacts: RunArtifacts, rel_tol: float = R
         reported_kg = sum(r.kg_co2e for r in artifacts.footprints.reports if r.month == month)
         if _relative_gap(reported_kg, scope_kg) > rel_tol:
             failures.append(f"{month}: customer reports total {reported_kg} kg != scope {scope_kg} kg")
+
+    emitted_kg = artifacts.emissions.total_kg()
+    reported_kg = artifacts.footprints.total_kg()
+    if _relative_gap(reported_kg, emitted_kg) > rel_tol:
+        failures.append(f"customer reports total {reported_kg} kg != emitted {emitted_kg} kg")
     return failures
 
 

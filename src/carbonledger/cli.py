@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import sys
 from datetime import date
 from pathlib import Path
+from typing import Callable
 
 from . import check, simulate, tables
 from .carbon import DEFAULT_PUE
@@ -205,6 +207,22 @@ def _parse_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
+def _finite(low: float, strict: bool = False) -> Callable[[str], float]:
+    """An argparse type: a finite float at least ``low`` (above it when ``strict``)."""
+    bound = f"{'>' if strict else '>='} {low:g}"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number {bound}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carbonledger",
@@ -216,24 +234,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p: argparse.ArgumentParser, need_output: bool) -> None:
+    def add_bundle_flags(p: argparse.ArgumentParser, need_output: bool) -> None:
         p.add_argument("--input", type=Path, required=True, help="bundle directory")
         p.add_argument("--output", type=Path, required=need_output, help="report directory")
         p.add_argument("--start", type=_parse_date, default=None, help="first day (inclusive, UTC)")
         p.add_argument("--end", type=_parse_date, default=None, help="end day (exclusive, UTC)")
         p.add_argument("--rounds", type=int, default=2, help="minor reallocation rounds")
-        p.add_argument("--default-pue", type=float, default=DEFAULT_PUE)
-        p.add_argument("--allow-missing-intensity", action="store_true")
-        p.add_argument("--missing-intensity-default", type=float, default=0.0)
-        p.add_argument("--round-wh", type=float, default=1.0, help="energy report rounding step")
-        p.add_argument("--round-g", type=float, default=1.0, help="carbon report rounding step in grams")
+        p.add_argument("--default-pue", type=_finite(1.0), default=DEFAULT_PUE)
 
     p_validate = sub.add_parser("validate", help="check a bundle for violations")
     p_validate.add_argument("--input", type=Path, required=True)
     p_validate.add_argument("--output", type=Path, default=None)
 
     p_run = sub.add_parser("run", help="run the full pipeline and write reports")
-    add_run_flags(p_run, need_output=True)
+    add_bundle_flags(p_run, need_output=True)
+    p_run.add_argument("--allow-missing-intensity", action="store_true")
+    p_run.add_argument("--missing-intensity-default", type=_finite(0.0), default=0.0)
+    p_run.add_argument("--round-wh", type=_finite(0.0), default=1.0, help="energy report rounding step (0: none)")
+    p_run.add_argument("--round-g", type=_finite(0.0), default=1.0, help="carbon report rounding step in grams (0: none)")
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic bundle")
     p_sim.add_argument("--output", type=Path, required=True)
@@ -248,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--unbilled-usage", action="store_true", default=None)
 
     p_oracle = sub.add_parser("oracle-check", help="compare pipeline output against the brute-force oracle")
-    add_run_flags(p_oracle, need_output=False)
-    p_oracle.add_argument("--tolerance", type=float, default=check.REL_TOL)
+    add_bundle_flags(p_oracle, need_output=False)
+    p_oracle.add_argument("--tolerance", type=_finite(0.0, strict=True), default=check.REL_TOL)
 
     p_report = sub.add_parser("report", help="summarize a completed run directory")
     p_report.add_argument("--input", type=Path, required=True, help="directory written by run")

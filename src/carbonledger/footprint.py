@@ -10,6 +10,7 @@ billed usage. Reported monthly.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -27,24 +28,6 @@ class SkuEnergyRate:
 
     sku_id: str
     wh_per_unit: float
-
-
-@dataclass(frozen=True, slots=True)
-class RegionalIntensity:
-    """A provider's effective carbon intensity in one region.
-
-    ``adjusted_g_per_kwh`` is the balance-corrected intensity applied to
-    every SKU the provider offers in the region.
-    """
-
-    provider_user: str
-    region_id: str
-    g_per_kwh_effective: float
-    alpha: float
-
-    @property
-    def adjusted_g_per_kwh(self) -> float:
-        return self.alpha * self.g_per_kwh_effective
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,7 +122,8 @@ class MonthAllocation:
 
     month: str
     rates: dict[str, SkuEnergyRate] = field(default_factory=dict)
-    regional: list[RegionalIntensity] = field(default_factory=list)
+    alpha: dict[str, float] = field(default_factory=dict)
+    adjusted: dict[tuple[str, str], float] = field(default_factory=dict)  # (sku, region) -> g/kWh
     provider_kg: dict[str, float] = field(default_factory=dict)
     provider_wh: dict[str, float] = field(default_factory=dict)
     beta: float = 1.0
@@ -162,34 +146,6 @@ def beta_overhead(total_scope_kg: float, billed_allocated_kg: float) -> float:
     return total_scope_kg / billed_allocated_kg
 
 
-def account_footprints(
-    month: str,
-    beta: float,
-    skus: Sequence[SkuRecord],
-    rates: Mapping[str, SkuEnergyRate],
-    adjusted_intensity: Mapping[tuple[str, str], float],
-    billing: Sequence[SkuUsageRecord],
-) -> list[FootprintReport]:
-    """Per (account, product, region) kgCO2e for one month."""
-    product_by_sku = {s.sku_id: s.product_id for s in skus}
-    totals: dict[tuple[str, str, str], float] = {}
-    for rec in billing:
-        if not rec.billing_account:
-            continue
-        rate = rates.get(rec.sku_id)
-        if rate is None:
-            continue
-        intensity = adjusted_intensity.get((rec.sku_id, rec.region_id))
-        if intensity is None:
-            continue
-        key = (rec.billing_account, product_by_sku[rec.sku_id], rec.region_id)
-        totals[key] = totals.get(key, 0.0) + beta * co2_kg(rate.wh_per_unit * rec.usage_units, intensity)
-    return [
-        FootprintReport(account, product, region, month, kg, beta)
-        for (account, product, region), kg in sorted(totals.items())
-    ]
-
-
 def compute_customer_footprints(
     emissions: Sequence[EmissionRecord],
     topology: ClusterTopology,
@@ -202,82 +158,87 @@ def compute_customer_footprints(
     must end up on customer reports, so overhead users inflate beta
     rather than disappearing.
     """
+    month_of_hour = functools.cache(month_of)
+    records_by_month: dict[str, dict[str, list[EmissionRecord]]] = {}
+    for rec in emissions:
+        records_by_month.setdefault(month_of_hour(rec.hour), {}).setdefault(rec.user, []).append(rec)
+    billing_by_month: dict[str, list[SkuUsageRecord]] = {}
+    for rec in billing:
+        billing_by_month.setdefault(rec.month, []).append(rec)
+    catalog = [s for s in skus if not s.is_commitment]
+    providers = sorted({s.provider_user for s in catalog})
+    provider_of_sku = {s.sku_id: s.provider_user for s in catalog}
+    product_of_sku = {s.sku_id: s.product_id for s in skus}
+
     notices: list[Notice] = []
     reports: list[FootprintReport] = []
     months: dict[str, MonthAllocation] = {}
-
-    for month in sorted({rec.month for rec in billing}):
-        month_billing = [rec for rec in billing if rec.month == month]
-
+    for month, month_billing in sorted(billing_by_month.items()):
+        records_by_user = records_by_month.get(month, {})
         provider_kg: dict[str, float] = {}
         provider_wh: dict[str, float] = {}
-        records_by_user: dict[str, list[EmissionRecord]] = {}
-        for rec in emissions:
-            if month_of(rec.hour) != month:
-                continue
-            provider_kg[rec.user] = provider_kg.get(rec.user, 0.0) + rec.kg_co2e
-            provider_wh[rec.user] = provider_wh.get(rec.user, 0.0) + rec.energy_it_wh
-            records_by_user.setdefault(rec.user, []).append(rec)
+        for user, records in records_by_user.items():
+            kg = wh = 0.0
+            for rec in records:
+                kg += rec.kg_co2e
+                wh += rec.energy_it_wh
+            provider_kg[user] = kg
+            provider_wh[user] = wh
         total_scope_kg = sum(sorted(provider_kg.values()))
         if total_scope_kg <= 0.0:
             notices.append(Notice("empty-month", month, "no emissions in scope; month skipped"))
             continue
 
-        usage_by_sku_region: dict[tuple[str, str], float] = {}
+        usage_by_provider: dict[str, dict[tuple[str, str], float]] = {}
         for rec in month_billing:
-            key = (rec.sku_id, rec.region_id)
-            usage_by_sku_region[key] = usage_by_sku_region.get(key, 0.0) + rec.usage_units
+            provider = provider_of_sku.get(rec.sku_id)
+            if provider is not None:
+                usage = usage_by_provider.setdefault(provider, {})
+                key = (rec.sku_id, rec.region_id)
+                usage[key] = usage.get(key, 0.0) + rec.usage_units
 
         allocation = MonthAllocation(month=month, provider_kg=provider_kg, provider_wh=provider_wh)
-        adjusted_intensity: dict[tuple[str, str], float] = {}
-        billed_allocated_kg = 0.0
-        provider_of_sku = {s.sku_id: s.provider_user for s in skus if not s.is_commitment}
-
-        for provider in sorted({s.provider_user for s in skus if not s.is_commitment}):
-            energy_wh = provider_wh.get(provider, 0.0)
-            total_kg = provider_kg.get(provider, 0.0)
-            provider_usage = {
-                key: units
-                for key, units in usage_by_sku_region.items()
-                if provider_of_sku.get(key[0]) == provider
-            }
+        for provider in providers:
+            provider_usage = usage_by_provider.get(provider, {})
             try:
-                rates = sku_energy_rates(provider, energy_wh, skus, month_billing)
+                rates = sku_energy_rates(provider, provider_wh.get(provider, 0.0), skus, month_billing)
                 intensity_by_region = regional_intensity(provider, records_by_user.get(provider, []), topology)
-                alpha = alpha_balance(provider, total_kg, rates, intensity_by_region, provider_usage)
+                alpha = alpha_balance(
+                    provider, provider_kg.get(provider, 0.0), rates, intensity_by_region, provider_usage
+                )
             except NoBillableUsageError as exc:
                 notices.append(Notice("unallocatable-provider", provider, f"{exc} in {month}"))
                 continue
+            allocation.alpha[provider] = alpha
             for rate in rates:
                 allocation.rates[rate.sku_id] = rate
             for region, value in sorted(intensity_by_region.items()):
-                allocation.regional.append(RegionalIntensity(provider, region, value, alpha))
                 for rate in rates:
-                    adjusted_intensity[(rate.sku_id, region)] = alpha * value
-            uncovered = {
-                key[1] for key in provider_usage if key[1] not in intensity_by_region
-            }
+                    allocation.adjusted[(rate.sku_id, region)] = alpha * value
+            uncovered = {region for _, region in provider_usage if region not in intensity_by_region}
             if uncovered:
                 notices.append(
                     Notice("region-mismatch", provider, f"usage in {sorted(uncovered)} carries no energy in {month}")
                 )
 
-        rate_by_sku = {sku_id: rate for sku_id, rate in allocation.rates.items()}
+        billed_allocated_kg = 0.0
+        account_kg: list[tuple[tuple[str, str, str], float]] = []
         for rec in month_billing:
-            if not rec.billing_account:
+            rate = allocation.rates.get(rec.sku_id)
+            intensity = allocation.adjusted.get((rec.sku_id, rec.region_id))
+            if not rec.billing_account or rate is None or intensity is None:
                 continue
-            rate = rate_by_sku.get(rec.sku_id)
-            intensity = adjusted_intensity.get((rec.sku_id, rec.region_id))
-            if rate is None or intensity is None:
-                continue
-            billed_allocated_kg += co2_kg(rate.wh_per_unit * rec.usage_units, intensity)
-
-        allocation.beta = beta_overhead(total_scope_kg, billed_allocated_kg)
+            kg = co2_kg(rate.wh_per_unit * rec.usage_units, intensity)
+            billed_allocated_kg += kg
+            account_kg.append(((rec.billing_account, product_of_sku[rec.sku_id], rec.region_id), kg))
+        allocation.beta = beta = beta_overhead(total_scope_kg, billed_allocated_kg)
         months[month] = allocation
+        totals: dict[tuple[str, str, str], float] = {}
+        for key, kg in account_kg:
+            totals[key] = totals.get(key, 0.0) + beta * kg
         reports.extend(
-            account_footprints(
-                month, allocation.beta, skus, allocation.rates, adjusted_intensity, month_billing
-            )
+            FootprintReport(account, product, region, month, kg, beta)
+            for (account, product, region), kg in sorted(totals.items())
         )
 
     return FootprintResult(reports=reports, months=months, notices=notices)

@@ -9,9 +9,9 @@ entry point runs the five stages in order and snapshots each one.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .allocation import (
     STAGE_AFTER_MAJOR,
@@ -35,15 +35,7 @@ from .power import split_fleet
 log = logging.getLogger(__name__)
 
 TransferKey = tuple[str, str, str, datetime]  # (provider, consumer, cluster_id, hour)
-
-
-def _usage_groups(
-    usages: Sequence[ServiceUsageRecord],
-) -> dict[tuple[str, str, datetime], list[ServiceUsageRecord]]:
-    groups: dict[tuple[str, str, datetime], list[ServiceUsageRecord]] = {}
-    for rec in usages:
-        groups.setdefault((rec.provider, rec.cluster_id, rec.hour), []).append(rec)
-    return groups
+DayPlans = dict[date, dict[str, list[tuple[str, float]]]]  # day -> provider -> [(consumer, fraction)]
 
 
 def apply_major_realloc(ledger: Ledger, usages: Sequence[ServiceUsageRecord]) -> Ledger:
@@ -57,25 +49,24 @@ def apply_major_realloc(ledger: Ledger, usages: Sequence[ServiceUsageRecord]) ->
     """
     storage_style = {rec.provider for rec in usages if rec.colossus_style}
     w = RESOURCE_WEIGHTS
+    groups: dict[LedgerKey, list[ServiceUsageRecord]] = {}
+    for rec in usages:
+        groups.setdefault((rec.provider, rec.cluster_id, rec.hour), []).append(rec)
 
     cells = dict(ledger.cells)
     gains: dict[LedgerKey, float] = {}
-    for (provider, cluster, hour), group in _usage_groups(usages).items():
-        key = (provider, cluster, hour)
+    for key, group in groups.items():
+        provider, cluster, hour = key
         cell = cells.get(key)
         if cell is None or cell.dynamic_wh == 0.0:
             continue
-        if provider in storage_style:
-            shares = {}
-            for rec in group:
-                blended = w.gcu * rec.usage.gcu + w.ssd_tib * rec.usage.ssd_tib + w.hdd_tib * rec.usage.hdd_tib
-                if blended > 0.0:
-                    shares[rec.consumer] = shares.get(rec.consumer, 0.0) + blended
-        else:
-            shares = {}
-            for rec in group:
-                if rec.usage.gcu > 0.0:
-                    shares[rec.consumer] = shares.get(rec.consumer, 0.0) + rec.usage.gcu
+        blend = provider in storage_style
+        shares: dict[str, float] = {}
+        for rec in group:
+            u = rec.usage
+            share = w.gcu * u.gcu + w.ssd_tib * u.ssd_tib + w.hdd_tib * u.hdd_tib if blend else u.gcu
+            if share > 0.0:
+                shares[rec.consumer] = shares.get(rec.consumer, 0.0) + share
         denominator = sum(shares.values())
         if denominator <= 0.0:
             continue
@@ -98,118 +89,57 @@ def apply_major_realloc(ledger: Ledger, usages: Sequence[ServiceUsageRecord]) ->
     return Ledger(stage=STAGE_AFTER_MAJOR, cells=cells)
 
 
-@dataclass(frozen=True)
-class UserCostSummary:
-    """One user's daily cost position across the service economy."""
-
-    user: str
-    non_service_cost: float
-    service_net: Mapping[str, float]
-
-    @property
-    def total_cost(self) -> float:
-        return self.non_service_cost + sum(self.service_net.values())
-
-    def clamped_denominator(self, service: str) -> float:
-        """Reallocation denominator, never below the provider's revenue.
-
-        The clamp guarantees at most 100% of the provider's energy is
-        handed to one service's consumers.
-        """
-        return max(abs(self.service_net.get(service, 0.0)), self.total_cost)
-
-
-def build_cost_summaries(
-    net_costs: Sequence[NetCostRecord],
-    non_service_costs: Sequence[NonServiceCostRecord],
-    day: date,
-) -> dict[str, UserCostSummary]:
-    base: dict[str, float] = {}
-    for rec in non_service_costs:
-        if rec.day == day:
-            base[rec.user] = base.get(rec.user, 0.0) + rec.cost
-    service_net: dict[str, dict[str, float]] = {}
-    for rec in net_costs:
-        if rec.day != day:
-            continue
-        per_service = service_net.setdefault(rec.user, {})
-        per_service[rec.service] = per_service.get(rec.service, 0.0) + rec.net_cost
-    users = set(base) | set(service_net)
-    return {
-        user: UserCostSummary(user, base.get(user, 0.0), service_net.get(user, {}))
-        for user in users
-    }
-
-
-def identify_provider(
-    service: str, day_costs: Sequence[NetCostRecord]
-) -> tuple[str | None, list[Notice]]:
-    """The user with the lowest (most negative) net cost for the service.
-
-    Ties break to the lexicographically smaller user id. If nobody shows
-    negative net cost there is no provider and the service is skipped.
-    """
-    notices: list[Notice] = []
-    totals: dict[str, float] = {}
-    for rec in day_costs:
-        if rec.service == service:
-            totals[rec.user] = totals.get(rec.user, 0.0) + rec.net_cost
-    if not totals:
-        return None, [Notice("provider-ambiguous", service, "no net-cost records")]
-    minimum = min(totals.values())
-    if minimum >= 0.0:
-        return None, [Notice("provider-ambiguous", service, "no user receives revenue; service skipped")]
-    candidates = sorted(user for user, value in totals.items() if value == minimum)
-    if len(candidates) > 1:
-        notices.append(Notice("provider-tie", service, f"tie broken to {candidates[0]!r}"))
-    return candidates[0], notices
-
-
-@dataclass(slots=True)
-class DayPlan:
-    """Per-day minor reallocation fractions, provider by provider."""
-
-    day: date
-    outflows: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
-
-
 def build_day_plans(
     net_costs: Sequence[NetCostRecord],
     non_service_costs: Sequence[NonServiceCostRecord],
-) -> tuple[dict[date, DayPlan], list[Notice]]:
-    """Compile the daily transfer fractions for the net-cost economy."""
-    notices: list[Notice] = []
-    plans: dict[date, DayPlan] = {}
-    days = sorted({rec.day for rec in net_costs})
-    for day in days:
-        day_costs = [rec for rec in net_costs if rec.day == day]
-        summaries = build_cost_summaries(day_costs, non_service_costs, day)
-        fractions: dict[str, dict[str, float]] = {}
-        for service in sorted({rec.service for rec in day_costs}):
-            provider, provider_notices = identify_provider(service, day_costs)
-            notices.extend(provider_notices)
-            if provider is None:
-                continue
-            summary = summaries[provider]
-            denominator = summary.clamped_denominator(service)
-            if denominator <= 0.0:
-                notices.append(Notice("zero-denominator", service, f"service skipped on {day}"))
-                continue
-            for rec in day_costs:
-                if rec.service != service or rec.user == provider:
-                    continue
-                net = rec.net_cost
-                if net < 0.0:
-                    notices.append(
-                        Notice("negative-consumer-cost", rec.user, f"clamped to 0 for {service!r} on {day}")
-                    )
-                    continue
-                if net == 0.0:
-                    continue
-                per_consumer = fractions.setdefault(provider, {})
-                per_consumer[rec.user] = per_consumer.get(rec.user, 0.0) + net / denominator
+) -> tuple[DayPlans, list[Notice]]:
+    """Compile the daily transfer fractions for the net-cost economy.
 
-        plan = DayPlan(day=day)
+    On each day, a service's provider is the user with the most negative
+    net cost for it, ties going to the smaller user id; with no negative
+    net the service is skipped. Each paying consumer receives its payment
+    over the provider's revenue or total cost, whichever is larger, so a
+    provider never hands out more than all of its energy for one service;
+    a provider whose outflows over all services still exceed 1 is rescaled
+    to 1.
+    """
+    rows: dict[date, dict[str, list[tuple[str, float]]]] = {}  # day -> service -> [(user, net)]
+    nets: dict[date, dict[str, dict[str, float]]] = {}  # day -> user -> service -> net
+    for rec in net_costs:
+        rows.setdefault(rec.day, {}).setdefault(rec.service, []).append((rec.user, rec.net_cost))
+        per_service = nets.setdefault(rec.day, {}).setdefault(rec.user, {})
+        per_service[rec.service] = per_service.get(rec.service, 0.0) + rec.net_cost
+    base: dict[tuple[date, str], float] = {}
+    for rec in non_service_costs:
+        base[(rec.day, rec.user)] = base.get((rec.day, rec.user), 0.0) + rec.cost
+
+    notices: list[Notice] = []
+    plans: DayPlans = {}
+    for day in sorted(rows):
+        day_nets = nets[day]
+        fractions: dict[str, dict[str, float]] = {}
+        for service, service_rows in sorted(rows[day].items()):
+            totals = {user: day_nets[user][service] for user, _ in service_rows}
+            minimum = min(totals.values())
+            if minimum >= 0.0:
+                notices.append(Notice("provider-ambiguous", service, "no user receives revenue; service skipped"))
+                continue
+            provider, *tied = sorted(user for user, value in totals.items() if value == minimum)
+            if tied:
+                notices.append(Notice("provider-tie", service, f"tie broken to {provider!r}"))
+            provider_nets = day_nets[provider]
+            total_cost = base.get((day, provider), 0.0) + sum(provider_nets.values())
+            denominator = max(abs(provider_nets[service]), total_cost)
+            for user, net in service_rows:
+                if user == provider:
+                    continue
+                if net < 0.0:
+                    notices.append(Notice("negative-consumer-cost", user, f"clamped to 0 for {service!r} on {day}"))
+                elif net > 0.0:
+                    per_consumer = fractions.setdefault(provider, {})
+                    per_consumer[user] = per_consumer.get(user, 0.0) + net / denominator
+
+        plan = plans[day] = {}
         for provider, per_consumer in fractions.items():
             total_out = sum(per_consumer.values())
             if total_out > 1.0 + 1e-12:
@@ -217,14 +147,13 @@ def build_day_plans(
                     Notice("over-allocated-provider", provider, f"outflow {total_out:.6f} rescaled to 1 on {day}")
                 )
                 per_consumer = {c: f / total_out for c, f in per_consumer.items()}
-            plan.outflows[provider] = sorted(per_consumer.items())
-        plans[day] = plan
+            plan[provider] = sorted(per_consumer.items())
     return plans, notices
 
 
 def apply_minor_realloc_round(
     ledger: Ledger,
-    plans: Mapping[date, DayPlan],
+    plans: DayPlans,
     stage: str,
 ) -> tuple[Ledger, float, dict[TransferKey, float]]:
     """One net-cost round: every provider pushes from the round's snapshot.
@@ -243,7 +172,7 @@ def apply_minor_realloc_round(
         plan = plans.get(day_of(hour))
         if plan is None:
             continue
-        outflows = plan.outflows.get(provider)
+        outflows = plan.get(provider)
         if not outflows:
             continue
         total_fraction = sum(f for _, f in outflows)

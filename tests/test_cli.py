@@ -228,6 +228,79 @@ def test_nan_power_sample_fails_closed(tmp_path):
         assert main([command, "--input", str(bundle_dir), "--output", str(tmp_path / command)]) == 2
 
 
+def test_carbon_that_reaches_no_report_fails_closure(tmp_path, capsys):
+    # Once exited 0 with 4,830 kg emitted and 0 kg reported: billing for a
+    # month with no emissions skips that month, and June's carbon had no billing.
+    bundle = generate(preset_spec("two-accounts"))
+    bundle.billing_usage = [dataclasses.replace(b, month="2023-6") for b in bundle.billing_usage]
+    artifacts = run_end_to_end(bundle)
+    assert artifacts.footprints.reports == []
+    [failure] = closure_failures(bundle, artifacts)
+    assert failure.startswith("customer reports total 0 kg != emitted ")
+
+    bundle_dir = tmp_path / "unbilled"
+    write_bundle(bundle, bundle_dir)
+    assert main(["run", "--input", str(bundle_dir), "--output", str(tmp_path / "reports")]) == 1
+    assert "closure failure: customer reports total 0 kg" in capsys.readouterr().err
+
+
+@pytest.fixture
+def pueless_dir(tmp_path):
+    bundle = generate(preset_spec("two-accounts"))
+    bundle.pue.clear()
+    bundle_dir = tmp_path / "pueless"
+    write_bundle(bundle, bundle_dir)
+    return bundle_dir
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        # Once: exit 0 with nan energy cells; exit 0 with less carbon than any
+        # valid PUE gives; a ValueError traceback after part of the reports.
+        ("run", "--round-wh", "inf"),
+        ("run", "--default-pue", "0.5"),
+        ("run", "--default-pue", "nan"),
+        ("run", "--round-wh", "nan"),
+        ("run", "--round-wh", "-1"),
+        ("run", "--round-g", "-inf"),
+        ("run", "--round-g", "ten"),
+        ("run", "--missing-intensity-default", "-5"),
+        ("run", "--missing-intensity-default", "inf"),
+        ("oracle-check", "--default-pue", "0.99"),
+        ("oracle-check", "--tolerance", "0"),
+        ("oracle-check", "--tolerance", "-1e-9"),
+        ("oracle-check", "--tolerance", "nan"),
+    ],
+)
+def test_float_flags_fail_closed(command, flag, value, pueless_dir, tmp_path):
+    out = tmp_path / "reports"
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--input", str(pueless_dir), "--output", str(out), f"{flag}={value}"])
+    assert exited.value.code == 2
+    assert not out.exists()
+
+
+def test_float_flags_take_their_bounds(pueless_dir, tmp_path):
+    out = tmp_path / "reports"
+    flags = ["--default-pue", "1", "--round-wh", "0", "--round-g", "0", "--missing-intensity-default", "0"]
+    assert main(["run", "--input", str(pueless_dir), "--output", str(out), *flags]) == 0
+    assert main(["oracle-check", "--input", str(pueless_dir), "--default-pue", "1", "--tolerance", "1e-9"]) == 0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--round-wh", "1"], ["--round-g", "1"], ["--allow-missing-intensity"], ["--missing-intensity-default", "0"]],
+)
+def test_oracle_check_refuses_the_run_only_flags(flags, figure1_dir, tmp_path):
+    # oracle-check once accepted these and never read them.
+    out = tmp_path / "oracle"
+    with pytest.raises(SystemExit) as exited:
+        main(["oracle-check", "--input", str(figure1_dir), "--output", str(out), *flags])
+    assert exited.value.code == 2
+    assert not out.exists()
+
+
 #: SHA-256 of the run reports. Refactors must keep them byte-identical under
 #: every hash seed. The seed-3 fleet's footprint_report.csv once followed
 #: PYTHONHASHSEED, because beta summed its scope in set order.

@@ -6,8 +6,8 @@ from carbonledger.check import run_end_to_end
 from carbonledger.errors import NoBillableUsageError
 from carbonledger.footprint import (
     alpha_balance,
-    account_footprints,
     beta_overhead,
+    compute_customer_footprints,
     regional_intensity,
     sku_energy_rates,
 )
@@ -142,8 +142,8 @@ def test_beta_requires_billed_usage():
 
 
 def test_account_footprints_zero_usage_rows():
-    reports = account_footprints(MONTH, 1.0, catalog_two_skus(), {}, {}, [])
-    assert reports == []
+    result = compute_customer_footprints([emission("svc", "c0", kg=0.5, it_wh=1000.0)], TOPOLOGY, catalog_two_skus(), [])
+    assert (result.reports, result.months, result.notices) == ([], {}, [])
 
 
 def test_identical_accounts_split_footprint_evenly():
@@ -186,17 +186,18 @@ def test_unbilled_usage_absorbs_energy_but_closure_survives():
 
 @given(scale=st.floats(min_value=0.1, max_value=10.0, allow_nan=False))
 def test_footprints_are_homogeneous_in_account_usage(scale):
+    # Two accounts on one SKU and region split the provider's kg 1:3 at any scale.
     catalog = [SkuRecord("s", "product", "svc", 1.0, "unit")]
-    rates = {"s": sku_energy_rates(
-        "svc", 100.0, catalog, [SkuUsageRecord("s", "r-low", "acct", MONTH, 10.0)]
-    )[0]}
-    adjusted = {("s", "r-low"): 321.0}
-
-    def run(units):
-        rows = [SkuUsageRecord("s", "r-low", "acct", MONTH, units)]
-        return account_footprints(MONTH, 1.3, catalog, rates, adjusted, rows)[0].kg_co2e
-
-    assert run(10.0 * scale) == pytest.approx(scale * run(10.0), rel=1e-9)
+    billing = [
+        SkuUsageRecord("s", "r-low", "a1", MONTH, 10.0 * scale),
+        SkuUsageRecord("s", "r-low", "a2", MONTH, 30.0 * scale),
+    ]
+    one, two = compute_customer_footprints(
+        [emission("svc", "c0", kg=0.5, it_wh=1000.0)], TOPOLOGY, catalog, billing
+    ).reports
+    assert (one.billing_account, two.billing_account) == ("a1", "a2")
+    assert one.kg_co2e == pytest.approx(0.125, rel=1e-9)
+    assert two.kg_co2e == pytest.approx(0.375, rel=1e-9)
 
 
 def test_beta_invariant_under_joint_scaling():
@@ -223,3 +224,28 @@ def test_commitment_sku_usage_excluded_from_reports():
     reported = sum(r.kg_co2e for r in result.footprints.reports)
     scope = sum(result.footprints.months[MONTH].provider_kg.values())
     assert reported == pytest.approx(scope, rel=1e-9)
+
+
+def test_footprint_notices_keep_their_order():
+    catalog = [
+        SkuRecord("s-svc", "product", "svc", 1.0, "unit"),
+        SkuRecord("s-ghost", "product", "ghost", 1.0, "unit"),
+        SkuRecord("s-bare", "product", "bare", 1.0, "unit"),
+    ]
+    emissions = [emission("svc", "c0", kg=0.5, it_wh=1000.0), emission("overhead", "c1", kg=0.25, it_wh=400.0)]
+    billing = [
+        SkuUsageRecord("s-svc", "r-low", "acct", MONTH, 4.0),
+        SkuUsageRecord("s-svc", "r-high", "acct", MONTH, 1.0),
+        SkuUsageRecord("s-ghost", "r-low", "acct", MONTH, 2.0),
+        SkuUsageRecord("s-svc", "r-low", "acct", "2023-07", 1.0),
+    ]
+    result = compute_customer_footprints(emissions, TOPOLOGY, catalog, billing)
+    assert [(n.code, n.subject, n.detail) for n in result.notices] == [
+        ("unallocatable-provider", "bare", "provider 'bare' has no priced usage in 2023-06"),
+        ("unallocatable-provider", "ghost", "provider 'ghost' has no carbon-bearing usage in 2023-06"),
+        ("region-mismatch", "svc", "usage in ['r-high'] carries no energy in 2023-06"),
+        ("empty-month", "2023-07", "no emissions in scope; month skipped"),
+    ]
+    [report] = result.reports
+    assert (report.billing_account, report.region_id, report.month) == ("acct", "r-low", MONTH)
+    assert report.kg_co2e == pytest.approx(0.75, rel=1e-12)

@@ -12,11 +12,9 @@ from carbonledger.model import (
     ServiceUsageRecord,
 )
 from carbonledger.services import (
-    UserCostSummary,
     apply_major_realloc,
     apply_minor_realloc_round,
     build_day_plans,
-    identify_provider,
     run_allocation_pipeline,
 )
 from carbonledger.simulate import generate, preset_spec
@@ -123,41 +121,57 @@ def test_identify_provider_most_negative_wins():
         NetCostRecord("ads", "blob", DAY, 1000.0),
         NetCostRecord("blobstore", "blob", DAY, -10000.0),
     ]
-    provider, notices = identify_provider("blob", records)
-    assert provider == "blobstore"
+    plans, notices = build_day_plans(records, [])
+    assert list(plans[DAY]) == ["blobstore"]
     assert notices == []
 
 
 def test_identify_provider_single_negative_record():
-    provider, _ = identify_provider("s", [NetCostRecord("u", "s", DAY, -5.0)])
-    assert provider == "u"
+    plans, _ = build_day_plans([NetCostRecord("u", "s", DAY, -5.0), NetCostRecord("v", "s", DAY, 1.0)], [])
+    assert list(plans[DAY]) == ["u"]
 
 
 def test_identify_provider_tie_breaks_lexicographically():
-    records = [NetCostRecord("zeta", "s", DAY, -5.0), NetCostRecord("alpha", "s", DAY, -5.0)]
-    provider, notices = identify_provider("s", records)
-    assert provider == "alpha"
-    assert [n.code for n in notices] == ["provider-tie"]
+    records = [
+        NetCostRecord("zeta", "s", DAY, -5.0),
+        NetCostRecord("alpha", "s", DAY, -5.0),
+        NetCostRecord("c", "s", DAY, 1.0),
+    ]
+    plans, notices = build_day_plans(records, [])
+    assert list(plans[DAY]) == ["alpha"]
+    # The losing tied user is then a consumer with a negative net.
+    assert [(n.code, n.subject) for n in notices] == [("provider-tie", "s"), ("negative-consumer-cost", "zeta")]
 
 
 def test_identify_provider_missing_revenue_skips():
-    provider, notices = identify_provider("s", [NetCostRecord("u", "s", DAY, 3.0)])
-    assert provider is None
+    plans, notices = build_day_plans([NetCostRecord("u", "s", DAY, 3.0)], [])
+    assert plans[DAY] == {}
     assert [n.code for n in notices] == ["provider-ambiguous"]
 
 
 def test_cost_summary_clamp_invariants():
-    summary = UserCostSummary("k", non_service_cost=3.0, service_net={"s": -10.0, "t": 4.0})
-    assert summary.total_cost == pytest.approx(-3.0)
-    assert summary.clamped_denominator("s") == 10.0  # >= |n_s| and >= TC
-    assert summary.clamped_denominator("t") == 4.0
+    # k earns 10 on s, pays 4 for t and has other costs: 3 on DAY, so its
+    # total cost is -3 and the denominator is |n_s| = 10; 30 on day2, so its
+    # total cost 24 is the denominator. b earns 4 on t with total cost -4.
+    day2 = date(2023, 6, 6)
+    net = []
+    for day in (DAY, day2):
+        net += [
+            NetCostRecord("k", "s", day, -10.0),
+            NetCostRecord("k", "t", day, 4.0),
+            NetCostRecord("a", "s", day, 5.0),
+            NetCostRecord("b", "t", day, -4.0),
+        ]
+    plans, _ = build_day_plans(net, [NonServiceCostRecord("k", DAY, 3.0), NonServiceCostRecord("k", day2, 30.0)])
+    assert plans[DAY] == {"k": [("a", 0.5)], "b": [("k", 1.0)]}
+    assert plans[day2] == {"k": [("a", 5.0 / 24.0)], "b": [("k", 1.0)]}
 
 
 def test_minor_fraction_worked_example():
     # 1000 paid of 10000 revenue, costs equal revenue: exactly 10%.
     net = [NetCostRecord("blobstore", "blob", DAY, -10000.0), NetCostRecord("a", "blob", DAY, 1000.0)]
     plans, _ = build_day_plans(net, [NonServiceCostRecord("blobstore", DAY, 10000.0)])
-    [(consumer, fraction)] = plans[DAY].outflows["blobstore"]
+    [(consumer, fraction)] = plans[DAY]["blobstore"]
     assert consumer == "a"
     assert fraction == pytest.approx(0.10, abs=1e-15)
 
@@ -169,7 +183,7 @@ def test_minor_fraction_balanced_service_sums_to_one():
         NetCostRecord("b", "s", DAY, 400.0),
     ]
     plans, notices = build_day_plans(net, [NonServiceCostRecord("k", DAY, 2000.0)])
-    assert sum(f for _, f in plans[DAY].outflows["k"]) == pytest.approx(1.0, abs=1e-12)
+    assert sum(f for _, f in plans[DAY]["k"]) == pytest.approx(1.0, abs=1e-12)
     assert notices == []
 
 
@@ -180,7 +194,7 @@ def test_minor_fraction_zero_cost_consumer():
         NetCostRecord("b", "s", DAY, 4.0),
     ]
     plans, _ = build_day_plans(net, [])
-    assert plans[DAY].outflows["k"] == [("b", pytest.approx(0.4, abs=1e-15))]
+    assert plans[DAY]["k"] == [("b", pytest.approx(0.4, abs=1e-15))]
 
 
 def test_day_plan_clamps_negative_consumer_cost():
@@ -190,7 +204,7 @@ def test_day_plan_clamps_negative_consumer_cost():
         NetCostRecord("a", "s", DAY, 50.0),
     ]
     plans, notices = build_day_plans(net, [NonServiceCostRecord("k", DAY, 200.0)])
-    outflows = dict(plans[DAY].outflows["k"])
+    outflows = dict(plans[DAY]["k"])
     assert "noisy" not in outflows
     assert "negative-consumer-cost" in {n.code for n in notices}
 
@@ -203,9 +217,41 @@ def test_day_plan_rescales_over_allocated_provider():
         NetCostRecord("b", "s", DAY, 5.0),
     ]
     plans, notices = build_day_plans(net, [])
-    total = sum(f for _, f in plans[DAY].outflows["k"])
+    total = sum(f for _, f in plans[DAY]["k"])
     assert total == pytest.approx(1.0, abs=1e-12)
     assert "over-allocated-provider" in {n.code for n in notices}
+
+
+def test_day_plan_notices_keep_their_order():
+    # Days are planned in date order and services in name order; a provider
+    # with no paying consumer on its first service is planned where it first pays out.
+    day2 = date(2023, 6, 6)
+    net = [
+        NetCostRecord("k", "s", day2, -10.0),
+        NetCostRecord("a", "s", day2, 12.0),
+        NetCostRecord("b", "s", day2, 5.0),
+        NetCostRecord("a", "free", day2, 2.0),
+        NetCostRecord("k", "a0", DAY, -2.0),
+        NetCostRecord("d", "a0", DAY, 0.0),
+        NetCostRecord("zeta", "t", DAY, -5.0),
+        NetCostRecord("noisy", "t", DAY, -1.0),
+        NetCostRecord("alpha", "t", DAY, -5.0),
+        NetCostRecord("c", "t", DAY, 8.0),
+        NetCostRecord("c", "free", DAY, 0.0),
+        NetCostRecord("k", "u", DAY, -1.0),
+        NetCostRecord("c", "u", DAY, 4.0),
+    ]
+    _, notices = build_day_plans(net, [])
+    assert [(n.code, n.subject, n.detail) for n in notices] == [
+        ("provider-ambiguous", "free", "no user receives revenue; service skipped"),
+        ("provider-tie", "t", "tie broken to 'alpha'"),
+        ("negative-consumer-cost", "zeta", "clamped to 0 for 't' on 2023-06-05"),
+        ("negative-consumer-cost", "noisy", "clamped to 0 for 't' on 2023-06-05"),
+        ("over-allocated-provider", "alpha", "outflow 1.600000 rescaled to 1 on 2023-06-05"),
+        ("over-allocated-provider", "k", "outflow 4.000000 rescaled to 1 on 2023-06-05"),
+        ("provider-ambiguous", "free", "no user receives revenue; service skipped"),
+        ("over-allocated-provider", "k", "outflow 1.700000 rescaled to 1 on 2023-06-06"),
+    ]
 
 
 @given(
@@ -219,7 +265,7 @@ def test_minor_fractions_never_exceed_one(payments, base_cost):
     net = [NetCostRecord("k", "s", DAY, -revenue)]
     net.extend(NetCostRecord(f"u{i}", "s", DAY, p) for i, p in enumerate(payments))
     plans, _ = build_day_plans(net, [NonServiceCostRecord("k", DAY, base_cost)])
-    outflows = plans[DAY].outflows.get("k", [])
+    outflows = plans[DAY].get("k", [])
     assert sum(f for _, f in outflows) <= 1.0 + 1e-12
     # Each consumer's share is its payment over the clamped denominator.
     denominator = max(revenue, base_cost - revenue)
