@@ -18,13 +18,12 @@ from .model import (
     PowerSample,
     ResourceVector,
     Sharing,
-    validate_bundle,
-    validate_fleet,
 )
 from .oracle import oracle_allocate
 from .power import FleetSplit, split_fleet
 from .services import AllocationResult, run_allocation_pipeline
 from .simulate import PRESETS, ScenarioSpec, generate, preset_spec
+from .tables import validate_bundle
 
 __all__ = [
     "AllocationResult",
@@ -54,6 +53,5 @@ __all__ = [
     "run_end_to_end",
     "split_fleet",
     "validate_bundle",
-    "validate_fleet",
     "weighted_allocation",
 ]

@@ -27,7 +27,8 @@ from .errors import (
     OracleSizeError,
     ScenarioError,
 )
-from .model import Bundle, day_of, validate_bundle
+from .model import Bundle, Violation, day_of
+from .tables import validate_bundle
 
 log = logging.getLogger(__name__)
 
@@ -66,23 +67,18 @@ def _clip_bundle(bundle: Bundle, start: date | None, end: date | None) -> Bundle
     return Bundle(**clipped)
 
 
-def _refuses(bundle: Bundle, report_dir: Path | None) -> bool:
-    """Validate, report into ``report_dir`` if given; True (and say so) on violations."""
+def _validated(bundle: Bundle, report_dir: Path | None) -> list[Violation]:
+    """The bundle's violations, also written to ``report_dir`` if given."""
     violations = validate_bundle(bundle)
     if report_dir is not None:
         report_dir.mkdir(parents=True, exist_ok=True)
         tables.write_validation_report(violations, report_dir / "validation_report.csv")
-    if violations:
-        print(f"refusing to run on {len(violations)} validation violation(s)", file=sys.stderr)
-    return bool(violations)
+    return violations
 
 
 def cmd_validate(input_dir: Path, output_dir: Path | None) -> int:
-    bundle = tables.read_bundle(input_dir)
-    violations = validate_bundle(bundle)
     report_dir = output_dir or input_dir
-    report_dir.mkdir(parents=True, exist_ok=True)
-    tables.write_validation_report(violations, report_dir / "validation_report.csv")
+    violations = _validated(tables.read_bundle(input_dir), report_dir)
     if violations:
         for v in violations:
             print(f"violation: {v.code} {v.subject}: {v.detail}")
@@ -99,7 +95,11 @@ def _checked_bundle(args: argparse.Namespace) -> Bundle | None:
     if args.start is not None and args.end is not None and args.start >= args.end:
         raise InputError(f"empty date range: {args.start} .. {args.end}")
     bundle = _clip_bundle(tables.read_bundle(args.input), args.start, args.end)
-    return None if _refuses(bundle, args.output) else bundle
+    violations = _validated(bundle, args.output)
+    if violations:
+        print(f"refusing to run on {len(violations)} validation violation(s)", file=sys.stderr)
+        return None
+    return bundle
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -1,4 +1,4 @@
-"""Core domain model: fleet entities, feeds, topology, and input validation.
+"""Core domain model: fleet entities, feeds, topology, violations and notices.
 
 Canonical units, used everywhere without exception:
 
@@ -14,12 +14,10 @@ identified by their start timestamp.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
-from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 #: Reserved user receiving shared energy that no real user can claim.
 UNALLOCATED_USER = "unallocated-overhead"
@@ -291,155 +289,3 @@ class Notice:
     code: str
     subject: str
     detail: str
-
-
-def validate_fleet(
-    machines: Sequence[MachineRecord],
-    samples: Sequence[PowerSample],
-    topology: ClusterTopology,
-    usage: Sequence[GcuUsageRecord] = (),
-) -> list[Violation]:
-    """Check fleet well-formedness; violations are data, not failures.
-
-    Idempotent and insensitive to input record order (the report is sorted).
-    """
-    violations: list[Violation] = []
-    machine_ids: set[str] = set()
-    for m in machines:
-        if m.machine_id in machine_ids:
-            violations.append(Violation("duplicate-machine", m.machine_id, "machine id appears more than once"))
-        machine_ids.add(m.machine_id)
-        if m.cluster_id not in topology.clusters:
-            violations.append(Violation("unknown-cluster", m.machine_id, f"cluster {m.cluster_id!r} not in topology"))
-        if m.sharing is Sharing.DEDICATED and not m.owner_user:
-            violations.append(Violation("missing-owner", m.machine_id, "dedicated machine has no owner"))
-        if m.sharing is Sharing.SHARED and m.owner_user:
-            violations.append(Violation("owner-on-shared", m.machine_id, f"shared machine names owner {m.owner_user!r}"))
-        if m.idle_rating_watts < 0:
-            violations.append(Violation("negative-value", m.machine_id, f"idle rating {m.idle_rating_watts}"))
-
-    seen_sample_keys: set[tuple[str, datetime]] = set()
-    for s in samples:
-        key = (s.machine_id, s.hour)
-        if key in seen_sample_keys:
-            violations.append(
-                Violation("duplicate-sample", s.machine_id, f"second sample for hour {format_hour(s.hour)}")
-            )
-        seen_sample_keys.add(key)
-        if s.machine_id not in machine_ids:
-            violations.append(Violation("unknown-machine", s.machine_id, "power sample for unknown machine"))
-        if s.measured_power_watts < 0:
-            violations.append(Violation("negative-value", s.machine_id, f"measured power {s.measured_power_watts}"))
-
-    for u in usage:
-        if u.machine_id not in machine_ids:
-            violations.append(Violation("unknown-machine", u.machine_id, f"usage by {u.user!r} on unknown machine"))
-        if u.gcu_used < 0:
-            violations.append(Violation("negative-value", u.machine_id, f"gcu usage {u.gcu_used} by {u.user!r}"))
-
-    violations.sort(key=lambda v: (v.code, v.subject, v.detail))
-    return violations
-
-
-def _non_finite(bundle: Bundle) -> list[Violation]:
-    """A ``non-finite-value`` violation for every NaN or infinite number.
-
-    Each record is named by its first field, its identifier.
-    """
-    violations: list[Violation] = []
-    for table in fields(bundle):
-        records = getattr(bundle, table.name)
-        if not records:
-            continue
-        columns = fields(records[0])
-        numbers = [c.name for c in columns if c.type == "float"]
-        numbers += [f"{c.name}.{part.name}" for c in columns if c.type == "ResourceVector"
-                    for part in fields(ResourceVector)]
-        for attribute in numbers:
-            get = attrgetter(attribute)
-            if all(map(math.isfinite, map(get, records))):
-                continue
-            violations.extend(
-                Violation("non-finite-value", getattr(r, columns[0].name), f"{table.name} {attribute} is {get(r)}")
-                for r in records
-                if not math.isfinite(get(r))
-            )
-    return violations
-
-
-def validate_bundle(bundle: Bundle) -> list[Violation]:
-    """Fleet checks plus cross-table checks over all remaining inputs."""
-    topology = bundle.topology()
-    violations = validate_fleet(bundle.machines, bundle.power_samples, topology, bundle.gcu_usage)
-    violations.extend(_non_finite(bundle))
-
-    region_by_cluster: dict[str, str] = {}
-    zone_by_cluster: dict[str, str] = {}
-    for row in bundle.zone_map:
-        if row.cluster_id in region_by_cluster and region_by_cluster[row.cluster_id] != row.region_id:
-            violations.append(Violation("conflicting-region", row.cluster_id, "cluster mapped to two regions"))
-        region_by_cluster.setdefault(row.cluster_id, row.region_id)
-        if row.zone_id:
-            if row.cluster_id in zone_by_cluster and zone_by_cluster[row.cluster_id] != row.zone_id:
-                violations.append(Violation("conflicting-zone", row.cluster_id, "cluster mapped to two zones"))
-            zone_by_cluster.setdefault(row.cluster_id, row.zone_id)
-
-    for a in bundle.resource_allocations:
-        v = a.allocation
-        if min(v.gcu, v.ram_gib, v.ssd_tib, v.hdd_tib) < 0:
-            violations.append(Violation("negative-value", a.user, f"resource allocation in {a.cluster_id!r}"))
-        if a.cluster_id not in topology.clusters:
-            violations.append(Violation("unknown-cluster", a.user, f"allocation in cluster {a.cluster_id!r}"))
-
-    for su in bundle.service_usage:
-        if su.consumer == su.provider:
-            violations.append(Violation("self-service-usage", su.provider, "consumer equals provider"))
-        v = su.usage
-        if min(v.gcu, v.ram_gib, v.ssd_tib, v.hdd_tib) < 0:
-            violations.append(Violation("negative-value", su.consumer, f"service usage of {su.provider!r}"))
-
-    flags_by_provider: dict[str, set[bool]] = {}
-    for su in bundle.service_usage:
-        flags_by_provider.setdefault(su.provider, set()).add(su.colossus_style)
-    for provider, flags in flags_by_provider.items():
-        if len(flags) > 1:
-            violations.append(Violation("mixed-service-style", provider, "provider flagged both storage-style and not"))
-
-    # A second feed row for a key would silently replace the first.
-    seen_pue: set[tuple[str, datetime]] = set()
-    for p in bundle.pue:
-        if (p.cluster_id, p.hour) in seen_pue:
-            violations.append(
-                Violation("duplicate-pue", p.cluster_id, f"second pue row for hour {format_hour(p.hour)}")
-            )
-        seen_pue.add((p.cluster_id, p.hour))
-        if p.pue < 1.0:
-            violations.append(Violation("pue-below-one", p.cluster_id, f"pue {p.pue} at {format_hour(p.hour)}"))
-    seen_hourly: set[tuple[str, datetime]] = set()
-    for ci in bundle.carbon_intensity:
-        if (ci.zone_id, ci.hour) in seen_hourly:
-            violations.append(
-                Violation("duplicate-intensity", ci.zone_id, f"second hourly row for hour {format_hour(ci.hour)}")
-            )
-        seen_hourly.add((ci.zone_id, ci.hour))
-        if ci.intensity_g_per_kwh < 0:
-            violations.append(Violation("negative-value", ci.zone_id, f"hourly intensity {ci.intensity_g_per_kwh}"))
-    seen_annual: set[tuple[str, int]] = set()
-    for ai in bundle.annual_intensity:
-        if (ai.zone_id, ai.year) in seen_annual:
-            violations.append(Violation("duplicate-intensity", ai.zone_id, f"second annual row for year {ai.year}"))
-        seen_annual.add((ai.zone_id, ai.year))
-        if ai.intensity_g_per_kwh < 0:
-            violations.append(Violation("negative-value", ai.zone_id, f"annual intensity {ai.intensity_g_per_kwh}"))
-    for sku in bundle.sku_catalog:
-        if sku.list_price_per_unit <= 0:
-            violations.append(Violation("nonpositive-price", sku.sku_id, f"list price {sku.list_price_per_unit}"))
-    sku_ids = {sku.sku_id for sku in bundle.sku_catalog}
-    for bu in bundle.billing_usage:
-        if bu.usage_units < 0:
-            violations.append(Violation("negative-value", bu.sku_id, f"usage {bu.usage_units}"))
-        if bu.sku_id not in sku_ids:
-            violations.append(Violation("unknown-sku", bu.sku_id, "billing usage for SKU missing from catalog"))
-
-    violations.sort(key=lambda v: (v.code, v.subject, v.detail))
-    return violations

@@ -8,7 +8,10 @@ is derived from that table, so headers cannot drift from the codecs.
 Writers sort rows by their key columns and format numbers with shortest
 round-trip precision, so identical data always serializes to identical
 bytes. Readers reject any cell a codec cannot parse, NaN and infinities
-included, with an ``InputError`` naming the file, line and column.
+included, with an ``InputError`` naming the file, line and column, and
+any file that no longer matches its SHA-256 in ``manifest.json``. Each
+entry also declares its table's checks (key, bounds, references), which
+``validate_bundle`` walks.
 
 Caches live for one call only, so their memory goes with the call or
 with the bundle it returns. One ``read_bundle`` call parses each distinct
@@ -29,6 +32,7 @@ import hashlib
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from datetime import date
 from operator import attrgetter
@@ -106,19 +110,33 @@ class Column:
     name: str
     codec: Codec = TEXT
     attribute: str = ""  # the column name if empty; dotted for a ResourceVector field
+    #: The least a number may be, and the code a value below it raises (NaN is only non-finite).
+    low: float | None = None
+    below: str = "negative-value"
+    #: (table, code): the ids of the table's first column are the valid values; any other raises the code.
+    refers: tuple[str, str] | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "attribute", self.attribute or self.name)
 
 
 @dataclass(frozen=True, slots=True)
 class Table:
-    """One bundle table: its ``Bundle`` field, record type and columns.
+    """One bundle table: its ``Bundle`` field, record type, columns and checks.
 
     Columns follow the record's field order; dotted columns fill the
-    record's ResourceVector, also in field order.
+    record's ResourceVector, also in field order. ``validate_bundle``
+    reads the checks: no two records may share the ``key`` columns (a
+    repeat raises ``repeats``), and a violation names its record by the
+    ``subject`` attribute, the first column's if empty.
     """
 
     field: str
     record: type
     columns: tuple[Column, ...]
+    key: tuple[str, ...] = ()
+    repeats: str = ""
+    subject: str = ""
 
     def make(self) -> Callable[..., Any]:
         """A constructor taking one parsed cell per column."""
@@ -131,27 +149,30 @@ class Table:
 
 HOUR_UTC = Column("hour_utc", HOUR, "hour")
 DAY_UTC = Column("day_utc", DAY, "day")
-G_PER_KWH = Column("g_per_kwh", FLOAT, "intensity_g_per_kwh")
+G_PER_KWH = Column("g_per_kwh", FLOAT, "intensity_g_per_kwh", low=0.0)
 
 
 def _vector(attribute: str) -> tuple[Column, ...]:
-    return tuple(Column(name, FLOAT, f"{attribute}.{name}") for name in ("gcu", "ram_gib", "ssd_tib", "hdd_tib"))
+    names = ("gcu", "ram_gib", "ssd_tib", "hdd_tib")
+    return tuple(Column(name, FLOAT, f"{attribute}.{name}", low=0.0) for name in names)
 
 
 TABLES: dict[str, Table] = {
     "machines": Table("machines", MachineRecord, (
-        Column("machine_id"), Column("cluster_id"), Column("sharing", SHARING),
-        Column("owner_user", OPTIONAL), Column("idle_rating_watts", FLOAT),
-    )),
+        Column("machine_id"), Column("cluster_id", refers=("zone_map", "unknown-cluster")),
+        Column("sharing", SHARING), Column("owner_user", OPTIONAL), Column("idle_rating_watts", FLOAT, low=0.0),
+    ), key=("machine_id",), repeats="duplicate-machine"),
     "power_samples": Table("power_samples", PowerSample, (
-        Column("machine_id"), HOUR_UTC, Column("measured_power_watts", FLOAT),
-    )),
+        Column("machine_id", refers=("machines", "unknown-machine")), HOUR_UTC,
+        Column("measured_power_watts", FLOAT, low=0.0),
+    ), key=("machine_id", "hour_utc"), repeats="duplicate-sample"),
     "resource_allocations": Table("resource_allocations", ResourceAllocationRecord, (
-        Column("user"), Column("cluster_id"), HOUR_UTC, *_vector("allocation"),
+        Column("user"), Column("cluster_id", refers=("zone_map", "unknown-cluster")), HOUR_UTC, *_vector("allocation"),
     )),
     "gcu_usage": Table("gcu_usage", GcuUsageRecord, (
-        Column("user"), Column("machine_id"), HOUR_UTC, Column("gcu_used", FLOAT),
-    )),
+        Column("user"), Column("machine_id", refers=("machines", "unknown-machine")), HOUR_UTC,
+        Column("gcu_used", FLOAT, low=0.0),
+    ), subject="machine_id"),
     "service_usage": Table("service_usage", ServiceUsageRecord, (
         Column("consumer"), Column("provider"), Column("cluster_id"), HOUR_UTC,
         *_vector("usage"), Column("colossus_style", BOOL),
@@ -162,19 +183,24 @@ TABLES: dict[str, Table] = {
     "non_service_cost": Table("non_service_costs", NonServiceCostRecord, (
         Column("user"), DAY_UTC, Column("cost", FLOAT),
     )),
-    "pue": Table("pue", PueRecord, (Column("cluster_id"), HOUR_UTC, Column("pue", FLOAT))),
-    "carbon_intensity": Table("carbon_intensity", CarbonIntensityRecord, (Column("zone_id"), HOUR_UTC, G_PER_KWH)),
+    "pue": Table("pue", PueRecord, (
+        Column("cluster_id"), HOUR_UTC, Column("pue", FLOAT, low=1.0, below="pue-below-one"),
+    ), key=("cluster_id", "hour_utc"), repeats="duplicate-pue"),
+    "carbon_intensity": Table("carbon_intensity", CarbonIntensityRecord, (
+        Column("zone_id"), HOUR_UTC, G_PER_KWH,
+    ), key=("zone_id", "hour_utc"), repeats="duplicate-intensity"),
     "annual_intensity": Table("annual_intensity", AnnualIntensityRecord, (
         Column("zone_id"), Column("year", INT), G_PER_KWH,
-    )),
+    ), key=("zone_id", "year"), repeats="duplicate-intensity"),
     "zone_map": Table("zone_map", ZoneMapRow, (Column("cluster_id"), Column("zone_id", OPTIONAL), Column("region_id"))),
     "sku_catalog": Table("sku_catalog", SkuRecord, (
         Column("sku_id"), Column("product_id"), Column("provider_user"),
-        Column("list_price_per_unit", FLOAT), Column("usage_unit"), Column("is_commitment", BOOL),
-    )),
+        Column("list_price_per_unit", FLOAT, low=math.ulp(0.0), below="nonpositive-price"),  # least positive float
+        Column("usage_unit"), Column("is_commitment", BOOL),
+    ), key=("sku_id",), repeats="duplicate-sku"),
     "billing_usage": Table("billing_usage", SkuUsageRecord, (
-        Column("sku_id"), Column("region_id"), Column("billing_account", OPTIONAL), Column("month"),
-        Column("usage_units", FLOAT),
+        Column("sku_id", refers=("sku_catalog", "unknown-sku")), Column("region_id"),
+        Column("billing_account", OPTIONAL), Column("month"), Column("usage_units", FLOAT, low=0.0),
     )),
 }
 
@@ -183,6 +209,91 @@ SCHEMAS: dict[str, tuple[str, ...]] = {
 }
 
 REQUIRED_TABLES = ("machines", "power_samples", "zone_map")
+
+
+def validate_bundle(bundle: Bundle) -> list[Violation]:
+    """Every violation in a bundle: violations are data, not failures.
+
+    Each table's declared key, bounds and references are checked, and
+    every ``FLOAT`` cell must be finite. Only the rules that span two
+    fields or two records are written out below. The list is sorted, so
+    it does not depend on record order.
+    """
+    violations: list[Violation] = []
+
+    @functools.cache
+    def ids(name: str) -> set:
+        table = TABLES[name]
+        return set(map(attrgetter(table.columns[0].attribute), getattr(bundle, table.field)))
+
+    for table in TABLES.values():
+        records = getattr(bundle, table.field)
+        subject = attrgetter(table.subject or table.columns[0].attribute)
+
+        def flag(code: str, record: Any, detail: str) -> None:
+            violations.append(Violation(code, subject(record), f"{table.field} {detail}"))
+
+        if table.key:
+            key_columns = [column for column in table.columns if column.name in table.key]
+            key = attrgetter(*(column.attribute for column in key_columns))
+            seen = set()
+            for record in records:
+                value = key(record)
+                if value in seen:
+                    values = value if len(key_columns) > 1 else (value,)
+                    shown = ", ".join(column.codec.format(v) for column, v in zip(key_columns, values))
+                    flag(table.repeats, record, f"repeats key ({shown})")
+                seen.add(value)
+        for column in table.columns:
+            get = attrgetter(column.attribute)
+            if column.codec is FLOAT:
+                low = -sys.float_info.max if column.low is None else column.low
+                for record in records:
+                    value = get(record)
+                    if low <= value < math.inf:  # nearly every value: one comparison clears it
+                        continue
+                    if not math.isfinite(value):
+                        flag("non-finite-value", record, f"{column.attribute} is {value}")
+                    if column.low is not None and value < low:
+                        flag(column.below, record, f"{column.attribute} is {value}")
+            if column.refers:
+                target, code = column.refers
+                known = ids(target)
+                for record in records:
+                    if (value := get(record)) not in known:
+                        flag(code, record, f"{column.attribute} {value!r} not in {target}")
+
+    for m in bundle.machines:
+        if m.sharing is Sharing.DEDICATED and not m.owner_user:
+            violations.append(Violation("missing-owner", m.machine_id, "dedicated machine has no owner"))
+        if m.sharing is Sharing.SHARED and m.owner_user:
+            detail = f"shared machine names owner {m.owner_user!r}"
+            violations.append(Violation("owner-on-shared", m.machine_id, detail))
+
+    def conflicts(code: str, pairs: Iterable[tuple[str, Any]], detail: str) -> None:
+        """Flag once each subject paired with more than one value."""
+        values: dict[str, set] = {}
+        for subject, value in pairs:
+            values.setdefault(subject, set()).add(value)
+        violations.extend(Violation(code, subject, detail) for subject, found in values.items() if len(found) > 1)
+
+    zones = bundle.zone_map
+    conflicts("conflicting-region", ((r.cluster_id, r.region_id) for r in zones), "cluster mapped to two regions")
+    conflicts(
+        "conflicting-zone", ((r.cluster_id, r.zone_id) for r in zones if r.zone_id), "cluster mapped to two zones",
+    )
+    conflicts(
+        "mixed-service-style", ((su.provider, su.colossus_style) for su in bundle.service_usage),
+        "provider flagged both storage-style and not",
+    )
+    violations.extend(
+        Violation("self-service-usage", su.provider, "consumer equals provider")
+        for su in bundle.service_usage
+        if su.consumer == su.provider
+    )
+
+    violations.sort(key=attrgetter("code", "subject", "detail"))
+    return violations
 
 
 def quantize(value: float, step: float) -> float:
@@ -199,21 +310,26 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]])
         writer.writerows(rows)
 
 
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def write_bundle(bundle: Bundle, directory: Path, manifest_extra: dict | None = None) -> Path:
     """Serialize every input table plus a manifest with content hashes."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     hour = functools.cache(format_hour)
     for name, table in TABLES.items():
-        cells = [(attrgetter(c.attribute or c.name), hour if c.codec is HOUR else c.codec.format)
+        cells = [(attrgetter(c.attribute), hour if c.codec is HOUR else c.codec.format)
                  for c in table.columns]
         rows = sorted(tuple(fmt(get(record)) for get, fmt in cells) for record in getattr(bundle, table.field))
         _write_csv(directory / f"{name}.csv", SCHEMAS[name], rows)
 
-    hashes = {
-        f"{table}.csv": hashlib.sha256((directory / f"{table}.csv").read_bytes()).hexdigest()
-        for table in sorted(SCHEMAS)
-    }
+    hashes = {f"{table}.csv": _sha256(directory / f"{table}.csv") for table in sorted(SCHEMAS)}
     manifest = {"schema_version": SCHEMA_VERSION, "files": hashes}
     manifest.update(manifest_extra or {})
     manifest_path = directory / MANIFEST_NAME
@@ -248,12 +364,33 @@ def _read_table(path: Path, table: Table, header: tuple[str, ...], per_read: dic
     return records
 
 
+def _check_manifest(directory: Path) -> None:
+    """Every file ``manifest.json`` lists must exist and match its SHA-256; a bundle without one passes."""
+    path = directory / MANIFEST_NAME
+    if not path.exists():
+        return
+    try:
+        listed = dict(json.loads(path.read_text())["files"])
+    except (ValueError, TypeError, KeyError) as exc:
+        raise InputError(f"{MANIFEST_NAME} in {directory} is unreadable: {exc!r}") from None
+    for name, digest in sorted(listed.items()):
+        if not (directory / name).is_file():
+            raise InputError(f"{name}, listed in {MANIFEST_NAME}, is missing from {directory}")
+        if _sha256(directory / name) != digest:
+            raise InputError(f"{name} does not match its SHA-256 in {MANIFEST_NAME}")
+
+
 def read_bundle(directory: Path) -> Bundle:
-    """Load a bundle directory; non-required tables may be absent."""
+    """Load a bundle directory; non-required tables may be absent.
+
+    If the directory holds a ``manifest.json``, every file it lists is
+    checked against its SHA-256 first.
+    """
     directory = Path(directory)
     for name in REQUIRED_TABLES:
         if not (directory / f"{name}.csv").exists():
             raise InputError(f"required input file {name}.csv missing from {directory}")
+    _check_manifest(directory)
     # Equal text cells, across all tables, become one string object.
     share = {}.setdefault
     per_read = {
@@ -274,23 +411,25 @@ def write_validation_report(violations: Sequence[Violation], path: Path) -> None
 
 
 def write_user_energy(stages, path: Path, energy_step: float = 1.0) -> None:
-    """Final ledger with one total column per pipeline stage."""
+    """Final ledger with one total column per pipeline stage.
+
+    Each stage copies the previous stage's cells and may add some, so the
+    final ledger's keys are every stage's keys.
+    """
     final = stages[-1].cells
     header = ["user", "cluster_id", "hour_utc", "idle_wh", "dynamic_wh"]
     header.extend(f"{ledger.stage}_wh" for ledger in stages)
-    keys = sorted({key for ledger in stages for key in ledger.cells})
     hour = functools.cache(format_hour)
 
     def wh(value: float) -> str:
         return _fmt(quantize(value, energy_step))
 
     def rows():
-        for key in keys:
+        for key in sorted(final):
             user, cluster, at = key
-            cell = final.get(key)
+            cell = final[key]
             yield (
-                user, cluster, hour(at),
-                wh(cell.idle_wh if cell else 0.0), wh(cell.dynamic_wh if cell else 0.0),
+                user, cluster, hour(at), wh(cell.idle_wh), wh(cell.dynamic_wh),
                 *(wh(ledger.cells[key].total_wh if key in ledger.cells else 0.0) for ledger in stages),
             )
 

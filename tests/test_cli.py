@@ -14,9 +14,8 @@ import pytest
 import carbonledger
 from carbonledger.check import closure_failures, run_end_to_end
 from carbonledger.cli import _clip_bundle, main
-from carbonledger.model import validate_bundle
 from carbonledger.simulate import ScenarioSpec, generate, preset_spec
-from carbonledger.tables import write_bundle
+from carbonledger.tables import validate_bundle, write_bundle
 
 
 @pytest.fixture
@@ -195,6 +194,33 @@ def test_run_and_oracle_check_refuse_a_duplicated_power_sample(tmp_path):
     bundle_dir = tmp_path / "duplicated"
     write_bundle(bundle, bundle_dir)
     assert main(["run", "--input", str(bundle_dir), "--output", str(tmp_path / "reports")]) == 1
+    assert main(["oracle-check", "--input", str(bundle_dir)]) == 1
+
+
+def test_duplicate_sku_fails_closed(tmp_path):
+    # Once exit 0 with one report, account b at 0.9 kg: the SKU went to the
+    # provider listed last, and account a's 0.3 kg moved onto b.
+    from carbonledger.model import (
+        Bundle, CarbonIntensityRecord, MachineRecord, PowerSample, PueRecord, Sharing, SkuRecord, SkuUsageRecord,
+        ZoneMapRow,
+    )
+
+    hour = datetime(2023, 6, 5, tzinfo=timezone.utc)
+    bundle = Bundle(
+        machines=[MachineRecord("m0", "c0", Sharing.DEDICATED, "p1"), MachineRecord("m1", "c1", Sharing.DEDICATED, "p2")],
+        power_samples=[PowerSample("m0", hour, 3000.0), PowerSample("m1", hour, 6000.0)],
+        pue=[PueRecord("c0", hour, 1.0), PueRecord("c1", hour, 1.0)],
+        carbon_intensity=[CarbonIntensityRecord("z0", hour, 100.0), CarbonIntensityRecord("z1", hour, 100.0)],
+        zone_map=[ZoneMapRow("c0", "z0", "r0"), ZoneMapRow("c1", "z1", "r1")],
+        sku_catalog=[SkuRecord("k0", "prod", "p1", 1.0), SkuRecord("k0", "prod", "p2", 1.0)],
+        billing_usage=[SkuUsageRecord("k0", "r0", "a", "2023-06", 10.0), SkuUsageRecord("k0", "r1", "b", "2023-06", 10.0)],
+    )
+    assert [(v.code, v.subject) for v in validate_bundle(bundle)] == [("duplicate-sku", "k0")]
+    bundle_dir = tmp_path / "duplicated"
+    write_bundle(bundle, bundle_dir)
+    assert main(["validate", "--input", str(bundle_dir), "--output", str(tmp_path / "validate")]) == 1
+    assert main(["run", "--input", str(bundle_dir), "--output", str(tmp_path / "reports")]) == 1
+    assert not (tmp_path / "reports" / "footprint_report.csv").exists()
     assert main(["oracle-check", "--input", str(bundle_dir)]) == 1
 
 

@@ -1,6 +1,8 @@
 import math
 import random
+from dataclasses import fields
 
+import pytest
 from hypothesis import given, strategies as st
 
 from carbonledger.model import (
@@ -10,20 +12,22 @@ from carbonledger.model import (
     ClusterTopology,
     GcuUsageRecord,
     MachineRecord,
+    NetCostRecord,
+    NonServiceCostRecord,
     PueRecord,
     ResourceAllocationRecord,
     ResourceVector,
+    ServiceUsageRecord,
     Sharing,
     SkuRecord,
     SkuUsageRecord,
     ZoneMapRow,
     format_hour,
     parse_hour,
-    validate_bundle,
-    validate_fleet,
 )
+from carbonledger.tables import validate_bundle
 
-from conftest import H, dedicated_machine, sample, shared_machine
+from conftest import H, alloc, dedicated_machine, sample, shared_machine
 
 
 def test_parse_and_format_hour_roundtrip():
@@ -31,45 +35,52 @@ def test_parse_and_format_hour_roundtrip():
     assert format_hour(parse_hour(text)) == text
 
 
-def test_well_formed_fleet_has_no_violations(topology_one_cluster):
+def _fleet(machines, samples=(), usage=()) -> Bundle:
+    return Bundle(
+        machines=list(machines), power_samples=list(samples), gcu_usage=list(usage),
+        zone_map=[ZoneMapRow("c0", "z0", "r0")],
+    )
+
+
+def test_well_formed_fleet_has_no_violations():
     machines = [dedicated_machine("m0"), shared_machine("m1")]
     samples = [sample("m0", 0, 50.0), sample("m1", 0, 80.0)]
-    assert validate_fleet(machines, samples, topology_one_cluster) == []
+    assert validate_bundle(_fleet(machines, samples)) == []
 
 
-def test_dedicated_machine_without_owner_flagged(topology_one_cluster):
+def test_dedicated_machine_without_owner_flagged():
     machine = MachineRecord("m0", "c0", Sharing.DEDICATED, None, 10.0)
-    report = validate_fleet([machine], [], topology_one_cluster)
+    report = validate_bundle(_fleet([machine]))
     assert [v.code for v in report] == ["missing-owner"]
 
 
-def test_duplicate_sample_flagged(topology_one_cluster):
+def test_duplicate_sample_flagged():
     machines = [shared_machine("m0")]
     samples = [sample("m0", 0, 10.0), sample("m0", 0, 12.0)]
-    report = validate_fleet(machines, samples, topology_one_cluster)
+    report = validate_bundle(_fleet(machines, samples))
     assert [v.code for v in report] == ["duplicate-sample"]
 
 
-def test_unknown_cluster_and_negative_values_flagged(topology_one_cluster):
+def test_unknown_cluster_and_negative_values_flagged():
     machines = [
         MachineRecord("m0", "nowhere", Sharing.SHARED, None, 5.0),
         MachineRecord("m1", "c0", Sharing.SHARED, None, -1.0),
     ]
     samples = [sample("m1", 0, -3.0)]
-    codes = {v.code for v in validate_fleet(machines, samples, topology_one_cluster)}
+    codes = {v.code for v in validate_bundle(_fleet(machines, samples))}
     assert codes == {"unknown-cluster", "negative-value"}
 
 
-def test_dangling_gcu_usage_reference_flagged(topology_one_cluster):
+def test_dangling_gcu_usage_reference_flagged():
     machines = [shared_machine("m0")]
     usage = [GcuUsageRecord("alice", "ghost", H(0), 1.0)]
-    report = validate_fleet(machines, [], topology_one_cluster, usage)
+    report = validate_bundle(_fleet(machines, usage=usage))
     assert [(v.code, v.subject) for v in report] == [("unknown-machine", "ghost")]
 
 
-def test_owner_on_shared_machine_flagged(topology_one_cluster):
+def test_owner_on_shared_machine_flagged():
     machine = MachineRecord("m0", "c0", Sharing.SHARED, "alice", 5.0)
-    report = validate_fleet([machine], [], topology_one_cluster)
+    report = validate_bundle(_fleet([machine]))
     assert [v.code for v in report] == ["owner-on-shared"]
 
 
@@ -82,15 +93,19 @@ def test_validate_fleet_is_order_insensitive_and_idempotent(rng: random.Random):
         MachineRecord("m3", "lost", Sharing.SHARED, None, 1.0),
     ]
     samples = [sample("m2", 0, 10.0), sample("m2", 0, 11.0), sample("m0", 1, -2.0)]
-    topology = ClusterTopology.from_rows([ZoneMapRow("c0", "z0", "r0")])
-    baseline = validate_fleet(machines, samples, topology)
-    shuffled_machines = machines[:]
-    shuffled_samples = samples[:]
-    rng.shuffle(shuffled_machines)
-    rng.shuffle(shuffled_samples)
-    report = validate_fleet(shuffled_machines, shuffled_samples, topology)
-    assert report == baseline
-    assert validate_fleet(shuffled_machines, shuffled_samples, topology) == report
+    # The second bundle holds one violation per rule.
+    every_rule = _clean_bundle()
+    for table, record, _ in RULE_CASES.values():
+        getattr(every_rule, table).append(record)
+    expected = sorted(pair for *_, pairs in RULE_CASES.values() for pair in pairs)
+    assert [(v.code, v.subject) for v in validate_bundle(every_rule)] == expected
+    for bundle in (_fleet(machines, samples), every_rule):
+        baseline = validate_bundle(bundle)
+        for table in fields(bundle):
+            rng.shuffle(getattr(bundle, table.name))
+        report = validate_bundle(bundle)
+        assert report == baseline
+        assert validate_bundle(bundle) == report
 
 
 def test_validate_bundle_flags_cross_table_problems():
@@ -135,7 +150,118 @@ def test_duplicate_feed_rows_flagged():
     bundle.annual_intensity += [AnnualIntensityRecord("z0", 2023, 300.0), AnnualIntensityRecord("z0", 2023, 400.0)]
     bundle.annual_intensity.append(AnnualIntensityRecord("z0", 2024, 300.0))
     assert [(v.code, v.subject, v.detail) for v in validate_bundle(bundle)] == [
-        ("duplicate-intensity", "z0", "second annual row for year 2023"),
-        ("duplicate-intensity", "z0", f"second hourly row for hour {format_hour(H(0))}"),
-        ("duplicate-pue", "c0", f"second pue row for hour {format_hour(H(0))}"),
+        ("duplicate-intensity", "z0", "annual_intensity repeats key (z0, 2023)"),
+        ("duplicate-intensity", "z0", f"carbon_intensity repeats key (z0, {format_hour(H(0))})"),
+        ("duplicate-pue", "c0", f"pue repeats key (c0, {format_hour(H(0))})"),
     ]
+
+
+def _clean_bundle() -> Bundle:
+    """One or two records per table, every reference resolved: no violations."""
+    return Bundle(
+        machines=[dedicated_machine("m0"), shared_machine("m1")],
+        power_samples=[sample("m0", 0, 50.0), sample("m1", 0, 80.0)],
+        resource_allocations=[alloc("alice", gcu=1.0)],
+        gcu_usage=[GcuUsageRecord("alice", "m1", H(0), 1.0)],
+        service_usage=[ServiceUsageRecord("alice", "svc", "c0", H(0), ResourceVector(gcu=1.0))],
+        net_costs=[NetCostRecord("alice", "svc", H(0).date(), 1.0)],
+        non_service_costs=[NonServiceCostRecord("alice", H(0).date(), 2.0)],
+        pue=[PueRecord("c0", H(0), 1.2)],
+        carbon_intensity=[CarbonIntensityRecord("z0", H(0), 100.0)],
+        annual_intensity=[AnnualIntensityRecord("z0", 2023, 300.0)],
+        zone_map=[ZoneMapRow("c0", "z0", "r0")],
+        sku_catalog=[SkuRecord("k0", "p0", "svc", 1.0)],
+        billing_usage=[SkuUsageRecord("k0", "r0", "acct", "2023-06", 5.0)],
+    )
+
+
+#: One case per rule: the table a record is added to, the record, and the
+#: exact (code, subject) list the corrupted bundle yields.
+RULE_CASES = {
+    # repeated keys
+    "duplicate-machine": ("machines", shared_machine("m1"), [("duplicate-machine", "m1")]),
+    "duplicate-sample": ("power_samples", sample("m0", 0, 60.0), [("duplicate-sample", "m0")]),
+    "duplicate-pue": ("pue", PueRecord("c0", H(0), 1.5), [("duplicate-pue", "c0")]),
+    "duplicate-intensity-hourly": (
+        "carbon_intensity", CarbonIntensityRecord("z0", H(0), 90.0), [("duplicate-intensity", "z0")],
+    ),
+    "duplicate-intensity-annual": (
+        "annual_intensity", AnnualIntensityRecord("z0", 2023, 200.0), [("duplicate-intensity", "z0")],
+    ),
+    "duplicate-sku": ("sku_catalog", SkuRecord("k0", "p1", "other", 2.0), [("duplicate-sku", "k0")]),
+    # bounds
+    "negative-idle-rating": ("machines", shared_machine("m2", idle=-1.0), [("negative-value", "m2")]),
+    "negative-power": ("power_samples", sample("m1", 1, -3.0), [("negative-value", "m1")]),
+    "negative-gcu-usage": ("gcu_usage", GcuUsageRecord("bob", "m0", H(1), -1.0), [("negative-value", "m0")]),
+    "negative-allocation": ("resource_allocations", alloc("bob", ram_gib=-2.0), [("negative-value", "bob")]),
+    "negative-service-usage": (
+        "service_usage", ServiceUsageRecord("bob", "svc", "c0", H(0), ResourceVector(hdd_tib=-1.0)),
+        [("negative-value", "bob")],
+    ),
+    "negative-hourly-intensity": (
+        "carbon_intensity", CarbonIntensityRecord("z1", H(0), -5.0), [("negative-value", "z1")],
+    ),
+    "negative-annual-intensity": (
+        "annual_intensity", AnnualIntensityRecord("z1", 2023, -5.0), [("negative-value", "z1")],
+    ),
+    "negative-billing-usage": (
+        "billing_usage", SkuUsageRecord("k0", "r0", "acct2", "2023-06", -1.0), [("negative-value", "k0")],
+    ),
+    "pue-below-one": ("pue", PueRecord("c1", H(0), 0.9), [("pue-below-one", "c1")]),
+    "nonpositive-price": ("sku_catalog", SkuRecord("k1", "p1", "svc", 0.0), [("nonpositive-price", "k1")]),
+    # non-finite numbers
+    "non-finite-power": ("power_samples", sample("m0", 2, math.nan), [("non-finite-value", "m0")]),
+    "non-finite-gcu-usage": (
+        "gcu_usage", GcuUsageRecord("carol", "m1", H(2), math.nan), [("non-finite-value", "m1")],
+    ),
+    "non-finite-net-cost": (
+        "net_costs", NetCostRecord("dave", "svc", H(0).date(), math.inf), [("non-finite-value", "dave")],
+    ),
+    "non-finite-unbounded-minus-inf": (
+        "net_costs", NetCostRecord("gina", "svc", H(0).date(), -math.inf), [("non-finite-value", "gina")],
+    ),
+    "non-finite-non-service-cost": (
+        "non_service_costs", NonServiceCostRecord("erin", H(0).date(), math.nan), [("non-finite-value", "erin")],
+    ),
+    "non-finite-pue": (
+        "pue", PueRecord("c2", H(0), -math.inf), [("non-finite-value", "c2"), ("pue-below-one", "c2")],
+    ),
+    "non-finite-price": ("sku_catalog", SkuRecord("k2", "p2", "svc", math.nan), [("non-finite-value", "k2")]),
+    # references
+    "unknown-cluster-machine": (
+        "machines", MachineRecord("m3", "ghost", Sharing.SHARED, None, 1.0), [("unknown-cluster", "m3")],
+    ),
+    "unknown-cluster-allocation": (
+        "resource_allocations", alloc("frank", cluster="ghost", gcu=1.0), [("unknown-cluster", "frank")],
+    ),
+    "unknown-machine-sample": ("power_samples", sample("m9", 0, 1.0), [("unknown-machine", "m9")]),
+    "unknown-machine-usage": (
+        "gcu_usage", GcuUsageRecord("alice", "m8", H(0), 1.0), [("unknown-machine", "m8")],
+    ),
+    "unknown-sku": ("billing_usage", SkuUsageRecord("k9", "r0", "acct", "2023-06", 1.0), [("unknown-sku", "k9")]),
+    # rules that span two fields or two records
+    "missing-owner": (
+        "machines", MachineRecord("m4", "c0", Sharing.DEDICATED, None, 1.0), [("missing-owner", "m4")],
+    ),
+    "owner-on-shared": (
+        "machines", MachineRecord("m5", "c0", Sharing.SHARED, "alice", 1.0), [("owner-on-shared", "m5")],
+    ),
+    "conflicting-region": ("zone_map", ZoneMapRow("c0", "z0", "r1"), [("conflicting-region", "c0")]),
+    "conflicting-zone": ("zone_map", ZoneMapRow("c0", "z1", "r0"), [("conflicting-zone", "c0")]),
+    "self-service-usage": (
+        "service_usage", ServiceUsageRecord("svc", "svc", "c0", H(1), ResourceVector(gcu=1.0)),
+        [("self-service-usage", "svc")],
+    ),
+    "mixed-service-style": (
+        "service_usage", ServiceUsageRecord("bob", "svc", "c0", H(1), ResourceVector(gcu=1.0), True),
+        [("mixed-service-style", "svc")],
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", RULE_CASES)
+def test_each_rule_flags_one_corrupted_record(rule):
+    table, record, expected = RULE_CASES[rule]
+    bundle = _clean_bundle()
+    getattr(bundle, table).append(record)
+    assert [(v.code, v.subject) for v in validate_bundle(bundle)] == expected

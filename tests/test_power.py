@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from carbonledger.errors import InputError
-from carbonledger.model import ClusterTopology, ZoneMapRow, validate_fleet
+from carbonledger.model import Bundle, ZoneMapRow
 from carbonledger.power import split_fleet
+from carbonledger.tables import validate_bundle
 
 from conftest import H, sample, shared_machine
 
@@ -95,8 +96,8 @@ def test_missing_sample_contributes_nothing():
 def test_unknown_cluster_rejected():
     machines = [shared_machine("m0", cluster="ghost")]
     samples = [sample("m0", 0, 10.0)]
-    topology = ClusterTopology.from_rows([ZoneMapRow("c0", "z0", "r0")])
-    assert [(v.code, v.subject) for v in validate_fleet(machines, samples, topology)] == [("unknown-cluster", "m0")]
+    bundle = Bundle(machines=machines, power_samples=samples, zone_map=[ZoneMapRow("c0", "z0", "r0")])
+    assert [(v.code, v.subject) for v in validate_bundle(bundle)] == [("unknown-cluster", "m0")]
     with pytest.raises(InputError):
         split_fleet(machines, [sample("ghost-machine", 0, 10.0)])
 

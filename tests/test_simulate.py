@@ -4,7 +4,7 @@ import statistics
 import pytest
 
 from carbonledger.errors import ScenarioError
-from carbonledger.model import Sharing, validate_bundle
+from carbonledger.model import Sharing
 from carbonledger.simulate import (
     PRESETS,
     ScenarioSpec,
@@ -12,7 +12,7 @@ from carbonledger.simulate import (
     intensity_feed,
     preset_spec,
 )
-from carbonledger.tables import write_bundle
+from carbonledger.tables import validate_bundle, write_bundle
 
 from conftest import H
 

@@ -7,6 +7,7 @@ from dataclasses import fields
 import pytest
 
 from carbonledger.check import run_end_to_end
+from carbonledger.cli import main
 from carbonledger.errors import InputError
 from carbonledger.simulate import PRESETS, ScenarioSpec, generate, preset_spec
 from carbonledger.tables import (
@@ -90,6 +91,7 @@ def test_timestamps_use_hour_precision_utc(tmp_path):
 
 def test_missing_required_table_raises(tmp_path):
     write_bundle(generate(preset_spec("figure1")), tmp_path)
+    (tmp_path / "manifest.json").unlink()  # the edit below would no longer match it
     (tmp_path / "machines.csv").unlink()
     with pytest.raises(InputError):
         read_bundle(tmp_path)
@@ -97,6 +99,7 @@ def test_missing_required_table_raises(tmp_path):
 
 def test_missing_optional_table_defaults_empty(tmp_path):
     write_bundle(generate(preset_spec("figure1")), tmp_path)
+    (tmp_path / "manifest.json").unlink()  # the edit below would no longer match it
     (tmp_path / "net_cost.csv").unlink()
     bundle = read_bundle(tmp_path)
     assert bundle.net_costs == []
@@ -104,11 +107,37 @@ def test_missing_optional_table_defaults_empty(tmp_path):
 
 def test_header_mismatch_raises(tmp_path):
     write_bundle(generate(preset_spec("figure1")), tmp_path)
+    (tmp_path / "manifest.json").unlink()  # the edit below would no longer match it
     path = tmp_path / "pue.csv"
     lines = path.read_text().splitlines()
     lines[0] = "cluster,hour,value"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(InputError):
+        read_bundle(tmp_path)
+
+
+def test_file_changed_since_its_manifest_raises(tmp_path):
+    write_bundle(generate(preset_spec("figure1")), tmp_path)
+    path = tmp_path / "power_samples.csv"
+    data = bytearray(path.read_bytes())
+    data[-2] = ord("7") if data[-2] != ord("7") else ord("8")
+    path.write_bytes(bytes(data))
+    with pytest.raises(InputError, match="power_samples.csv does not match its SHA-256 in manifest.json"):
+        read_bundle(tmp_path)
+    assert main(["validate", "--input", str(tmp_path)]) == 2
+
+
+def test_listed_optional_table_missing_raises(tmp_path):
+    write_bundle(generate(preset_spec("figure1")), tmp_path)
+    (tmp_path / "net_cost.csv").unlink()
+    with pytest.raises(InputError, match="net_cost.csv, listed in manifest.json, is missing"):
+        read_bundle(tmp_path)
+
+
+def test_unreadable_manifest_raises(tmp_path):
+    write_bundle(generate(preset_spec("figure1")), tmp_path)
+    (tmp_path / "manifest.json").write_text("{not json")
+    with pytest.raises(InputError, match="manifest.json in .* is unreadable"):
         read_bundle(tmp_path)
 
 
@@ -122,6 +151,7 @@ def test_quantize_steps():
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
 def test_non_finite_number_is_rejected_with_its_location(tmp_path, text):
     write_bundle(generate(preset_spec("figure1")), tmp_path)
+    (tmp_path / "manifest.json").unlink()  # the edit below would no longer match it
     path = tmp_path / "power_samples.csv"
     lines = path.read_text().splitlines()
     lines[2] = lines[2].rsplit(",", 1)[0] + "," + text
@@ -132,6 +162,7 @@ def test_non_finite_number_is_rejected_with_its_location(tmp_path, text):
 
 def test_unparsable_cell_and_short_row_name_their_line(tmp_path):
     write_bundle(generate(preset_spec("figure1")), tmp_path)
+    (tmp_path / "manifest.json").unlink()  # the edit below would no longer match it
     path = tmp_path / "power_samples.csv"
     lines = path.read_text().splitlines()
     lines[1] = lines[1].replace(":00Z", ":30Z")
