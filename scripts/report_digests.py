@@ -9,12 +9,15 @@ on its first day only (`--start/--end`), a seed-3 fleet (100 machines,
 seed-5 fleet again with `--round-wh 0 --round-g 0`, so that their reports
 carry every float bit rather than whole Wh and grams. For each case and
 each hash seed, `simulate` and then `run` execute in child processes
-under that `PYTHONHASHSEED`, against the sources of the checkout holding
-this script. Run it on two checkouts and diff the output to show that a change
-keeps the bundles and reports byte-identical:
+under that `PYTHONHASHSEED`, against the package sources under `--src`
+(default: this checkout's `src`). Run it against two source trees and diff
+the output to show that a change keeps the bundles and reports
+byte-identical:
 
+    git worktree add ../parent HEAD~1
+    python scripts/report_digests.py --src ../parent/src > before.txt
     python scripts/report_digests.py > after.txt
-    python scripts/report_digests.py --hash-seeds 0 3 > after-0-3.txt
+    python scripts/report_digests.py --hash-seeds 3 7 > after-3-7.txt
 
 Each output line is `<case> <hash seed> <report> <sha256>`. After a
 case's reports comes one line per distinct SHA-256 of its bundle's
@@ -50,8 +53,8 @@ CASES["seed5-300-cyclic-unbilled-unrounded"] = (SEED5, UNROUNDED)
 MANIFEST = "manifest.json"
 
 
-def carbonledger(args: list[str], hash_seed: str) -> None:
-    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(SRC)}
+def carbonledger(args: list[str], hash_seed: str, src: Path) -> None:
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
     done = subprocess.run(
         [sys.executable, "-m", "carbonledger.cli", *args], env=env, capture_output=True, text=True
     )
@@ -59,11 +62,11 @@ def carbonledger(args: list[str], hash_seed: str) -> None:
         raise RuntimeError(f"carbonledger {' '.join(args)} exited {done.returncode}: {done.stderr.strip()}")
 
 
-def digests(simulate: list[str], run: list[str], hash_seed: str) -> dict[str, str]:
+def digests(simulate: list[str], run: list[str], hash_seed: str, src: Path) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as work:
         bundle, reports = Path(work) / "bundle", Path(work) / "reports"
-        carbonledger(["simulate", "--output", str(bundle), *simulate], hash_seed)
-        carbonledger(["run", "--input", str(bundle), "--output", str(reports), *run], hash_seed)
+        carbonledger(["simulate", "--output", str(bundle), *simulate], hash_seed, src)
+        carbonledger(["run", "--input", str(bundle), "--output", str(reports), *run], hash_seed, src)
         found = {name: hashlib.sha256((reports / name).read_bytes()).hexdigest() for name in REPORTS}
         found[MANIFEST] = hashlib.sha256((bundle / MANIFEST).read_bytes()).hexdigest()
         return found
@@ -72,13 +75,19 @@ def digests(simulate: list[str], run: list[str], hash_seed: str) -> dict[str, st
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--hash-seeds", nargs="+", default=["0", "1", "42"], help="PYTHONHASHSEED values")
+    parser.add_argument(
+        "--src", type=Path, default=SRC, help="directory holding the carbonledger package to run (default: %(default)s)"
+    )
     args = parser.parse_args()
+    src = args.src.resolve()
+    if not (src / "carbonledger" / "__init__.py").is_file():
+        parser.error(f"no carbonledger package under {src}")
     failed = False
     for case, (simulate, run) in CASES.items():
         manifests: dict[str, list[str]] = {}
         for hash_seed in args.hash_seeds:
             try:
-                found = digests(simulate, run, hash_seed)
+                found = digests(simulate, run, hash_seed, src)
             except RuntimeError as exc:
                 print(f"error: {case} under hash seed {hash_seed}: {exc}", file=sys.stderr)
                 failed = True

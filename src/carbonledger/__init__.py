@@ -8,17 +8,10 @@ footprints over SKUs, regions, and billing accounts.
 """
 
 from .allocation import EnergyCell, Ledger, weighted_allocation
-from .carbon import EmissionRecord, IntensityFeed, IntensitySource, compute_emissions
+from .carbon import EmissionRecord, IntensitySource, compute_emissions
 from .check import closure_failures, compare_with_oracle, run_end_to_end
 from .footprint import FootprintReport, compute_customer_footprints
-from .model import (
-    Bundle,
-    ClusterTopology,
-    MachineRecord,
-    PowerSample,
-    ResourceVector,
-    Sharing,
-)
+from .model import Bundle, MachineRecord, PowerSample, ResourceVector, Sharing
 from .oracle import oracle_allocate
 from .power import FleetSplit, split_fleet
 from .services import AllocationResult, run_allocation_pipeline
@@ -28,12 +21,10 @@ from .tables import validate_bundle
 __all__ = [
     "AllocationResult",
     "Bundle",
-    "ClusterTopology",
     "EmissionRecord",
     "EnergyCell",
     "FleetSplit",
     "FootprintReport",
-    "IntensityFeed",
     "IntensitySource",
     "Ledger",
     "MachineRecord",

@@ -155,7 +155,7 @@ def allocate_dynamic(
     split: FleetSplit,
     machines: Sequence[MachineRecord],
     usage: Sequence[GcuUsageRecord],
-    allocations: Sequence[ResourceAllocationRecord] = (),
+    allocations: Sequence[ResourceAllocationRecord],
 ) -> tuple[dict[LedgerKey, float], list[Notice]]:
     """Dynamic watt-hours per (user, cluster, hour).
 
@@ -175,7 +175,7 @@ def allocate_dynamic(
             continue
         usage_by_hour.setdefault(rec.hour, []).append(rec)
 
-    fractions = idle_share_table(allocations) if allocations else {}
+    fractions = idle_share_table(allocations)
     dynamic: dict[LedgerKey, float] = {}
     notices: list[Notice] = []
 

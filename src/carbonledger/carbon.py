@@ -13,18 +13,11 @@ import logging
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
-from typing import Sequence
+from typing import Mapping
 
 from .allocation import Ledger
 from .errors import MissingIntensityError
-from .model import (
-    AnnualIntensityRecord,
-    CarbonIntensityRecord,
-    ClusterTopology,
-    Notice,
-    PueRecord,
-    format_hour,
-)
+from .model import Bundle, Notice, format_hour
 
 log = logging.getLogger(__name__)
 
@@ -53,42 +46,25 @@ def co2_kg(energy_wh: float, intensity_g_per_kwh: float) -> float:
     return energy_wh * intensity_g_per_kwh / 1e6
 
 
-class IntensityFeed:
-    """Immutable lookup over the hourly and annual intensity tables."""
-
-    def __init__(
-        self,
-        hourly: Sequence[CarbonIntensityRecord],
-        annual: Sequence[AnnualIntensityRecord] = (),
-    ) -> None:
-        self._hourly = {(r.zone_id, r.hour): r.intensity_g_per_kwh for r in hourly}
-        self._annual = {(r.zone_id, r.year): r.intensity_g_per_kwh for r in annual}
-
-    def hourly(self, zone_id: str, hour: datetime) -> float | None:
-        return self._hourly.get((zone_id, hour))
-
-    def annual(self, zone_id: str, year: int) -> float | None:
-        return self._annual.get((zone_id, year))
-
-
 def resolve_intensity(
     cluster_id: str,
     hour: datetime,
-    topology: ClusterTopology,
-    feed: IntensityFeed,
+    zone_of: Mapping[str, str],
+    hourly: Mapping[tuple[str, datetime], float],
+    annual: Mapping[tuple[str, int], float],
 ) -> tuple[float, IntensitySource]:
     """Hourly zone intensity if present, else the zone's annual average.
 
     Raises when the cluster has no zone or neither feed covers the hour.
     """
-    zone = topology.cluster_to_zone.get(cluster_id)
+    zone = zone_of.get(cluster_id)
     if zone is not None:
-        value = feed.hourly(zone, hour)
+        value = hourly.get((zone, hour))
         if value is not None:
             return value, IntensitySource.HOURLY
-        annual = feed.annual(zone, hour.year)
-        if annual is not None:
-            return annual, IntensitySource.ANNUAL_FALLBACK
+        value = annual.get((zone, hour.year))
+        if value is not None:
+            return value, IntensitySource.ANNUAL_FALLBACK
     raise MissingIntensityError(cluster_id, format_hour(hour))
 
 
@@ -103,25 +79,25 @@ class EmissionsResult:
 
 def compute_emissions(
     ledger: Ledger,
-    pue_records: Sequence[PueRecord],
-    feed: IntensityFeed,
-    topology: ClusterTopology,
+    bundle: Bundle,
     default_pue: float = DEFAULT_PUE,
-    allow_missing_intensity: bool = False,
-    missing_intensity_default: float = 0.0,
+    missing_intensity: float | None = None,
 ) -> EmissionsResult:
     """Emissions per ledger entry: IT energy x PUE x zone intensity.
 
-    A missing PUE falls back to the default and is flagged. Missing
-    intensity aborts the run unless explicitly allowed, in which case the
-    configured default is substituted and flagged.
+    A missing PUE falls back to the default and is flagged. A cluster-hour
+    that no feed covers aborts the run unless ``missing_intensity`` gives
+    the gCO2e/kWh to use there, which is flagged once per cluster-hour.
     """
-    pue_by_key = {(p.cluster_id, p.hour): p.pue for p in pue_records}
+    pue_by_key = {(p.cluster_id, p.hour): p.pue for p in bundle.pue}
+    zone_of = {r.cluster_id: r.zone_id for r in bundle.zone_map if r.zone_id}
+    hourly = {(r.zone_id, r.hour): r.intensity_g_per_kwh for r in bundle.carbon_intensity}
+    annual = {(r.zone_id, r.year): r.intensity_g_per_kwh for r in bundle.annual_intensity}
     records: list[EmissionRecord] = []
     notices: list[Notice] = []
     missing_pue: set[tuple[str, datetime]] = set()
-    # Intensity depends only on the cluster-hour; None marks a missing one.
-    resolved: dict[tuple[str, datetime], tuple[float, IntensitySource] | None] = {}
+    # Intensity depends only on the cluster-hour.
+    resolved: dict[tuple[str, datetime], tuple[float, IntensitySource]] = {}
 
     for (user, cluster, hour), cell in sorted(ledger.cells.items()):
         it_wh = cell.idle_wh + cell.dynamic_wh
@@ -133,21 +109,19 @@ def compute_emissions(
                 notices.append(
                     Notice("missing-pue", cluster, f"default {pue} used at {format_hour(hour)}")
                 )
-        if (cluster, hour) not in resolved:
+        found = resolved.get((cluster, hour))
+        if found is None:
             try:
-                resolved[cluster, hour] = resolve_intensity(cluster, hour, topology, feed)
+                found = resolve_intensity(cluster, hour, zone_of, hourly, annual)
             except MissingIntensityError:
-                if not allow_missing_intensity:
+                if missing_intensity is None:
                     raise
-                resolved[cluster, hour] = None
-        found = resolved[cluster, hour]
-        if found is not None:
-            intensity, source = found
-        else:
-            intensity, source = missing_intensity_default, IntensitySource.DEFAULT
-            notices.append(
-                Notice("missing-intensity", cluster, f"default {intensity} g/kWh at {format_hour(hour)}")
-            )
+                found = (missing_intensity, IntensitySource.DEFAULT)
+                notices.append(
+                    Notice("missing-intensity", cluster, f"default {missing_intensity} g/kWh at {format_hour(hour)}")
+                )
+            resolved[cluster, hour] = found
+        intensity, source = found
         total_wh = it_wh * pue
         records.append(
             EmissionRecord(

@@ -111,8 +111,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         bundle,
         rounds=args.rounds,
         default_pue=args.default_pue,
-        allow_missing_intensity=args.allow_missing_intensity,
-        missing_intensity_default=args.missing_intensity_default,
+        missing_intensity=args.missing_intensity,
     )
     out = args.output
     tables.write_user_energy(artifacts.allocation.stages, out / "user_energy.csv", args.round_wh)
@@ -248,8 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the full pipeline and write reports")
     add_bundle_flags(p_run, need_output=True)
-    p_run.add_argument("--allow-missing-intensity", action="store_true")
-    p_run.add_argument("--missing-intensity-default", type=_finite(0.0), default=0.0)
+    p_run.add_argument(
+        "--missing-intensity", type=_finite(0.0), default=None, metavar="G",
+        help="gCO2e/kWh for a cluster-hour no intensity feed covers (default: exit 1)",
+    )
     p_run.add_argument("--round-wh", type=_finite(0.0), default=1.0, help="energy report rounding step (0: none)")
     p_run.add_argument("--round-g", type=_finite(0.0), default=1.0, help="carbon report rounding step in grams (0: none)")
 

@@ -17,17 +17,9 @@ from typing import Mapping, Sequence
 
 from .carbon import EmissionRecord, co2_kg
 from .errors import BetaUndefinedError, NoBillableUsageError
-from .model import ClusterTopology, Notice, SkuRecord, SkuUsageRecord, month_of
+from .model import Bundle, Notice, SkuRecord, SkuUsageRecord, month_of
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True, slots=True)
-class SkuEnergyRate:
-    """Watt-hours allocated per usage unit of one SKU."""
-
-    sku_id: str
-    wh_per_unit: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,11 +37,12 @@ def sku_energy_rates(
     total_energy_wh: float,
     skus: Sequence[SkuRecord],
     usage: Sequence[SkuUsageRecord],
-) -> list[SkuEnergyRate]:
-    """Price-proportional energy per usage unit for one provider's SKUs.
+) -> dict[str, float]:
+    """Price-proportional watt-hours per usage unit of each of a provider's SKUs.
 
     Commitment SKUs are excluded from the catalog view entirely. The rates
     satisfy sum(U_s * X_s) == total energy and X_s/X_s' == price ratio.
+    Keys are in SKU-id order.
     """
     catalog = [s for s in skus if s.provider_user == provider and not s.is_commitment]
     if not catalog:
@@ -60,16 +53,16 @@ def sku_energy_rates(
     denominator = sum(usage_by_sku.get(s.sku_id, 0.0) * s.list_price_per_unit for s in catalog)
     if denominator <= 0.0:
         raise NoBillableUsageError(f"provider {provider!r} has no priced usage")
-    return [
-        SkuEnergyRate(s.sku_id, total_energy_wh * s.list_price_per_unit / denominator)
+    return {
+        s.sku_id: total_energy_wh * s.list_price_per_unit / denominator
         for s in sorted(catalog, key=lambda s: s.sku_id)
-    ]
+    }
 
 
 def regional_intensity(
     provider: str,
     emissions: Sequence[EmissionRecord],
-    topology: ClusterTopology,
+    region_of: Mapping[str, str],
 ) -> dict[str, float]:
     """Carbon per energy (gCO2e/kWh) of a provider's load in each region.
 
@@ -81,7 +74,7 @@ def regional_intensity(
     for rec in emissions:
         if rec.user != provider:
             continue
-        region = topology.cluster_to_region[rec.cluster_id]
+        region = region_of[rec.cluster_id]
         kg_by_region[region] = kg_by_region.get(region, 0.0) + rec.kg_co2e
         wh_by_region[region] = wh_by_region.get(region, 0.0) + rec.energy_it_wh
     return {
@@ -94,7 +87,7 @@ def regional_intensity(
 def alpha_balance(
     provider: str,
     total_kg: float,
-    rates: Sequence[SkuEnergyRate],
+    rates: Mapping[str, float],
     intensity_by_region: Mapping[str, float],
     usage_by_sku_region: Mapping[tuple[str, str], float],
 ) -> float:
@@ -103,10 +96,9 @@ def alpha_balance(
     Solves total_kg == alpha * sum(C_r * X_s * U_{s,r}) over the
     provider's SKU-region usage.
     """
-    rate_by_sku = {r.sku_id: r.wh_per_unit for r in rates}
     denominator = 0.0
     for (sku_id, region), units in usage_by_sku_region.items():
-        wh_per_unit = rate_by_sku.get(sku_id)
+        wh_per_unit = rates.get(sku_id)
         intensity = intensity_by_region.get(region)
         if wh_per_unit is None or intensity is None:
             continue
@@ -121,7 +113,7 @@ class MonthAllocation:
     """All per-provider factors backing one month's footprint report."""
 
     month: str
-    rates: dict[str, SkuEnergyRate] = field(default_factory=dict)
+    rates: dict[str, float] = field(default_factory=dict)  # sku -> Wh per unit
     alpha: dict[str, float] = field(default_factory=dict)
     adjusted: dict[tuple[str, str], float] = field(default_factory=dict)  # (sku, region) -> g/kWh
     provider_kg: dict[str, float] = field(default_factory=dict)
@@ -148,9 +140,7 @@ def beta_overhead(total_scope_kg: float, billed_allocated_kg: float) -> float:
 
 def compute_customer_footprints(
     emissions: Sequence[EmissionRecord],
-    topology: ClusterTopology,
-    skus: Sequence[SkuRecord],
-    billing: Sequence[SkuUsageRecord],
+    bundle: Bundle,
 ) -> FootprintResult:
     """Monthly account footprints with full carbon closure.
 
@@ -163,8 +153,10 @@ def compute_customer_footprints(
     for rec in emissions:
         records_by_month.setdefault(month_of_hour(rec.hour), {}).setdefault(rec.user, []).append(rec)
     billing_by_month: dict[str, list[SkuUsageRecord]] = {}
-    for rec in billing:
+    for rec in bundle.billing_usage:
         billing_by_month.setdefault(rec.month, []).append(rec)
+    skus = bundle.sku_catalog
+    region_of = {r.cluster_id: r.region_id for r in bundle.zone_map}
     catalog = [s for s in skus if not s.is_commitment]
     providers = sorted({s.provider_user for s in catalog})
     provider_of_sku = {s.sku_id: s.provider_user for s in catalog}
@@ -202,7 +194,7 @@ def compute_customer_footprints(
             provider_usage = usage_by_provider.get(provider, {})
             try:
                 rates = sku_energy_rates(provider, provider_wh.get(provider, 0.0), skus, month_billing)
-                intensity_by_region = regional_intensity(provider, records_by_user.get(provider, []), topology)
+                intensity_by_region = regional_intensity(provider, records_by_user.get(provider, []), region_of)
                 alpha = alpha_balance(
                     provider, provider_kg.get(provider, 0.0), rates, intensity_by_region, provider_usage
                 )
@@ -210,11 +202,10 @@ def compute_customer_footprints(
                 notices.append(Notice("unallocatable-provider", provider, f"{exc} in {month}"))
                 continue
             allocation.alpha[provider] = alpha
-            for rate in rates:
-                allocation.rates[rate.sku_id] = rate
+            allocation.rates.update(rates)
             for region, value in sorted(intensity_by_region.items()):
-                for rate in rates:
-                    allocation.adjusted[(rate.sku_id, region)] = alpha * value
+                for sku_id in rates:
+                    allocation.adjusted[(sku_id, region)] = alpha * value
             uncovered = {region for _, region in provider_usage if region not in intensity_by_region}
             if uncovered:
                 notices.append(
@@ -228,7 +219,7 @@ def compute_customer_footprints(
             intensity = allocation.adjusted.get((rec.sku_id, rec.region_id))
             if not rec.billing_account or rate is None or intensity is None:
                 continue
-            kg = co2_kg(rate.wh_per_unit * rec.usage_units, intensity)
+            kg = co2_kg(rate * rec.usage_units, intensity)
             billed_allocated_kg += kg
             account_kg.append(((rec.billing_account, product_of_sku[rec.sku_id], rec.region_id), kg))
         allocation.beta = beta = beta_overhead(total_scope_kg, billed_allocated_kg)

@@ -1,4 +1,4 @@
-"""Core domain model: fleet entities, feeds, topology, violations and notices.
+"""Core domain model: fleet entities, feeds, zone map, violations and notices.
 
 Canonical units, used everywhere without exception:
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
-from typing import Iterable, Mapping
 
 #: Reserved user receiving shared energy that no real user can claim.
 UNALLOCATED_USER = "unallocated-overhead"
@@ -146,30 +145,6 @@ class ZoneMapRow:
     region_id: str
 
 
-@dataclass(frozen=True)
-class ClusterTopology:
-    """Cluster membership in grid zones and report regions.
-
-    Every cluster sits in at most one zone and exactly one region.
-    """
-
-    clusters: frozenset[str]
-    cluster_to_zone: Mapping[str, str]
-    cluster_to_region: Mapping[str, str]
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[ZoneMapRow]) -> "ClusterTopology":
-        clusters: set[str] = set()
-        zones: dict[str, str] = {}
-        regions: dict[str, str] = {}
-        for row in rows:
-            clusters.add(row.cluster_id)
-            if row.zone_id:
-                zones[row.cluster_id] = row.zone_id
-            regions[row.cluster_id] = row.region_id
-        return cls(frozenset(clusters), zones, regions)
-
-
 @dataclass(frozen=True, slots=True)
 class ServiceUsageRecord:
     """A consumer's resource usage on a provider's shared service."""
@@ -268,9 +243,6 @@ class Bundle:
     zone_map: list[ZoneMapRow] = field(default_factory=list)
     sku_catalog: list[SkuRecord] = field(default_factory=list)
     billing_usage: list[SkuUsageRecord] = field(default_factory=list)
-
-    def topology(self) -> ClusterTopology:
-        return ClusterTopology.from_rows(self.zone_map)
 
 
 @dataclass(frozen=True, slots=True)

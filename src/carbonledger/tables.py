@@ -174,7 +174,7 @@ TABLES: dict[str, Table] = {
         Column("gcu_used", FLOAT, low=0.0),
     ), subject="machine_id"),
     "service_usage": Table("service_usage", ServiceUsageRecord, (
-        Column("consumer"), Column("provider"), Column("cluster_id"), HOUR_UTC,
+        Column("consumer"), Column("provider"), Column("cluster_id", refers=("zone_map", "unknown-cluster")), HOUR_UTC,
         *_vector("usage"), Column("colossus_style", BOOL),
     )),
     "net_cost": Table("net_costs", NetCostRecord, (

@@ -1,15 +1,11 @@
 from datetime import datetime, timedelta, timezone
 
-import pytest
-
 from carbonledger.model import (
     MachineRecord,
     PowerSample,
     ResourceAllocationRecord,
     ResourceVector,
     Sharing,
-    ZoneMapRow,
-    ClusterTopology,
 )
 
 HOUR0 = datetime(2023, 6, 5, 0, 0, tzinfo=timezone.utc)
@@ -35,14 +31,3 @@ def sample(machine_id="m0", hour_index=0, watts=100.0) -> PowerSample:
 def alloc(user, cluster="c0", hour_index=0, **vector) -> ResourceAllocationRecord:
     return ResourceAllocationRecord(user, cluster, H(hour_index), ResourceVector(**vector))
 
-
-@pytest.fixture
-def topology_one_cluster() -> ClusterTopology:
-    return ClusterTopology.from_rows([ZoneMapRow("c0", "z0", "r0")])
-
-
-@pytest.fixture
-def topology_two_clusters() -> ClusterTopology:
-    return ClusterTopology.from_rows(
-        [ZoneMapRow("c0", "z0", "r0"), ZoneMapRow("c1", "z1", "r1")]
-    )

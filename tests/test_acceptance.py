@@ -83,7 +83,7 @@ def test_criterion_4_sku_proportionality():
             SkuUsageRecord("sku-A", "r", "acct", "2023-06", quantity_a),
             SkuUsageRecord("sku-B", "r", "acct", "2023-06", quantity_b),
         ]
-        return {r.sku_id: r.wh_per_unit for r in sku_energy_rates("svc", 30.0, catalog, usage)}
+        return sku_energy_rates("svc", 30.0, catalog, usage)
 
     table = rates_for(15.0, 10.0)
     ratio_exact = table["sku-A"] / table["sku-B"] == 1.75

@@ -98,7 +98,7 @@ def test_allocate_dynamic_daytime_split():
     machines = [shared_machine("m0", idle=6e6)]
     split = split_fleet(machines, [sample("m0", 0, 14e6)])
     usage = [GcuUsageRecord("prod", "m0", H(0), 60.0), GcuUsageRecord("non-prod", "m0", H(0), 20.0)]
-    dynamic, _ = allocate_dynamic(split, machines, usage)
+    dynamic, _ = allocate_dynamic(split, machines, usage, [])
     assert dynamic[("prod", "c0", H(0))] == pytest.approx(6e6, rel=1e-12)
     assert dynamic[("non-prod", "c0", H(0))] == pytest.approx(2e6, rel=1e-12)
 
@@ -116,14 +116,14 @@ def test_allocate_dynamic_night_split_with_idle_totals():
 def test_allocate_dynamic_single_user_takes_all():
     machines = [shared_machine("m0", idle=10.0)]
     split = split_fleet(machines, [sample("m0", 0, 25.0)])
-    dynamic, _ = allocate_dynamic(split, machines, [GcuUsageRecord("solo", "m0", H(0), 2.0)])
+    dynamic, _ = allocate_dynamic(split, machines, [GcuUsageRecord("solo", "m0", H(0), 2.0)], [])
     assert dynamic == {("solo", "c0", H(0)): 15.0}
 
 
 def test_zero_usage_dedicated_machine_dynamic_goes_to_owner():
     machines = [dedicated_machine("m0", owner="alice", idle=10.0)]
     split = split_fleet(machines, [sample("m0", 0, 30.0)])
-    dynamic, _ = allocate_dynamic(split, machines, [])
+    dynamic, _ = allocate_dynamic(split, machines, [], [])
     assert dynamic == {("alice", "c0", H(0)): 20.0}
 
 
@@ -144,7 +144,7 @@ def test_dynamic_is_per_machine_local():
         GcuUsageRecord("a", "m0", H(0), 5.0),
         GcuUsageRecord("b", "m1", H(0), 5.0),
     ]
-    dynamic, _ = allocate_dynamic(split, machines, usage)
+    dynamic, _ = allocate_dynamic(split, machines, usage, [])
     assert dynamic[("a", "c0", H(0))] == 10.0
     assert dynamic[("b", "c0", H(0))] == 50.0
 

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from carbonledger.allocation import EnergyCell, Ledger
 from carbonledger.carbon import (
-    IntensityFeed,
     IntensitySource,
     compute_emissions,
     co2_kg,
@@ -12,8 +11,8 @@ from carbonledger.carbon import (
 from carbonledger.errors import MissingIntensityError
 from carbonledger.model import (
     AnnualIntensityRecord,
+    Bundle,
     CarbonIntensityRecord,
-    ClusterTopology,
     PueRecord,
     ZoneMapRow,
 )
@@ -21,57 +20,48 @@ from carbonledger.model import (
 from conftest import H
 
 
-TOPOLOGY = ClusterTopology.from_rows([ZoneMapRow("c0", "z0", "r0")])
-
-
 def ledger_of(cells: dict) -> Ledger:
     return Ledger(stage="after_minor_round_2", cells=dict(cells))
 
 
-def feed(hourly=(), annual=()) -> IntensityFeed:
-    return IntensityFeed(list(hourly), list(annual))
+def feeds(pue=(), hourly=(), annual=(), zone_map=(ZoneMapRow("c0", "z0", "r0"),)) -> Bundle:
+    """A bundle holding only the tables the carbon stage reads."""
+    return Bundle(pue=list(pue), carbon_intensity=list(hourly), annual_intensity=list(annual), zone_map=list(zone_map))
 
 
-def test_resolve_prefers_hourly(topology_one_cluster):
-    f = feed(
-        hourly=[CarbonIntensityRecord("z0", H(0), 123.0)],
-        annual=[AnnualIntensityRecord("z0", 2023, 400.0)],
-    )
-    assert resolve_intensity("c0", H(0), topology_one_cluster, f) == (123.0, IntensitySource.HOURLY)
+def test_resolve_prefers_hourly():
+    found = resolve_intensity("c0", H(0), {"c0": "z0"}, {("z0", H(0)): 123.0}, {("z0", 2023): 400.0})
+    assert found == (123.0, IntensitySource.HOURLY)
 
 
-def test_resolve_falls_back_to_annual(topology_one_cluster):
-    f = feed(annual=[AnnualIntensityRecord("z0", 2023, 450.0)])
-    value, source = resolve_intensity("c0", H(0), topology_one_cluster, f)
+def test_resolve_falls_back_to_annual():
+    value, source = resolve_intensity("c0", H(0), {"c0": "z0"}, {}, {("z0", 2023): 450.0})
     assert (value, source) == (450.0, IntensitySource.ANNUAL_FALLBACK)
 
 
-def test_resolve_neither_available_raises(topology_one_cluster):
+def test_resolve_neither_available_raises():
     with pytest.raises(MissingIntensityError):
-        resolve_intensity("c0", H(0), topology_one_cluster, feed())
+        resolve_intensity("c0", H(0), {"c0": "z0"}, {}, {})
 
 
 def test_resolve_unzoned_cluster_has_no_intensity():
     # Annual rows under other keys (a country code, the cluster id) do not cover an unzoned cluster.
-    topology = ClusterTopology.from_rows([ZoneMapRow("c9", None, "r0")])
-    f = feed(annual=[AnnualIntensityRecord("XX", 2023, 99.0), AnnualIntensityRecord("c9", 2023, 99.0)])
+    annual = [AnnualIntensityRecord("XX", 2023, 99.0), AnnualIntensityRecord("c9", 2023, 99.0)]
     with pytest.raises(MissingIntensityError):
-        resolve_intensity("c9", H(0), topology, f)
+        resolve_intensity("c9", H(0), {}, {}, {(r.zone_id, r.year): r.intensity_g_per_kwh for r in annual})
     ledger = ledger_of({("u", "c9", H(0)): EnergyCell(idle_wh=10.0, dynamic_wh=0.0)})
-    result = compute_emissions(ledger, [PueRecord("c9", H(0), 1.0)], f, topology, allow_missing_intensity=True)
+    bundle = feeds(pue=[PueRecord("c9", H(0), 1.0)], annual=annual, zone_map=[ZoneMapRow("c9", None, "r0")])
+    result = compute_emissions(ledger, bundle, missing_intensity=0.0)
     assert result.records[0].intensity_source is IntensitySource.DEFAULT
     assert result.records[0].kg_co2e == 0.0
     assert [n.code for n in result.notices] == ["missing-intensity"]
 
 
-def test_emission_arithmetic_at_global_mean(topology_one_cluster):
+def test_emission_arithmetic_at_global_mean():
     # 1000 Wh IT at PUE 1.10 and 320.8 g/kWh -> 0.35288 kg.
     ledger = ledger_of({("u", "c0", H(0)): EnergyCell(idle_wh=600.0, dynamic_wh=400.0)})
     result = compute_emissions(
-        ledger,
-        [PueRecord("c0", H(0), 1.10)],
-        feed(hourly=[CarbonIntensityRecord("z0", H(0), 320.8)]),
-        topology_one_cluster,
+        ledger, feeds(pue=[PueRecord("c0", H(0), 1.10)], hourly=[CarbonIntensityRecord("z0", H(0), 320.8)])
     )
     record = result.records[0]
     assert record.energy_it_wh == 1000.0
@@ -80,45 +70,47 @@ def test_emission_arithmetic_at_global_mean(topology_one_cluster):
     assert record.intensity_source is IntensitySource.HOURLY
 
 
-def test_zero_energy_yields_zero_emissions(topology_one_cluster):
+def test_zero_energy_yields_zero_emissions():
     ledger = ledger_of({("u", "c0", H(0)): EnergyCell(0.0, 0.0)})
     result = compute_emissions(
-        ledger, [PueRecord("c0", H(0), 1.5)],
-        feed(hourly=[CarbonIntensityRecord("z0", H(0), 500.0)]), topology_one_cluster,
+        ledger, feeds(pue=[PueRecord("c0", H(0), 1.5)], hourly=[CarbonIntensityRecord("z0", H(0), 500.0)])
     )
     assert result.records[0].kg_co2e == 0.0
 
 
-def test_carbon_free_hour_yields_zero_emissions(topology_one_cluster):
+def test_carbon_free_hour_yields_zero_emissions():
     ledger = ledger_of({("u", "c0", H(0)): EnergyCell(idle_wh=1e6, dynamic_wh=0.0)})
     result = compute_emissions(
-        ledger, [PueRecord("c0", H(0), 1.2)],
-        feed(hourly=[CarbonIntensityRecord("z0", H(0), 0.0)]), topology_one_cluster,
+        ledger, feeds(pue=[PueRecord("c0", H(0), 1.2)], hourly=[CarbonIntensityRecord("z0", H(0), 0.0)])
     )
     assert result.records[0].kg_co2e == 0.0
 
 
-def test_missing_pue_uses_default_and_notices(topology_one_cluster):
+def test_missing_pue_uses_default_and_notices():
     ledger = ledger_of({("u", "c0", H(0)): EnergyCell(idle_wh=1000.0, dynamic_wh=0.0)})
-    result = compute_emissions(
-        ledger, [], feed(hourly=[CarbonIntensityRecord("z0", H(0), 100.0)]), topology_one_cluster,
-    )
+    result = compute_emissions(ledger, feeds(hourly=[CarbonIntensityRecord("z0", H(0), 100.0)]))
     assert result.records[0].energy_total_wh == pytest.approx(1100.0)
     assert [n.code for n in result.notices] == ["missing-pue"]
 
 
-def test_missing_intensity_aborts_unless_allowed(topology_one_cluster):
+def test_missing_intensity_aborts_unless_allowed():
     ledger = ledger_of({("u", "c0", H(0)): EnergyCell(idle_wh=10.0, dynamic_wh=0.0)})
+    bundle = feeds(pue=[PueRecord("c0", H(0), 1.0)])
     with pytest.raises(MissingIntensityError):
-        compute_emissions(ledger, [PueRecord("c0", H(0), 1.0)], feed(), topology_one_cluster)
-    result = compute_emissions(
-        ledger, [PueRecord("c0", H(0), 1.0)], feed(), topology_one_cluster,
-        allow_missing_intensity=True, missing_intensity_default=50.0,
-    )
+        compute_emissions(ledger, bundle)
+    result = compute_emissions(ledger, bundle, missing_intensity=50.0)
     record = result.records[0]
     assert record.intensity_source is IntensitySource.DEFAULT
     assert record.kg_co2e == pytest.approx(co2_kg(10.0, 50.0))
     assert "missing-intensity" in {n.code for n in result.notices}
+
+
+def test_missing_intensity_noticed_once_per_cluster_hour():
+    # Once one notice per user cell: two here.
+    cells = {(user, "c0", H(0)): EnergyCell(idle_wh=10.0, dynamic_wh=0.0) for user in ("u1", "u2")}
+    result = compute_emissions(ledger_of(cells), feeds(pue=[PueRecord("c0", H(0), 1.0)]), missing_intensity=7.0)
+    assert [r.intensity_source for r in result.records] == [IntensitySource.DEFAULT] * 2
+    assert [(n.code, n.subject) for n in result.notices] == [("missing-intensity", "c0")]
 
 
 energy = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
@@ -129,8 +121,7 @@ def test_emissions_double_when_energy_doubles(idle, dynamic, pue, ci):
     def run(scale):
         ledger = ledger_of({("u", "c0", H(0)): EnergyCell(idle * scale, dynamic * scale)})
         return compute_emissions(
-            ledger, [PueRecord("c0", H(0), pue)],
-            feed(hourly=[CarbonIntensityRecord("z0", H(0), ci)]), TOPOLOGY,
+            ledger, feeds(pue=[PueRecord("c0", H(0), pue)], hourly=[CarbonIntensityRecord("z0", H(0), ci)])
         ).records[0].kg_co2e
 
     assert run(2.0) == pytest.approx(2.0 * run(1.0), abs=1e-12 * max(1.0, run(1.0)))
@@ -144,8 +135,7 @@ def test_emissions_double_when_energy_doubles(idle, dynamic, pue, ci):
 def test_cluster_emissions_conserved(energies, pue, ci):
     cells = {(f"u{i}", "c0", H(0)): EnergyCell(idle_wh=e, dynamic_wh=0.0) for i, e in enumerate(energies)}
     result = compute_emissions(
-        ledger_of(cells), [PueRecord("c0", H(0), pue)],
-        feed(hourly=[CarbonIntensityRecord("z0", H(0), ci)]), TOPOLOGY,
+        ledger_of(cells), feeds(pue=[PueRecord("c0", H(0), pue)], hourly=[CarbonIntensityRecord("z0", H(0), ci)])
     )
     expected = co2_kg(sum(energies) * pue, ci)
     assert result.total_kg() == pytest.approx(expected, rel=1e-9, abs=1e-15)
@@ -162,8 +152,7 @@ def test_emissions_monotone_in_pue_and_intensity(pue_low, pue_hi, ci_low, ci_hi)
 
     def run(pue, ci):
         return compute_emissions(
-            ledger, [PueRecord("c0", H(0), pue)],
-            feed(hourly=[CarbonIntensityRecord("z0", H(0), ci)]), TOPOLOGY,
+            ledger, feeds(pue=[PueRecord("c0", H(0), pue)], hourly=[CarbonIntensityRecord("z0", H(0), ci)])
         ).records[0].kg_co2e
 
     assert run(pue_hi, ci_hi) >= run(pue_low, ci_low)

@@ -270,6 +270,48 @@ def test_carbon_that_reaches_no_report_fails_closure(tmp_path, capsys):
     assert "closure failure: customer reports total 0 kg" in capsys.readouterr().err
 
 
+def test_service_usage_in_an_unmapped_cluster_fails_closed(tmp_path):
+    # Once exit 0 with a passing closure: major reallocation moved none of the
+    # providers' energy (colossus kept 19.68 MWh instead of 7.68 MWh).
+    bundle = generate(preset_spec("sankey-small"))
+    bundle.service_usage = [dataclasses.replace(su, cluster_id="ghost") for su in bundle.service_usage]
+    bundle_dir = tmp_path / "ghost"
+    write_bundle(bundle, bundle_dir)
+    out = tmp_path / "reports"
+    assert main(["run", "--input", str(bundle_dir), "--output", str(out)]) == 1
+    with (out / "validation_report.csv").open(newline="") as handle:
+        assert {row["code"] for row in csv.DictReader(handle)} == {"unknown-cluster"}
+    assert not (out / "emissions.csv").exists()
+
+
+def test_missing_feeds_take_the_missing_intensity_value(tmp_path, capsys):
+    # zone-01 has no hourly or annual intensity, and no cluster has PUE at 03:00.
+    bundle = generate(ScenarioSpec(seed=3, machine_count=60, user_count=8, cluster_count=3, hours=30))
+    bundle.carbon_intensity = [r for r in bundle.carbon_intensity if r.zone_id != "zone-01"]
+    bundle.annual_intensity = [r for r in bundle.annual_intensity if r.zone_id != "zone-01"]
+    bundle.pue = [r for r in bundle.pue if r.hour.hour != 3]
+    bundle_dir, out = tmp_path / "bundle", tmp_path / "reports"
+    write_bundle(bundle, bundle_dir)
+    run = ["run", "--input", str(bundle_dir), "--output", str(out), "--round-wh", "0", "--round-g", "0"]
+    assert main(run) == 1
+    capsys.readouterr()
+    assert main([*run, "--missing-intensity", "42"]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in MISSING_FEED_REPORTS}
+    assert digests == MISSING_FEED_REPORTS
+    codes = [line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("notice:")]
+    # One missing-intensity notice per cluster-hour (30), where once every user cell had one (240).
+    assert (codes.count("missing-intensity"), codes.count("missing-pue")) == (30, 6)
+
+
+#: The reports of the missing-feed run above, unrounded.
+MISSING_FEED_REPORTS = {
+    "user_energy.csv": "536df8d5560563976ff5b6b938a058c658392039038fa209bdc73f77fe11a492",
+    "emissions.csv": "640c4920e2239aa1c6edab79fbeec6e6c74183d71a5562e6d17aa809d65f4ba2",
+    "footprint_report.csv": "53295c9f4b15995ca291b67791c99ef6695a92d10911205a052502b1e1f78fa2",
+    "flow_summary.csv": "9b9f0b9fc3b8965fc2b48abc53e2ce73c71f6c9abd1e4b64f87e5ffb33f01678",
+}
+
+
 @pytest.fixture
 def pueless_dir(tmp_path):
     bundle = generate(preset_spec("two-accounts"))
@@ -291,8 +333,8 @@ def pueless_dir(tmp_path):
         ("run", "--round-wh", "-1"),
         ("run", "--round-g", "-inf"),
         ("run", "--round-g", "ten"),
-        ("run", "--missing-intensity-default", "-5"),
-        ("run", "--missing-intensity-default", "inf"),
+        ("run", "--missing-intensity", "-5"),
+        ("run", "--missing-intensity", "inf"),
         ("oracle-check", "--default-pue", "0.99"),
         ("oracle-check", "--tolerance", "0"),
         ("oracle-check", "--tolerance", "-1e-9"),
@@ -309,14 +351,19 @@ def test_float_flags_fail_closed(command, flag, value, pueless_dir, tmp_path):
 
 def test_float_flags_take_their_bounds(pueless_dir, tmp_path):
     out = tmp_path / "reports"
-    flags = ["--default-pue", "1", "--round-wh", "0", "--round-g", "0", "--missing-intensity-default", "0"]
+    flags = ["--default-pue", "1", "--round-wh", "0", "--round-g", "0", "--missing-intensity", "0"]
     assert main(["run", "--input", str(pueless_dir), "--output", str(out), *flags]) == 0
     assert main(["oracle-check", "--input", str(pueless_dir), "--default-pue", "1", "--tolerance", "1e-9"]) == 0
 
 
 @pytest.mark.parametrize(
     "flags",
-    [["--round-wh", "1"], ["--round-g", "1"], ["--allow-missing-intensity"], ["--missing-intensity-default", "0"]],
+    [
+        ["--round-wh", "1"],
+        ["--round-g", "1"],
+        ["--missing-intensity", "0"],
+        ["--missing-intensity", "42", "--round-g", "0"],
+    ],
 )
 def test_oracle_check_refuses_the_run_only_flags(flags, figure1_dir, tmp_path):
     # oracle-check once accepted these and never read them.

@@ -11,15 +11,14 @@ from carbonledger.footprint import (
     regional_intensity,
     sku_energy_rates,
 )
-from carbonledger.model import ClusterTopology, SkuRecord, SkuUsageRecord, ZoneMapRow
+from carbonledger.model import Bundle, SkuRecord, SkuUsageRecord, ZoneMapRow
 from carbonledger.simulate import generate, preset_spec
 
 from conftest import H
 
 MONTH = "2023-06"
-TOPOLOGY = ClusterTopology.from_rows(
-    [ZoneMapRow("c0", "z0", "r-low"), ZoneMapRow("c1", "z1", "r-high")]
-)
+ZONE_MAP = [ZoneMapRow("c0", "z0", "r-low"), ZoneMapRow("c1", "z1", "r-high")]
+REGION_OF = {row.cluster_id: row.region_id for row in ZONE_MAP}
 
 
 def emission(user, cluster, kg, it_wh, hour=0):
@@ -39,7 +38,7 @@ def test_sku_rates_price_proportional_and_closed():
         SkuUsageRecord("sku-A", "r-low", "acct", MONTH, 15.0),
         SkuUsageRecord("sku-B", "r-low", "acct", MONTH, 10.0),
     ]
-    rates = {r.sku_id: r.wh_per_unit for r in sku_energy_rates("svc", 30.0, catalog_two_skus(), usage)}
+    rates = sku_energy_rates("svc", 30.0, catalog_two_skus(), usage)
     assert rates["sku-A"] / rates["sku-B"] == pytest.approx(1.75, rel=1e-12)
     allocated = 15.0 * rates["sku-A"] + 10.0 * rates["sku-B"]
     assert allocated == pytest.approx(30.0, rel=1e-9)
@@ -55,7 +54,7 @@ def test_sku_rates_under_swapped_quantity_assignment():
         SkuUsageRecord("sku-A", "r-low", "acct", MONTH, 10.0),
         SkuUsageRecord("sku-B", "r-low", "acct", MONTH, 15.0),
     ]
-    rates = {r.sku_id: r.wh_per_unit for r in sku_energy_rates("svc", 30.0, catalog_two_skus(), usage)}
+    rates = sku_energy_rates("svc", 30.0, catalog_two_skus(), usage)
     assert rates["sku-B"] == pytest.approx(30.0 / 32.5, rel=1e-12)
     assert abs(rates["sku-A"] - 1.62) / 1.62 < 0.005
     assert abs(rates["sku-B"] - 0.92) / 0.92 < 0.005
@@ -65,7 +64,7 @@ def test_sku_rates_single_sku_degenerate():
     catalog = [SkuRecord("only", "product", "svc", 2.0, "unit")]
     usage = [SkuUsageRecord("only", "r-low", "acct", MONTH, 8.0)]
     rates = sku_energy_rates("svc", 56.0, catalog, usage)
-    assert rates[0].wh_per_unit == pytest.approx(56.0 / 8.0, rel=1e-12)
+    assert rates == {"only": pytest.approx(56.0 / 8.0, rel=1e-12)}
 
 
 def test_sku_rates_commitment_skus_excluded():
@@ -74,8 +73,7 @@ def test_sku_rates_commitment_skus_excluded():
         SkuUsageRecord("sku-A", "r-low", "acct", MONTH, 1.0),
         SkuUsageRecord("sku-C", "r-low", "acct", MONTH, 100.0),
     ]
-    rates = {r.sku_id for r in sku_energy_rates("svc", 10.0, catalog, usage)}
-    assert rates == {"sku-A", "sku-B"}
+    assert list(sku_energy_rates("svc", 10.0, catalog, usage)) == ["sku-A", "sku-B"]
 
 
 def test_sku_rates_no_priced_usage_raises():
@@ -85,7 +83,7 @@ def test_sku_rates_no_priced_usage_raises():
 
 def test_regional_intensity_constant_grid():
     emissions = [emission("svc", "c0", kg=0.5, it_wh=1000.0)]
-    result = regional_intensity("svc", emissions, TOPOLOGY)
+    result = regional_intensity("svc", emissions, REGION_OF)
     assert result == {"r-low": pytest.approx(500.0, rel=1e-12)}
 
 
@@ -95,14 +93,14 @@ def test_regional_intensity_weighted_mean():
         emission("svc", "c0", kg=600.0 * 100.0 / 1e6, it_wh=600.0),
         emission("svc", "c1", kg=400.0 * 600.0 / 1e6, it_wh=400.0),
     ]
-    result = regional_intensity("svc", emissions, TOPOLOGY)
+    result = regional_intensity("svc", emissions, REGION_OF)
     combined = (result["r-low"] * 600.0 + result["r-high"] * 400.0) / 1000.0
     assert combined == pytest.approx(300.0, rel=1e-12)
 
 
 def test_regional_intensity_skips_energyless_regions():
     emissions = [emission("svc", "c0", kg=0.1, it_wh=200.0)]
-    assert "r-high" not in regional_intensity("svc", emissions, TOPOLOGY)
+    assert "r-high" not in regional_intensity("svc", emissions, REGION_OF)
 
 
 def test_alpha_is_one_when_balance_already_holds():
@@ -123,7 +121,7 @@ def test_alpha_exceeds_one_when_usage_sits_in_low_carbon_region():
         emission("svc", "c0", kg=500.0 * 100.0 / 1e6, it_wh=500.0),
         emission("svc", "c1", kg=500.0 * 600.0 / 1e6, it_wh=500.0),
     ]
-    intensities = regional_intensity("svc", emissions, TOPOLOGY)
+    intensities = regional_intensity("svc", emissions, REGION_OF)
     catalog = [SkuRecord("s", "product", "svc", 1.0, "unit")]
     usage = [SkuUsageRecord("s", "r-low", "acct", MONTH, 4.0)]
     rates = sku_energy_rates("svc", 1000.0, catalog, usage)
@@ -131,7 +129,7 @@ def test_alpha_exceeds_one_when_usage_sits_in_low_carbon_region():
     alpha = alpha_balance("svc", total_kg, rates, intensities, {("s", "r-low"): 4.0})
     assert alpha > 1.0
     # Applying alpha restores the provider's measured carbon exactly.
-    allocated = alpha * intensities["r-low"] * rates[0].wh_per_unit * 4.0 / 1e6
+    allocated = alpha * intensities["r-low"] * rates["s"] * 4.0 / 1e6
     assert allocated == pytest.approx(total_kg, rel=1e-9)
 
 
@@ -142,7 +140,9 @@ def test_beta_requires_billed_usage():
 
 
 def test_account_footprints_zero_usage_rows():
-    result = compute_customer_footprints([emission("svc", "c0", kg=0.5, it_wh=1000.0)], TOPOLOGY, catalog_two_skus(), [])
+    result = compute_customer_footprints(
+        [emission("svc", "c0", kg=0.5, it_wh=1000.0)], Bundle(zone_map=ZONE_MAP, sku_catalog=catalog_two_skus())
+    )
     assert (result.reports, result.months, result.notices) == ([], {}, [])
 
 
@@ -192,9 +192,8 @@ def test_footprints_are_homogeneous_in_account_usage(scale):
         SkuUsageRecord("s", "r-low", "a1", MONTH, 10.0 * scale),
         SkuUsageRecord("s", "r-low", "a2", MONTH, 30.0 * scale),
     ]
-    one, two = compute_customer_footprints(
-        [emission("svc", "c0", kg=0.5, it_wh=1000.0)], TOPOLOGY, catalog, billing
-    ).reports
+    bundle = Bundle(zone_map=ZONE_MAP, sku_catalog=catalog, billing_usage=billing)
+    one, two = compute_customer_footprints([emission("svc", "c0", kg=0.5, it_wh=1000.0)], bundle).reports
     assert (one.billing_account, two.billing_account) == ("a1", "a2")
     assert one.kg_co2e == pytest.approx(0.125, rel=1e-9)
     assert two.kg_co2e == pytest.approx(0.375, rel=1e-9)
@@ -239,7 +238,8 @@ def test_footprint_notices_keep_their_order():
         SkuUsageRecord("s-ghost", "r-low", "acct", MONTH, 2.0),
         SkuUsageRecord("s-svc", "r-low", "acct", "2023-07", 1.0),
     ]
-    result = compute_customer_footprints(emissions, TOPOLOGY, catalog, billing)
+    bundle = Bundle(zone_map=ZONE_MAP, sku_catalog=catalog, billing_usage=billing)
+    result = compute_customer_footprints(emissions, bundle)
     assert [(n.code, n.subject, n.detail) for n in result.notices] == [
         ("unallocatable-provider", "bare", "provider 'bare' has no priced usage in 2023-06"),
         ("unallocatable-provider", "ghost", "provider 'ghost' has no carbon-bearing usage in 2023-06"),

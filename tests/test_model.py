@@ -5,11 +5,13 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, strategies as st
 
+from carbonledger.allocation import EnergyCell, Ledger
+from carbonledger.carbon import IntensitySource, compute_emissions
+from carbonledger.footprint import compute_customer_footprints
 from carbonledger.model import (
     AnnualIntensityRecord,
     Bundle,
     CarbonIntensityRecord,
-    ClusterTopology,
     GcuUsageRecord,
     MachineRecord,
     NetCostRecord,
@@ -120,11 +122,24 @@ def test_validate_bundle_flags_cross_table_problems():
 
 
 def test_bundle_topology_partial_zone_map():
-    topology = ClusterTopology.from_rows(
-        [ZoneMapRow("c0", "z0", "r0"), ZoneMapRow("c1", None, "r0")]
+    # c1 has a region but no zone: it takes the missing-intensity value, and its carbon still reports under r1.
+    bundle = Bundle(
+        pue=[PueRecord("c0", H(0), 1.0), PueRecord("c1", H(0), 1.0)],
+        carbon_intensity=[CarbonIntensityRecord("z0", H(0), 100.0)],
+        zone_map=[ZoneMapRow("c0", "z0", "r0"), ZoneMapRow("c1", None, "r1")],
+        sku_catalog=[SkuRecord("k0", "p0", "svc", 1.0)],
+        billing_usage=[
+            SkuUsageRecord("k0", "r0", "a", "2023-06", 1.0), SkuUsageRecord("k0", "r1", "b", "2023-06", 1.0),
+        ],
     )
-    assert topology.cluster_to_zone == {"c0": "z0"}
-    assert topology.cluster_to_region == {"c0": "r0", "c1": "r0"}
+    cells = {("svc", cluster, H(0)): EnergyCell(idle_wh=1000.0, dynamic_wh=0.0) for cluster in ("c0", "c1")}
+    emissions = compute_emissions(Ledger("after_minor_round_2", cells), bundle, missing_intensity=50.0)
+    assert [(r.cluster_id, r.intensity_source) for r in emissions.records] == [
+        ("c0", IntensitySource.HOURLY), ("c1", IntensitySource.DEFAULT),
+    ]
+    reports = compute_customer_footprints(emissions.records, bundle).reports
+    assert [(r.billing_account, r.region_id) for r in reports] == [("a", "r0"), ("b", "r1")]
+    assert [r.kg_co2e for r in reports] == pytest.approx([0.1, 0.05], rel=1e-12)
 
 
 def test_non_finite_numbers_flagged():
@@ -233,6 +248,10 @@ RULE_CASES = {
     ),
     "unknown-cluster-allocation": (
         "resource_allocations", alloc("frank", cluster="ghost", gcu=1.0), [("unknown-cluster", "frank")],
+    ),
+    "unknown-cluster-service-usage": (
+        "service_usage", ServiceUsageRecord("bob", "svc", "ghost", H(0), ResourceVector(gcu=1.0)),
+        [("unknown-cluster", "bob")],
     ),
     "unknown-machine-sample": ("power_samples", sample("m9", 0, 1.0), [("unknown-machine", "m9")]),
     "unknown-machine-usage": (

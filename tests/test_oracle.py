@@ -1,5 +1,6 @@
 import pytest
 
+from carbonledger import check
 from carbonledger.check import compare_with_oracle
 from carbonledger.errors import OracleSizeError
 from carbonledger.model import Bundle, GcuUsageRecord, ResourceAllocationRecord, ResourceVector
@@ -21,6 +22,19 @@ def test_oracle_equivalence_on_random_fleets(seed):
     spec = ScenarioSpec(seed=seed, machine_count=40, user_count=8, cluster_count=3, hours=24)
     report = compare_with_oracle(generate(spec))
     assert report.within(1e-9), report.worst[:3]
+
+
+def test_oracle_comparison_fails_on_a_stage_the_oracle_lacks(monkeypatch):
+    # Once the stage was skipped, and the comparison passed without it.
+    def without_round_2(bundle, **kwargs):
+        result = oracle_allocate(bundle, **kwargs)
+        del result.stage_totals["after_minor_round_2"]
+        return result
+
+    monkeypatch.setattr(check, "oracle_allocate", without_round_2)
+    report = compare_with_oracle(generate(preset_spec("figure1")))
+    assert report.table_max["after_minor_round_2"] == 1.0
+    assert not report.within()
 
 
 def test_oracle_equivalence_with_unbilled_usage_and_cycles():
