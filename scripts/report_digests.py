@@ -7,7 +7,8 @@ on its first day only (`--start/--end`), a seed-3 fleet (100 machines,
 30 users, 4 clusters, 12 h), the benchmark's cli-1k shape (seed 7,
 1000 machines, 50 users, 20 clusters, 12 h), and `sankey-small` and the
 seed-5 fleet again with `--round-wh 0 --round-g 0`, so that their reports
-carry every float bit rather than whole Wh and grams. For each case and
+carry every float bit rather than whole Wh and grams, and once more with
+`--rounds 3` as well, so that a third minor round is covered. For each case and
 each hash seed, `simulate` and then `run` execute in child processes
 under that `PYTHONHASHSEED`, against the package sources under `--src`
 (default: this checkout's `src`). Run it against two source trees and diff
@@ -50,6 +51,8 @@ CASES["cli-1k-seed7"] = (["--seed", "7", "--machines", "1000", "--users", "50", 
 UNROUNDED = ["--round-wh", "0", "--round-g", "0"]
 CASES["sankey-small-unrounded"] = (["--preset", "sankey-small"], UNROUNDED)
 CASES["seed5-300-cyclic-unbilled-unrounded"] = (SEED5, UNROUNDED)
+CASES["sankey-small-3-rounds"] = (["--preset", "sankey-small"], ["--rounds", "3", *UNROUNDED])
+CASES["seed5-300-cyclic-unbilled-3-rounds"] = (SEED5, ["--rounds", "3", *UNROUNDED])
 MANIFEST = "manifest.json"
 
 

@@ -21,11 +21,11 @@ def main() -> None:
     artifacts = run_end_to_end(bundle)
     final = artifacts.allocation.final
 
-    users = sorted({user for user, _, _ in final.cells})
+    total_wh = {key: idle + dynamic for key, idle, dynamic in final.rows()}
+    users = sorted({user for user, _, _ in total_wh})
     print(f"{'hour':<17} " + " ".join(f"{u:>12}" for u in users) + f" {'total':>12}")
-    for hour in sorted({h for _, _, h in final.cells}):
-        row = [final.cells.get((u, "cluster-01", hour)) for u in users]
-        values = [cell.total_wh if cell else 0.0 for cell in row]
+    for hour in sorted({h for _, _, h in total_wh}):
+        values = [total_wh.get((u, "cluster-01", hour), 0.0) for u in users]
         print(
             f"{format_hour(hour):<17} "
             + " ".join(f"{v / 1e6:>10.2f}MW" for v in values)

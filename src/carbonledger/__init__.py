@@ -7,7 +7,7 @@ emissions via PUE and grid intensity, and finally spread provider
 footprints over SKUs, regions, and billing accounts.
 """
 
-from .allocation import EnergyCell, Ledger, weighted_allocation
+from .allocation import Ledger, weighted_allocation
 from .carbon import EmissionRecord, IntensitySource, compute_emissions
 from .check import closure_failures, compare_with_oracle, run_end_to_end
 from .footprint import FootprintReport, compute_customer_footprints
@@ -22,7 +22,6 @@ __all__ = [
     "AllocationResult",
     "Bundle",
     "EmissionRecord",
-    "EnergyCell",
     "FleetSplit",
     "FootprintReport",
     "IntensitySource",

@@ -9,9 +9,10 @@ per machine-hour proportional to compute-unit usage.
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .model import (
     RESOURCE_WEIGHTS,
@@ -38,39 +39,54 @@ def minor_round_stage(round_number: int) -> str:
     return f"after_minor_round_{round_number}"
 
 
-@dataclass(frozen=True, slots=True)
-class EnergyCell:
-    """Idle and dynamic watt-hours of one (user, cluster, hour)."""
-
-    idle_wh: float = 0.0
-    dynamic_wh: float = 0.0
-
-    @property
-    def total_wh(self) -> float:
-        return self.idle_wh + self.dynamic_wh
-
-
 @dataclass(slots=True)
 class Ledger:
-    """Per-(user, cluster, hour) energy at one pipeline stage."""
+    """Idle and dynamic watt-hours per (user, cluster, hour) at one pipeline stage.
+
+    The stages of a run share one append-only key index, ``cells`` (key →
+    row); a stage's cells are the first ``len(idle)`` keys. Only the latest
+    stage, the one no ``copy`` has ``superseded``, may append keys.
+    """
 
     stage: str
-    cells: dict[LedgerKey, EnergyCell] = field(default_factory=dict)
+    cells: dict[LedgerKey, int] = field(default_factory=dict)
+    idle: array = field(default_factory=lambda: array("d"))
+    dynamic: array = field(default_factory=lambda: array("d"))
+    superseded: bool = field(default=False, init=False)
+
+    def rows(self) -> Iterator[tuple[LedgerKey, float, float]]:
+        """(key, idle Wh, dynamic Wh) of every cell of this stage, in row order."""
+        return zip(self.cells, self.idle, self.dynamic)
+
+    def copy(self, stage: str) -> Ledger:
+        """The next stage, starting from this one's cells; only the latest stage may start one."""
+        self._require_latest()
+        self.superseded = True
+        return Ledger(stage, self.cells, array("d", self.idle), array("d", self.dynamic))
+
+    def credit(self, key: LedgerKey, idle_wh: float, dynamic_wh: float) -> None:
+        """Add to a cell, appending it to the key index if it is new."""
+        row = self.cells.get(key)
+        if row is not None and row < len(self.idle):
+            self.idle[row] += idle_wh
+            self.dynamic[row] += dynamic_wh
+            return
+        self._require_latest()
+        self.cells[key] = len(self.idle)
+        self.idle.append(idle_wh)
+        self.dynamic.append(dynamic_wh)
+
+    def _require_latest(self) -> None:
+        if self.superseded or len(self.idle) != len(self.cells):
+            raise ValueError(f"{self.stage!r} is not the latest stage of its run")
 
     def total_wh(self) -> float:
-        return sum(c.idle_wh + c.dynamic_wh for c in self.cells.values())
+        return sum(idle + dynamic for idle, dynamic in zip(self.idle, self.dynamic))
 
     def totals_by_user(self) -> dict[str, float]:
         out: dict[str, float] = {}
-        for (user, _, _), cell in self.cells.items():
-            out[user] = out.get(user, 0.0) + cell.idle_wh + cell.dynamic_wh
-        return out
-
-    def totals_by_cluster_hour(self) -> dict[tuple[str, datetime], float]:
-        out: dict[tuple[str, datetime], float] = {}
-        for (_, cluster, hour), cell in self.cells.items():
-            key = (cluster, hour)
-            out[key] = out.get(key, 0.0) + cell.idle_wh + cell.dynamic_wh
+        for (user, _, _), idle, dynamic in self.rows():
+            out[user] = out.get(user, 0.0) + idle + dynamic
         return out
 
 
@@ -223,13 +239,9 @@ def build_machine_ledger(
     """Machine-stage ledger: idle plus dynamic, before any reallocation."""
     idle, idle_notices = allocate_idle(split, machines, allocations)
     dynamic, dyn_notices = allocate_dynamic(split, machines, usage, allocations)
-    cells: dict[LedgerKey, EnergyCell] = {}
+    ledger = Ledger(STAGE_MACHINE)
     for key, wh in idle.items():
-        cells[key] = EnergyCell(idle_wh=wh)
+        ledger.credit(key, wh, 0.0)
     for key, wh in dynamic.items():
-        prior = cells.get(key)
-        if prior is None:
-            cells[key] = EnergyCell(dynamic_wh=wh)
-        else:
-            cells[key] = EnergyCell(idle_wh=prior.idle_wh, dynamic_wh=prior.dynamic_wh + wh)
-    return Ledger(stage=STAGE_MACHINE, cells=cells), [*idle_notices, *dyn_notices]
+        ledger.credit(key, 0.0, wh)
+    return ledger, [*idle_notices, *dyn_notices]

@@ -99,8 +99,8 @@ def compute_emissions(
     # Intensity depends only on the cluster-hour.
     resolved: dict[tuple[str, datetime], tuple[float, IntensitySource]] = {}
 
-    for (user, cluster, hour), cell in sorted(ledger.cells.items()):
-        it_wh = cell.idle_wh + cell.dynamic_wh
+    for (user, cluster, hour), idle_wh, dynamic_wh in sorted(ledger.rows()):
+        it_wh = idle_wh + dynamic_wh
         pue = pue_by_key.get((cluster, hour))
         if pue is None:
             pue = default_pue

@@ -65,7 +65,9 @@ def closure_failures(bundle: Bundle, artifacts: RunArtifacts) -> list[str]:
         measured[key] = measured.get(key, 0.0) + sample.measured_power_watts
 
     for ledger in artifacts.allocation.stages:
-        totals = ledger.totals_by_cluster_hour()
+        totals: dict[tuple[str, object], float] = {}
+        for (_, cluster, hour), idle, dynamic in ledger.rows():
+            totals[cluster, hour] = totals.get((cluster, hour), 0.0) + idle + dynamic
         for key, expected in measured.items():
             got = totals.get(key, 0.0)
             if expected == 0.0:
@@ -180,23 +182,17 @@ def compare_with_oracle(bundle: Bundle, rounds: int = 2, default_pue: float = DE
     table_max: dict[str, float] = {}
 
     machine_stage = artifacts.allocation.stages[0]
-    table_max["machine_idle"] = _diff_table(
-        "machine_idle",
-        {k: c.idle_wh for k, c in machine_stage.cells.items() if c.idle_wh != 0.0},
-        reference.machine_idle,
-        diffs,
-    )
-    table_max["machine_dynamic"] = _diff_table(
-        "machine_dynamic",
-        {k: c.dynamic_wh for k, c in machine_stage.cells.items() if c.dynamic_wh != 0.0},
-        reference.machine_dynamic,
-        diffs,
-    )
+    for name, column, oracle_wh in (
+        ("machine_idle", machine_stage.idle, reference.machine_idle),
+        ("machine_dynamic", machine_stage.dynamic, reference.machine_dynamic),
+    ):
+        pipeline_wh = {k: wh for k, wh in zip(machine_stage.cells, column) if wh != 0.0}
+        table_max[name] = _diff_table(name, pipeline_wh, oracle_wh, diffs)
     for ledger in artifacts.allocation.stages:
         # A stage the oracle lacks compares against nothing, so its energy counts as deviation.
         table_max[ledger.stage] = _diff_table(
             ledger.stage,
-            {k: c.total_wh for k, c in ledger.cells.items() if c.total_wh != 0.0},
+            {k: idle + dynamic for k, idle, dynamic in ledger.rows() if idle + dynamic != 0.0},
             reference.stage_totals.get(ledger.stage, {}),
             diffs,
         )

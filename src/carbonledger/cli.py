@@ -36,6 +36,9 @@ EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
 
+#: The report CSVs ``run`` writes once closure holds; a run that fails leaves none of them.
+REPORTS = ("user_energy.csv", "emissions.csv", "footprint_report.csv", "flow_summary.csv")
+
 #: simulate's scenario flags (argparse dests, None when not given) and the ScenarioSpec field each sets.
 SCENARIO_FLAGS = {
     "machines": "machine_count",
@@ -103,6 +106,8 @@ def _checked_bundle(args: argparse.Namespace) -> Bundle | None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    for name in REPORTS:
+        (args.output / name).unlink(missing_ok=True)
     bundle = _checked_bundle(args)
     if bundle is None:
         return EXIT_DATA
@@ -114,11 +119,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         missing_intensity=args.missing_intensity,
     )
     out = args.output
-    tables.write_user_energy(artifacts.allocation.stages, out / "user_energy.csv", args.round_wh)
-    tables.write_emissions(artifacts.emissions.records, out / "emissions.csv", args.round_wh, args.round_g)
-    tables.write_footprints(artifacts.footprints.reports, out / "footprint_report.csv", args.round_g)
-    tables.write_flow_summary(artifacts.allocation.stages, out / "flow_summary.csv", args.round_wh)
-
     for notice in (
         artifacts.allocation.notices + artifacts.emissions.notices + artifacts.footprints.notices
     ):
@@ -129,6 +129,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         for failure in failures:
             print(f"closure failure: {failure}", file=sys.stderr)
         return EXIT_DATA
+    tables.write_user_energy(artifacts.allocation.stages, out / "user_energy.csv", args.round_wh)
+    tables.write_emissions(artifacts.emissions.records, out / "emissions.csv", args.round_wh, args.round_g)
+    tables.write_footprints(artifacts.footprints.reports, out / "footprint_report.csv", args.round_g)
+    tables.write_flow_summary(artifacts.allocation.stages, out / "flow_summary.csv", args.round_wh)
     total_wh = artifacts.allocation.final.total_wh()
     total_kg = artifacts.emissions.total_kg()
     print(f"run complete: {total_wh:.0f} Wh allocated, {total_kg:.3f} kgCO2e, reports in {out}")
@@ -166,11 +170,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             )
     if args.output is not None:
         args.output.mkdir(parents=True, exist_ok=True)
-        with (args.output / "oracle_diff.csv").open("w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(("table", "key", "pipeline", "oracle", "deviation"))
-            for diff in report.worst:
-                writer.writerow((diff.table, diff.key, repr(diff.pipeline), repr(diff.oracle), repr(diff.deviation)))
+        tables.write_oracle_diff(report.worst, args.output / "oracle_diff.csv")
     if report.within(args.tolerance):
         print(f"oracle agreement: max deviation {report.max_deviation:.3e} < {args.tolerance:.0e}")
         return EXIT_OK

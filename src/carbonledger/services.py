@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date
 from typing import Sequence
 
 from .allocation import (
     STAGE_AFTER_MAJOR,
-    EnergyCell,
     Ledger,
     LedgerKey,
     build_machine_ledger,
@@ -34,7 +33,7 @@ from .power import split_fleet
 
 log = logging.getLogger(__name__)
 
-TransferKey = tuple[str, str, str, datetime]  # (provider, consumer, cluster_id, hour)
+FlowKey = tuple[str, str, date]  # (provider, consumer, day)
 DayPlans = dict[date, dict[str, list[tuple[str, float]]]]  # day -> provider -> [(consumer, fraction)]
 
 
@@ -53,13 +52,14 @@ def apply_major_realloc(ledger: Ledger, usages: Sequence[ServiceUsageRecord]) ->
     for rec in usages:
         groups.setdefault((rec.provider, rec.cluster_id, rec.hour), []).append(rec)
 
-    cells = dict(ledger.cells)
+    out = ledger.copy(STAGE_AFTER_MAJOR)
     gains: dict[LedgerKey, float] = {}
     for key, group in groups.items():
         provider, cluster, hour = key
-        cell = cells.get(key)
-        if cell is None or cell.dynamic_wh == 0.0:
+        row = ledger.cells.get(key)
+        if row is None or ledger.dynamic[row] == 0.0:
             continue
+        dynamic_wh = ledger.dynamic[row]
         blend = provider in storage_style
         shares: dict[str, float] = {}
         for rec in group:
@@ -72,21 +72,17 @@ def apply_major_realloc(ledger: Ledger, usages: Sequence[ServiceUsageRecord]) ->
             continue
         moved = 0.0
         for consumer, share in shares.items():
-            amount = cell.dynamic_wh * (share / denominator)
+            amount = dynamic_wh * (share / denominator)
             gains[(consumer, cluster, hour)] = gains.get((consumer, cluster, hour), 0.0) + amount
             moved += amount
-        remainder = cell.dynamic_wh - moved
+        remainder = dynamic_wh - moved
         if remainder < 0.0:  # float dust from the share quotients
             remainder = 0.0
-        cells[key] = EnergyCell(idle_wh=cell.idle_wh, dynamic_wh=remainder)
+        out.dynamic[row] = remainder
 
     for key, wh in gains.items():
-        prior = cells.get(key)
-        if prior is None:
-            cells[key] = EnergyCell(dynamic_wh=wh)
-        else:
-            cells[key] = EnergyCell(idle_wh=prior.idle_wh, dynamic_wh=prior.dynamic_wh + wh)
-    return Ledger(stage=STAGE_AFTER_MAJOR, cells=cells)
+        out.credit(key, 0.0, wh)
+    return out
 
 
 def build_day_plans(
@@ -155,21 +151,21 @@ def apply_minor_realloc_round(
     ledger: Ledger,
     plans: DayPlans,
     stage: str,
-) -> tuple[Ledger, float, dict[TransferKey, float]]:
+) -> tuple[Ledger, float, dict[FlowKey, float]]:
     """One net-cost round: every provider pushes from the round's snapshot.
 
     Idle and dynamic components move in proportion, so component sums are
     conserved as exactly as the totals. Returns the new ledger, the total
-    energy moved, and the per-(provider, consumer, cluster, hour) moves.
+    energy moved, and the energy moved per (provider, consumer, day).
     """
-    cells = dict(ledger.cells)
+    out = ledger.copy(stage)
     gains: dict[LedgerKey, list[float]] = {}
-    transfers: dict[TransferKey, float] = {}
+    flows: dict[FlowKey, float] = {}
     moved_total = 0.0
 
-    for key, cell in ledger.cells.items():
+    for row, (key, idle_wh, dynamic_wh) in enumerate(ledger.rows()):
         provider, cluster, hour = key
-        plan = plans.get(day_of(hour))
+        plan = plans.get(day := day_of(hour))
         if plan is None:
             continue
         outflows = plan.get(provider)
@@ -179,28 +175,23 @@ def apply_minor_realloc_round(
         if total_fraction <= 0.0:
             continue
         for consumer, fraction in outflows:
-            idle_part = cell.idle_wh * fraction
-            dyn_part = cell.dynamic_wh * fraction
+            idle_part = idle_wh * fraction
+            dyn_part = dynamic_wh * fraction
             gain = gains.setdefault((consumer, cluster, hour), [0.0, 0.0])
             gain[0] += idle_part
             gain[1] += dyn_part
             amount = idle_part + dyn_part
-            transfers[(provider, consumer, cluster, hour)] = (
-                transfers.get((provider, consumer, cluster, hour), 0.0) + amount
-            )
+            flows[(provider, consumer, day)] = flows.get((provider, consumer, day), 0.0) + amount
             moved_total += amount
         keep = 1.0 - total_fraction
         if keep < 0.0:  # guarded by the plan's rescale; float dust only
             keep = 0.0
-        cells[key] = EnergyCell(idle_wh=cell.idle_wh * keep, dynamic_wh=cell.dynamic_wh * keep)
+        out.idle[row] = idle_wh * keep
+        out.dynamic[row] = dynamic_wh * keep
 
     for key, (idle_wh, dyn_wh) in gains.items():
-        prior = cells.get(key)
-        if prior is None:
-            cells[key] = EnergyCell(idle_wh=idle_wh, dynamic_wh=dyn_wh)
-        else:
-            cells[key] = EnergyCell(idle_wh=prior.idle_wh + idle_wh, dynamic_wh=prior.dynamic_wh + dyn_wh)
-    return Ledger(stage=stage, cells=cells), moved_total, transfers
+        out.credit(key, idle_wh, dyn_wh)
+    return out, moved_total, flows
 
 
 @dataclass(slots=True)
@@ -209,7 +200,7 @@ class AllocationResult:
 
     stages: list[Ledger]
     round_moved_wh: list[float]
-    round_transfers: list[dict[TransferKey, float]]
+    round_flows: list[dict[FlowKey, float]]
     notices: list[Notice]
 
     @property
@@ -241,18 +232,11 @@ def run_allocation_pipeline(bundle: Bundle, rounds: int = 2) -> AllocationResult
     plans, plan_notices = build_day_plans(bundle.net_costs, bundle.non_service_costs)
     notices.extend(plan_notices)
     round_moved: list[float] = []
-    round_transfers: list[dict[TransferKey, float]] = []
+    round_flows: list[dict[FlowKey, float]] = []
     current = stages[-1]
     for round_number in range(1, rounds + 1):
-        current, moved, transfers = apply_minor_realloc_round(
-            current, plans, minor_round_stage(round_number)
-        )
+        current, moved, flows = apply_minor_realloc_round(current, plans, minor_round_stage(round_number))
         stages.append(current)
         round_moved.append(moved)
-        round_transfers.append(transfers)
-    return AllocationResult(
-        stages=stages,
-        round_moved_wh=round_moved,
-        round_transfers=round_transfers,
-        notices=notices,
-    )
+        round_flows.append(flows)
+    return AllocationResult(stages, round_moved, round_flows, notices)

@@ -410,13 +410,18 @@ def write_validation_report(violations: Sequence[Violation], path: Path) -> None
     _write_csv(Path(path), ("code", "subject", "detail"), [(v.code, v.subject, v.detail) for v in violations])
 
 
+def write_oracle_diff(diffs, path: Path) -> None:
+    rows = [(d.table, d.key, repr(d.pipeline), repr(d.oracle), repr(d.deviation)) for d in diffs]
+    _write_csv(Path(path), ("table", "key", "pipeline", "oracle", "deviation"), rows)
+
+
 def write_user_energy(stages, path: Path, energy_step: float = 1.0) -> None:
     """Final ledger with one total column per pipeline stage.
 
-    Each stage copies the previous stage's cells and may add some, so the
-    final ledger's keys are every stage's keys.
+    The stages share one key index and each holds a prefix of it, so the
+    final stage's keys are every stage's keys.
     """
-    final = stages[-1].cells
+    final = stages[-1]
     header = ["user", "cluster_id", "hour_utc", "idle_wh", "dynamic_wh"]
     header.extend(f"{ledger.stage}_wh" for ledger in stages)
     hour = functools.cache(format_hour)
@@ -425,12 +430,10 @@ def write_user_energy(stages, path: Path, energy_step: float = 1.0) -> None:
         return _fmt(quantize(value, energy_step))
 
     def rows():
-        for key in sorted(final):
-            user, cluster, at = key
-            cell = final[key]
+        for (user, cluster, at), row in sorted(zip(final.cells, range(len(final.idle)))):
             yield (
-                user, cluster, hour(at), wh(cell.idle_wh), wh(cell.dynamic_wh),
-                *(wh(ledger.cells[key].total_wh if key in ledger.cells else 0.0) for ledger in stages),
+                user, cluster, hour(at), wh(final.idle[row]), wh(final.dynamic[row]),
+                *(wh(s.idle[row] + s.dynamic[row] if row < len(s.idle) else 0.0) for s in stages),
             )
 
     _write_csv(Path(path), header, rows())

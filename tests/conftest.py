@@ -1,5 +1,6 @@
 from datetime import datetime, timedelta, timezone
 
+from carbonledger.allocation import STAGE_MACHINE, Ledger
 from carbonledger.model import (
     MachineRecord,
     PowerSample,
@@ -14,6 +15,19 @@ HOUR0 = datetime(2023, 6, 5, 0, 0, tzinfo=timezone.utc)
 def H(index: int) -> datetime:
     """The index-th hour of the shared test day."""
     return HOUR0 + timedelta(hours=index)
+
+
+def ledger_of(cells: dict, stage: str = STAGE_MACHINE) -> Ledger:
+    """A ledger holding ``{(user, cluster, hour): (idle_wh, dynamic_wh)}``."""
+    ledger = Ledger(stage)
+    for key, (idle_wh, dynamic_wh) in cells.items():
+        ledger.credit(key, idle_wh, dynamic_wh)
+    return ledger
+
+
+def cells_of(ledger: Ledger) -> dict:
+    """``{(user, cluster, hour): (idle_wh, dynamic_wh)}`` over the ledger's own rows."""
+    return {key: (idle_wh, dynamic_wh) for key, idle_wh, dynamic_wh in ledger.rows()}
 
 
 def shared_machine(machine_id="m0", cluster="c0", idle=100.0) -> MachineRecord:

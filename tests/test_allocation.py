@@ -19,7 +19,7 @@ from carbonledger.model import (
 from carbonledger.power import split_fleet
 from carbonledger.simulate import ScenarioSpec, generate
 
-from conftest import H, alloc, dedicated_machine, sample, shared_machine
+from conftest import H, alloc, cells_of, dedicated_machine, sample, shared_machine
 
 
 def test_weighted_allocation_compute_and_ram():
@@ -109,8 +109,9 @@ def test_allocate_dynamic_night_split_with_idle_totals():
     split = split_fleet(machines, [sample("m0", 0, 12e6)])
     usage = [GcuUsageRecord("prod", "m0", H(0), 30.0), GcuUsageRecord("non-prod", "m0", H(0), 30.0)]
     ledger, _ = build_machine_ledger(split, machines, [alloc("prod", gcu=100.0)], usage)
-    assert ledger.cells[("prod", "c0", H(0))].total_wh == pytest.approx(9e6, rel=1e-12)
-    assert ledger.cells[("non-prod", "c0", H(0))].total_wh == pytest.approx(3e6, rel=1e-12)
+    cells = cells_of(ledger)
+    assert sum(cells[("prod", "c0", H(0))]) == pytest.approx(9e6, rel=1e-12)
+    assert sum(cells[("non-prod", "c0", H(0))]) == pytest.approx(3e6, rel=1e-12)
 
 
 def test_allocate_dynamic_single_user_takes_all():
@@ -215,10 +216,9 @@ def test_permuting_user_labels_permutes_outputs():
     ledger_swapped, _ = build_machine_ledger(
         split_fleet(machines, samples), machines, allocations_swapped, usage_swapped
     )
-    for (user, cluster, hour), cell in ledger.cells.items():
-        mirrored = ledger_swapped.cells[(swap[user], cluster, hour)]
-        assert mirrored.idle_wh == pytest.approx(cell.idle_wh, rel=1e-12)
-        assert mirrored.dynamic_wh == pytest.approx(cell.dynamic_wh, rel=1e-12)
+    swapped = cells_of(ledger_swapped)
+    for (user, cluster, hour), idle_wh, dynamic_wh in ledger.rows():
+        assert swapped[(swap[user], cluster, hour)] == pytest.approx((idle_wh, dynamic_wh), rel=1e-12)
 
 
 def machine_stage(bundle, samples, usage):
@@ -227,7 +227,7 @@ def machine_stage(bundle, samples, usage):
     idle, _ = allocate_idle(split, bundle.machines, allocations)
     dynamic, _ = allocate_dynamic(split, bundle.machines, usage, allocations)
     ledger, _ = build_machine_ledger(split, bundle.machines, allocations, usage)
-    return idle, dynamic, ledger.cells
+    return idle, dynamic, cells_of(ledger)
 
 
 def test_cross_hour_order_leaves_machine_stage_cells_exactly_equal():

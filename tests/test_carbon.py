@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from carbonledger.allocation import EnergyCell, Ledger
 from carbonledger.carbon import (
     IntensitySource,
     compute_emissions,
@@ -17,11 +16,7 @@ from carbonledger.model import (
     ZoneMapRow,
 )
 
-from conftest import H
-
-
-def ledger_of(cells: dict) -> Ledger:
-    return Ledger(stage="after_minor_round_2", cells=dict(cells))
+from conftest import H, ledger_of
 
 
 def feeds(pue=(), hourly=(), annual=(), zone_map=(ZoneMapRow("c0", "z0", "r0"),)) -> Bundle:
@@ -49,7 +44,7 @@ def test_resolve_unzoned_cluster_has_no_intensity():
     annual = [AnnualIntensityRecord("XX", 2023, 99.0), AnnualIntensityRecord("c9", 2023, 99.0)]
     with pytest.raises(MissingIntensityError):
         resolve_intensity("c9", H(0), {}, {}, {(r.zone_id, r.year): r.intensity_g_per_kwh for r in annual})
-    ledger = ledger_of({("u", "c9", H(0)): EnergyCell(idle_wh=10.0, dynamic_wh=0.0)})
+    ledger = ledger_of({("u", "c9", H(0)): (10.0, 0.0)})
     bundle = feeds(pue=[PueRecord("c9", H(0), 1.0)], annual=annual, zone_map=[ZoneMapRow("c9", None, "r0")])
     result = compute_emissions(ledger, bundle, missing_intensity=0.0)
     assert result.records[0].intensity_source is IntensitySource.DEFAULT
@@ -59,7 +54,7 @@ def test_resolve_unzoned_cluster_has_no_intensity():
 
 def test_emission_arithmetic_at_global_mean():
     # 1000 Wh IT at PUE 1.10 and 320.8 g/kWh -> 0.35288 kg.
-    ledger = ledger_of({("u", "c0", H(0)): EnergyCell(idle_wh=600.0, dynamic_wh=400.0)})
+    ledger = ledger_of({("u", "c0", H(0)): (600.0, 400.0)})
     result = compute_emissions(
         ledger, feeds(pue=[PueRecord("c0", H(0), 1.10)], hourly=[CarbonIntensityRecord("z0", H(0), 320.8)])
     )
@@ -71,7 +66,7 @@ def test_emission_arithmetic_at_global_mean():
 
 
 def test_zero_energy_yields_zero_emissions():
-    ledger = ledger_of({("u", "c0", H(0)): EnergyCell(0.0, 0.0)})
+    ledger = ledger_of({("u", "c0", H(0)): (0.0, 0.0)})
     result = compute_emissions(
         ledger, feeds(pue=[PueRecord("c0", H(0), 1.5)], hourly=[CarbonIntensityRecord("z0", H(0), 500.0)])
     )
@@ -79,7 +74,7 @@ def test_zero_energy_yields_zero_emissions():
 
 
 def test_carbon_free_hour_yields_zero_emissions():
-    ledger = ledger_of({("u", "c0", H(0)): EnergyCell(idle_wh=1e6, dynamic_wh=0.0)})
+    ledger = ledger_of({("u", "c0", H(0)): (1e6, 0.0)})
     result = compute_emissions(
         ledger, feeds(pue=[PueRecord("c0", H(0), 1.2)], hourly=[CarbonIntensityRecord("z0", H(0), 0.0)])
     )
@@ -87,14 +82,14 @@ def test_carbon_free_hour_yields_zero_emissions():
 
 
 def test_missing_pue_uses_default_and_notices():
-    ledger = ledger_of({("u", "c0", H(0)): EnergyCell(idle_wh=1000.0, dynamic_wh=0.0)})
+    ledger = ledger_of({("u", "c0", H(0)): (1000.0, 0.0)})
     result = compute_emissions(ledger, feeds(hourly=[CarbonIntensityRecord("z0", H(0), 100.0)]))
     assert result.records[0].energy_total_wh == pytest.approx(1100.0)
     assert [n.code for n in result.notices] == ["missing-pue"]
 
 
 def test_missing_intensity_aborts_unless_allowed():
-    ledger = ledger_of({("u", "c0", H(0)): EnergyCell(idle_wh=10.0, dynamic_wh=0.0)})
+    ledger = ledger_of({("u", "c0", H(0)): (10.0, 0.0)})
     bundle = feeds(pue=[PueRecord("c0", H(0), 1.0)])
     with pytest.raises(MissingIntensityError):
         compute_emissions(ledger, bundle)
@@ -107,7 +102,7 @@ def test_missing_intensity_aborts_unless_allowed():
 
 def test_missing_intensity_noticed_once_per_cluster_hour():
     # Once one notice per user cell: two here.
-    cells = {(user, "c0", H(0)): EnergyCell(idle_wh=10.0, dynamic_wh=0.0) for user in ("u1", "u2")}
+    cells = {(user, "c0", H(0)): (10.0, 0.0) for user in ("u1", "u2")}
     result = compute_emissions(ledger_of(cells), feeds(pue=[PueRecord("c0", H(0), 1.0)]), missing_intensity=7.0)
     assert [r.intensity_source for r in result.records] == [IntensitySource.DEFAULT] * 2
     assert [(n.code, n.subject) for n in result.notices] == [("missing-intensity", "c0")]
@@ -119,7 +114,7 @@ energy = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 @given(idle=energy, dynamic=energy, pue=st.floats(1.0, 3.0), ci=st.floats(0.0, 2000.0))
 def test_emissions_double_when_energy_doubles(idle, dynamic, pue, ci):
     def run(scale):
-        ledger = ledger_of({("u", "c0", H(0)): EnergyCell(idle * scale, dynamic * scale)})
+        ledger = ledger_of({("u", "c0", H(0)): (idle * scale, dynamic * scale)})
         return compute_emissions(
             ledger, feeds(pue=[PueRecord("c0", H(0), pue)], hourly=[CarbonIntensityRecord("z0", H(0), ci)])
         ).records[0].kg_co2e
@@ -133,7 +128,7 @@ def test_emissions_double_when_energy_doubles(idle, dynamic, pue, ci):
     ci=st.floats(0.0, 1500.0),
 )
 def test_cluster_emissions_conserved(energies, pue, ci):
-    cells = {(f"u{i}", "c0", H(0)): EnergyCell(idle_wh=e, dynamic_wh=0.0) for i, e in enumerate(energies)}
+    cells = {(f"u{i}", "c0", H(0)): (e, 0.0) for i, e in enumerate(energies)}
     result = compute_emissions(
         ledger_of(cells), feeds(pue=[PueRecord("c0", H(0), pue)], hourly=[CarbonIntensityRecord("z0", H(0), ci)])
     )
@@ -148,7 +143,7 @@ def test_cluster_emissions_conserved(energies, pue, ci):
 def test_emissions_monotone_in_pue_and_intensity(pue_low, pue_hi, ci_low, ci_hi):
     pue_low, pue_hi = sorted((pue_low, pue_hi))
     ci_low, ci_hi = sorted((ci_low, ci_hi))
-    ledger = ledger_of({("u", "c0", H(0)): EnergyCell(idle_wh=1234.0, dynamic_wh=0.0)})
+    ledger = ledger_of({("u", "c0", H(0)): (1234.0, 0.0)})
 
     def run(pue, ci):
         return compute_emissions(

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import carbonledger
+from carbonledger import check
 from carbonledger.check import closure_failures, run_end_to_end
-from carbonledger.cli import _clip_bundle, main
+from carbonledger.cli import REPORTS, _clip_bundle, main
+from carbonledger.oracle import oracle_allocate
 from carbonledger.simulate import ScenarioSpec, generate, preset_spec
 from carbonledger.tables import validate_bundle, write_bundle
 
@@ -130,6 +132,33 @@ def test_clip_keeps_in_range_hourly_and_daily_records_and_passes_the_rest_whole(
 
 def test_oracle_check_passes_on_presets(figure1_dir):
     assert main(["oracle-check", "--input", str(figure1_dir)]) == 0
+
+
+def test_oracle_check_writes_every_worst_diff(figure1_dir, tmp_path, monkeypatch):
+    def disagreeing(bundle, **kwargs):
+        result = oracle_allocate(bundle, **kwargs)
+        result.emissions_kg = {key: 2.0 * kg for key, kg in result.emissions_kg.items()}
+        return result
+
+    compare_with_oracle = check.compare_with_oracle
+    compared = []
+
+    def recorded(*args, **kwargs):
+        compared.append(compare_with_oracle(*args, **kwargs))
+        return compared[-1]
+
+    monkeypatch.setattr(check, "oracle_allocate", disagreeing)
+    monkeypatch.setattr(check, "compare_with_oracle", recorded)
+    out = tmp_path / "oracle"
+    assert main(["oracle-check", "--input", str(figure1_dir), "--output", str(out)]) == 1
+    [report] = compared
+    assert len(report.worst) == check.KEEP_WORST
+    with (out / "oracle_diff.csv").open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows == [
+        ["table", "key", "pipeline", "oracle", "deviation"],
+        *([d.table, d.key, repr(d.pipeline), repr(d.oracle), repr(d.deviation)] for d in report.worst),
+    ]
 
 
 def test_oracle_check_rejects_oversized_bundle(tmp_path):
@@ -257,7 +286,14 @@ def test_nan_power_sample_fails_closed(tmp_path):
 def test_carbon_that_reaches_no_report_fails_closure(tmp_path, capsys):
     # Once exited 0 with 4,830 kg emitted and 0 kg reported: billing for a
     # month with no emissions skips that month, and June's carbon had no billing.
+    # The reports of a run that fails closure are not written, and those of
+    # an earlier run in the same directory are removed.
     bundle = generate(preset_spec("two-accounts"))
+    good_dir, out = tmp_path / "billed", tmp_path / "reports"
+    write_bundle(bundle, good_dir)
+    assert main(["run", "--input", str(good_dir), "--output", str(out)]) == 0
+    assert all((out / name).exists() for name in REPORTS)
+
     bundle.billing_usage = [dataclasses.replace(b, month="2023-6") for b in bundle.billing_usage]
     artifacts = run_end_to_end(bundle)
     assert artifacts.footprints.reports == []
@@ -266,22 +302,27 @@ def test_carbon_that_reaches_no_report_fails_closure(tmp_path, capsys):
 
     bundle_dir = tmp_path / "unbilled"
     write_bundle(bundle, bundle_dir)
-    assert main(["run", "--input", str(bundle_dir), "--output", str(tmp_path / "reports")]) == 1
+    capsys.readouterr()
+    assert main(["run", "--input", str(bundle_dir), "--output", str(out)]) == 1
     assert "closure failure: customer reports total 0 kg" in capsys.readouterr().err
+    assert [name for name in REPORTS if (out / name).exists()] == []
 
 
 def test_service_usage_in_an_unmapped_cluster_fails_closed(tmp_path):
     # Once exit 0 with a passing closure: major reallocation moved none of the
     # providers' energy (colossus kept 19.68 MWh instead of 7.68 MWh).
+    # A refused run also removes the reports an earlier run left in its output.
     bundle = generate(preset_spec("sankey-small"))
+    intact_dir, out = tmp_path / "intact", tmp_path / "reports"
+    write_bundle(bundle, intact_dir)
+    assert main(["run", "--input", str(intact_dir), "--output", str(out)]) == 0
     bundle.service_usage = [dataclasses.replace(su, cluster_id="ghost") for su in bundle.service_usage]
     bundle_dir = tmp_path / "ghost"
     write_bundle(bundle, bundle_dir)
-    out = tmp_path / "reports"
     assert main(["run", "--input", str(bundle_dir), "--output", str(out)]) == 1
     with (out / "validation_report.csv").open(newline="") as handle:
         assert {row["code"] for row in csv.DictReader(handle)} == {"unknown-cluster"}
-    assert not (out / "emissions.csv").exists()
+    assert [name for name in REPORTS if (out / name).exists()] == []
 
 
 def test_missing_feeds_take_the_missing_intensity_value(tmp_path, capsys):

@@ -5,7 +5,6 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, strategies as st
 
-from carbonledger.allocation import EnergyCell, Ledger
 from carbonledger.carbon import IntensitySource, compute_emissions
 from carbonledger.footprint import compute_customer_footprints
 from carbonledger.model import (
@@ -29,7 +28,7 @@ from carbonledger.model import (
 )
 from carbonledger.tables import validate_bundle
 
-from conftest import H, alloc, dedicated_machine, sample, shared_machine
+from conftest import H, alloc, dedicated_machine, ledger_of, sample, shared_machine
 
 
 def test_parse_and_format_hour_roundtrip():
@@ -132,8 +131,8 @@ def test_bundle_topology_partial_zone_map():
             SkuUsageRecord("k0", "r0", "a", "2023-06", 1.0), SkuUsageRecord("k0", "r1", "b", "2023-06", 1.0),
         ],
     )
-    cells = {("svc", cluster, H(0)): EnergyCell(idle_wh=1000.0, dynamic_wh=0.0) for cluster in ("c0", "c1")}
-    emissions = compute_emissions(Ledger("after_minor_round_2", cells), bundle, missing_intensity=50.0)
+    cells = {("svc", cluster, H(0)): (1000.0, 0.0) for cluster in ("c0", "c1")}
+    emissions = compute_emissions(ledger_of(cells), bundle, missing_intensity=50.0)
     assert [(r.cluster_id, r.intensity_source) for r in emissions.records] == [
         ("c0", IntensitySource.HOURLY), ("c1", IntensitySource.DEFAULT),
     ]

@@ -85,7 +85,7 @@ def test_round_count_mismatch_localizes_to_minor_consumers():
     short = run_allocation_pipeline(bundle, rounds=1)
     reference = oracle_allocate(bundle, rounds=2)
 
-    final_short = {k: c.total_wh for k, c in short.final.cells.items() if c.total_wh != 0.0}
+    final_short = {k: idle + dynamic for k, idle, dynamic in short.final.rows() if idle + dynamic != 0.0}
     final_ref = reference.stage_totals["final"]
     differing_users = set()
     for key in set(final_short) | set(final_ref):
@@ -108,7 +108,7 @@ def test_oracle_usage_fallbacks_match_pipeline():
     )
     pipeline = run_allocation_pipeline(bundle)
     reference = oracle_allocate(bundle)
-    table = {k: c.total_wh for k, c in pipeline.final.cells.items() if c.total_wh != 0.0}
+    table = {k: idle + dynamic for k, idle, dynamic in pipeline.final.rows() if idle + dynamic != 0.0}
     assert set(table) == set(reference.stage_totals["final"])
     for key, value in table.items():
         assert value == pytest.approx(reference.stage_totals["final"][key], rel=1e-12)

@@ -1,9 +1,12 @@
+import gc
+import tracemalloc
 from datetime import date
 
 import pytest
 from hypothesis import given, strategies as st
 
-from carbonledger.allocation import STAGE_MACHINE, EnergyCell, Ledger
+from carbonledger.allocation import STAGE_MACHINE
+from carbonledger.check import run_end_to_end
 from carbonledger.model import (
     Bundle,
     NetCostRecord,
@@ -17,9 +20,9 @@ from carbonledger.services import (
     build_day_plans,
     run_allocation_pipeline,
 )
-from carbonledger.simulate import generate, preset_spec
+from carbonledger.simulate import ScenarioSpec, generate, preset_spec
 
-from conftest import H
+from conftest import H, cells_of, ledger_of
 
 DAY = date(2023, 6, 5)
 
@@ -31,17 +34,13 @@ def usage_row(consumer, provider, gcu=0.0, ssd=0.0, hdd=0.0, colossus=False, clu
     )
 
 
-def ledger_of(cells: dict) -> Ledger:
-    return Ledger(stage=STAGE_MACHINE, cells=dict(cells))
-
-
 # --- major-service fractions -------------------------------------------------
 
 def major_shares(provider, rows, dynamic_wh=1.0):
     """Each consumer's fraction of the provider's dynamic energy after the major stage."""
-    ledger = ledger_of({(provider, "c0", H(0)): EnergyCell(idle_wh=0.0, dynamic_wh=dynamic_wh)})
-    cells = apply_major_realloc(ledger, rows).cells
-    return {user: cell.dynamic_wh / dynamic_wh for (user, _, _), cell in cells.items()}
+    ledger = ledger_of({(provider, "c0", H(0)): (0.0, dynamic_wh)})
+    result = apply_major_realloc(ledger, rows)
+    return {user: dynamic / dynamic_wh for (user, _, _), _, dynamic in result.rows()}
 
 
 def test_major_fraction_sole_consumer():
@@ -82,36 +81,36 @@ def test_colossus_fraction_weights_storage_types():
 
 
 def test_apply_major_without_usage_is_identity():
-    ledger = ledger_of({("a", "c0", H(0)): EnergyCell(5.0, 7.0)})
+    ledger = ledger_of({("a", "c0", H(0)): (5.0, 7.0)})
     result = apply_major_realloc(ledger, [])
-    assert result.cells == ledger.cells
+    assert cells_of(result) == cells_of(ledger) == {("a", "c0", H(0)): (5.0, 7.0)}
 
 
 def test_apply_major_moves_dynamic_only():
     ledger = ledger_of({
-        ("svc", "c0", H(0)): EnergyCell(idle_wh=4.0, dynamic_wh=10.0),
-        ("a", "c0", H(0)): EnergyCell(idle_wh=1.0, dynamic_wh=0.0),
+        ("svc", "c0", H(0)): (4.0, 10.0),
+        ("a", "c0", H(0)): (1.0, 0.0),
     })
     rows = [usage_row("a", "svc", gcu=6.0), usage_row("b", "svc", gcu=4.0)]
-    result = apply_major_realloc(ledger, rows)
-    assert result.cells[("svc", "c0", H(0))] == EnergyCell(idle_wh=4.0, dynamic_wh=0.0)
-    assert result.cells[("a", "c0", H(0))].dynamic_wh == pytest.approx(6.0, rel=1e-12)
-    assert result.cells[("b", "c0", H(0))].dynamic_wh == pytest.approx(4.0, rel=1e-12)
-    assert result.cells[("a", "c0", H(0))].idle_wh == 1.0
+    cells = cells_of(apply_major_realloc(ledger, rows))
+    assert cells[("svc", "c0", H(0))] == (4.0, 0.0)
+    assert cells[("a", "c0", H(0))][1] == pytest.approx(6.0, rel=1e-12)
+    assert cells[("b", "c0", H(0))][1] == pytest.approx(4.0, rel=1e-12)
+    assert cells[("a", "c0", H(0))][0] == 1.0
 
 
 def test_apply_major_acts_per_cluster():
     ledger = ledger_of({
-        ("svc", "c0", H(0)): EnergyCell(0.0, 10.0),
-        ("svc", "c1", H(0)): EnergyCell(0.0, 30.0),
+        ("svc", "c0", H(0)): (0.0, 10.0),
+        ("svc", "c1", H(0)): (0.0, 30.0),
     })
     rows = [
         usage_row("gmailish", "svc", gcu=1.0, cluster="c0"),
         usage_row("gmailish", "svc", gcu=1.0, cluster="c1"),
     ]
-    result = apply_major_realloc(ledger, rows)
-    assert result.cells[("gmailish", "c0", H(0))].dynamic_wh == 10.0
-    assert result.cells[("gmailish", "c1", H(0))].dynamic_wh == 30.0
+    cells = cells_of(apply_major_realloc(ledger, rows))
+    assert cells[("gmailish", "c0", H(0))][1] == 10.0
+    assert cells[("gmailish", "c1", H(0))][1] == 30.0
 
 
 # --- provider identification and net-cost fractions --------------------------
@@ -276,25 +275,26 @@ def test_minor_fractions_never_exceed_one(payments, base_cost):
 # --- minor rounds ------------------------------------------------------------
 
 def test_minor_round_without_net_costs_is_identity():
-    ledger = ledger_of({("a", "c0", H(0)): EnergyCell(3.0, 4.0)})
+    ledger = ledger_of({("a", "c0", H(0)): (3.0, 4.0)})
     plans, _ = build_day_plans([], [])
-    result, moved, transfers = apply_minor_realloc_round(ledger, plans, "after_minor_round_1")
-    assert result.cells == ledger.cells
-    assert moved == 0.0 and transfers == {}
+    result, moved, flows = apply_minor_realloc_round(ledger, plans, "after_minor_round_1")
+    assert cells_of(result) == cells_of(ledger) == {("a", "c0", H(0)): (3.0, 4.0)}
+    assert moved == 0.0 and flows == {}
 
 
 def test_minor_round_moves_components_proportionally():
-    ledger = ledger_of({("k", "c0", H(0)): EnergyCell(idle_wh=40.0, dynamic_wh=60.0)})
+    ledger = ledger_of({("k", "c0", H(0)): (40.0, 60.0)})
     net = [
         NetCostRecord("k", "s", DAY, -1000.0),
         NetCostRecord("a", "s", DAY, 250.0),
     ]
     plans, _ = build_day_plans(net, [NonServiceCostRecord("k", DAY, 2000.0)])
-    result, moved, transfers = apply_minor_realloc_round(ledger, plans, "after_minor_round_1")
+    result, moved, flows = apply_minor_realloc_round(ledger, plans, "after_minor_round_1")
     assert moved == pytest.approx(25.0, rel=1e-12)
-    assert transfers[("k", "a", "c0", H(0))] == pytest.approx(25.0, rel=1e-12)
-    assert result.cells[("a", "c0", H(0))] == EnergyCell(idle_wh=10.0, dynamic_wh=15.0)
-    assert result.cells[("k", "c0", H(0))].total_wh == pytest.approx(75.0, rel=1e-12)
+    assert flows == {("k", "a", DAY): pytest.approx(25.0, rel=1e-12)}
+    cells = cells_of(result)
+    assert cells[("a", "c0", H(0))] == (10.0, 15.0)
+    assert sum(cells[("k", "c0", H(0))]) == pytest.approx(75.0, rel=1e-12)
 
 
 def test_two_rounds_resolve_service_chain():
@@ -329,7 +329,7 @@ def test_random_economy_matches_transfer_matrix():
     ]
 
     energies = {u: rng.uniform(50, 500) for u in users}
-    cells = {(u, "c0", H(0)): EnergyCell(idle_wh=energies[u], dynamic_wh=0.0) for u in users}
+    cells = {(u, "c0", H(0)): (energies[u], 0.0) for u in users}
 
     plans, _ = build_day_plans(net, non_service)
     step1, _, _ = apply_minor_realloc_round(ledger_of(cells), plans, "r1")
@@ -358,8 +358,9 @@ def test_random_economy_matches_transfer_matrix():
     vector = [energies[u] for u in users]
     for _ in range(2):
         vector = [sum(vector[i] * matrix[i][j] for i in range(5)) for j in range(5)]
+    final = cells_of(step2)
     for u in users:
-        got = step2.cells[(u, "c0", H(0))].total_wh
+        got = sum(final[(u, "c0", H(0))])
         assert got == pytest.approx(vector[index[u]], rel=1e-9)
 
 
@@ -368,7 +369,36 @@ def test_random_economy_matches_transfer_matrix():
 def test_pipeline_without_services_leaves_ledger_unchanged():
     bundle = generate(preset_spec("figure1"))
     result = run_allocation_pipeline(bundle)
-    assert result.final.cells == result.stage(STAGE_MACHINE).cells
+    assert cells_of(result.final) == cells_of(result.stage(STAGE_MACHINE)) != {}
+
+
+def test_an_earlier_stage_cannot_start_a_new_one():
+    # The stages share one key index, so a stage that later stages have
+    # extended must not grow a second branch of it.
+    bundle = generate(preset_spec("sankey-small"))
+    result = run_allocation_pipeline(bundle)
+    machine = result.stage(STAGE_MACHINE)
+    with pytest.raises(ValueError, match="not the latest stage"):
+        apply_major_realloc(machine, bundle.service_usage)
+    with pytest.raises(ValueError, match="not the latest stage"):
+        machine.credit(("nobody", "c0", H(0)), 1.0, 0.0)
+
+
+def test_run_artifacts_stay_small():
+    # The benchmark's cli-1k shape: 1k machines, 50 users, 20 clusters, 12 h.
+    # Four stages of per-cell objects plus a transfer dict per round once
+    # retained 11.8 MiB here.
+    bundle = generate(ScenarioSpec(seed=7, machine_count=1000, user_count=50, cluster_count=20, hours=12))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        artifacts = run_end_to_end(bundle)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert artifacts.allocation.final.total_wh() > 0.0
+    assert retained < 8 * 2**20
 
 
 def test_pipeline_empty_fleet():
@@ -418,7 +448,7 @@ def test_rounds_flag_extends_stages():
 
 
 def test_apply_major_zero_denominator_keeps_provider_dynamic():
-    ledger = ledger_of({("svc", "c0", H(0)): EnergyCell(0.0, 10.0)})
+    ledger = ledger_of({("svc", "c0", H(0)): (0.0, 10.0)})
     rows = [usage_row("a", "svc", gcu=0.0)]
     result = apply_major_realloc(ledger, rows)
-    assert result.cells[("svc", "c0", H(0))].dynamic_wh == 10.0
+    assert cells_of(result) == {("svc", "c0", H(0)): (0.0, 10.0)}
