@@ -8,7 +8,9 @@ on its first day only (`--start/--end`), a seed-3 fleet (100 machines,
 1000 machines, 50 users, 20 clusters, 12 h), and `sankey-small` and the
 seed-5 fleet again with `--round-wh 0 --round-g 0`, so that their reports
 carry every float bit rather than whole Wh and grams, and once more with
-`--rounds 3` as well, so that a third minor round is covered. For each case and
+`--rounds 3` as well, so that a third minor round is covered. One more
+unrounded seed-5 fleet (40 machines, 720 h) runs from June into July, so
+that footprints are grouped over two billing months. For each case and
 each hash seed, `simulate` and then `run` execute in child processes
 under that `PYTHONHASHSEED`, against the package sources under `--src`
 (default: this checkout's `src`). Run it against two source trees and diff
@@ -53,6 +55,9 @@ CASES["sankey-small-unrounded"] = (["--preset", "sankey-small"], UNROUNDED)
 CASES["seed5-300-cyclic-unbilled-unrounded"] = (SEED5, UNROUNDED)
 CASES["sankey-small-3-rounds"] = (["--preset", "sankey-small"], ["--rounds", "3", *UNROUNDED])
 CASES["seed5-300-cyclic-unbilled-3-rounds"] = (SEED5, ["--rounds", "3", *UNROUNDED])
+CASES["seed5-40-720h-two-months"] = (
+    ["--seed", "5", "--machines", "40", "--hours", "720", "--cyclic-economy", "--unbilled-usage"], UNROUNDED
+)
 MANIFEST = "manifest.json"
 
 

@@ -8,7 +8,7 @@ footprints over SKUs, regions, and billing accounts.
 """
 
 from .allocation import Ledger, weighted_allocation
-from .carbon import EmissionRecord, IntensitySource, compute_emissions
+from .carbon import IntensitySource, compute_emissions
 from .check import closure_failures, compare_with_oracle, run_end_to_end
 from .footprint import FootprintReport, compute_customer_footprints
 from .model import Bundle, MachineRecord, PowerSample, ResourceVector, Sharing
@@ -21,7 +21,6 @@ from .tables import validate_bundle
 __all__ = [
     "AllocationResult",
     "Bundle",
-    "EmissionRecord",
     "FleetSplit",
     "FootprintReport",
     "IntensitySource",

@@ -10,12 +10,13 @@ accounting (clean-energy purchases) is out of scope.
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .allocation import Ledger
+from .allocation import Ledger, LedgerKey
 from .errors import MissingIntensityError
 from .model import Bundle, Notice, format_hour
 
@@ -28,17 +29,6 @@ class IntensitySource(str, Enum):
     HOURLY = "Hourly"
     ANNUAL_FALLBACK = "AnnualFallback"
     DEFAULT = "Default"
-
-
-@dataclass(frozen=True, slots=True)
-class EmissionRecord:
-    user: str
-    cluster_id: str
-    hour: datetime
-    energy_it_wh: float
-    energy_total_wh: float
-    kg_co2e: float
-    intensity_source: IntensitySource
 
 
 def co2_kg(energy_wh: float, intensity_g_per_kwh: float) -> float:
@@ -70,11 +60,24 @@ def resolve_intensity(
 
 @dataclass(slots=True)
 class EmissionsResult:
-    records: list[EmissionRecord]
+    """Emissions of every final-ledger cell, as columns in (user, cluster, hour) order."""
+
+    keys: list[LedgerKey] = field(default_factory=list)
+    it_wh: array = field(default_factory=lambda: array("d"))
+    total_wh: array = field(default_factory=lambda: array("d"))
+    kg: array = field(default_factory=lambda: array("d"))
+    sources: list[IntensitySource] = field(default_factory=list)
     notices: list[Notice] = field(default_factory=list)
 
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def rows(self) -> Iterator[tuple[LedgerKey, float, float, float, IntensitySource]]:
+        """(key, IT Wh, total Wh, kgCO2e, intensity source) of every row, in key order."""
+        return zip(self.keys, self.it_wh, self.total_wh, self.kg, self.sources)
+
     def total_kg(self) -> float:
-        return sum(r.kg_co2e for r in self.records)
+        return sum(self.kg)
 
 
 def compute_emissions(
@@ -93,13 +96,14 @@ def compute_emissions(
     zone_of = {r.cluster_id: r.zone_id for r in bundle.zone_map if r.zone_id}
     hourly = {(r.zone_id, r.hour): r.intensity_g_per_kwh for r in bundle.carbon_intensity}
     annual = {(r.zone_id, r.year): r.intensity_g_per_kwh for r in bundle.annual_intensity}
-    records: list[EmissionRecord] = []
-    notices: list[Notice] = []
+    result = EmissionsResult()
+    notices = result.notices
     missing_pue: set[tuple[str, datetime]] = set()
     # Intensity depends only on the cluster-hour.
     resolved: dict[tuple[str, datetime], tuple[float, IntensitySource]] = {}
 
-    for (user, cluster, hour), idle_wh, dynamic_wh in sorted(ledger.rows()):
+    for key, idle_wh, dynamic_wh in sorted(ledger.rows()):
+        _, cluster, hour = key
         it_wh = idle_wh + dynamic_wh
         pue = pue_by_key.get((cluster, hour))
         if pue is None:
@@ -123,15 +127,9 @@ def compute_emissions(
             resolved[cluster, hour] = found
         intensity, source = found
         total_wh = it_wh * pue
-        records.append(
-            EmissionRecord(
-                user=user,
-                cluster_id=cluster,
-                hour=hour,
-                energy_it_wh=it_wh,
-                energy_total_wh=total_wh,
-                kg_co2e=co2_kg(total_wh, intensity),
-                intensity_source=source,
-            )
-        )
-    return EmissionsResult(records=records, notices=notices)
+        result.keys.append(key)
+        result.it_wh.append(it_wh)
+        result.total_wh.append(total_wh)
+        result.kg.append(co2_kg(total_wh, intensity))
+        result.sources.append(source)
+    return result

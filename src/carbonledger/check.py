@@ -40,7 +40,7 @@ def run_end_to_end(
     """Allocation, emissions, and customer footprints in one pass."""
     allocation = run_allocation_pipeline(bundle, rounds=rounds)
     emissions = compute_emissions(allocation.final, bundle, default_pue, missing_intensity)
-    footprints = compute_customer_footprints(emissions.records, bundle)
+    footprints = compute_customer_footprints(emissions, bundle)
     return RunArtifacts(allocation=allocation, emissions=emissions, footprints=footprints)
 
 
@@ -198,11 +198,7 @@ def compare_with_oracle(bundle: Bundle, rounds: int = 2, default_pue: float = DE
         )
     table_max["emissions"] = _diff_table(
         "emissions",
-        {
-            (r.user, r.cluster_id, r.hour): r.kg_co2e
-            for r in artifacts.emissions.records
-            if r.kg_co2e != 0.0
-        },
+        {key: kg for key, kg in zip(artifacts.emissions.keys, artifacts.emissions.kg) if kg != 0.0},
         reference.emissions_kg,
         diffs,
     )

@@ -130,7 +130,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"closure failure: {failure}", file=sys.stderr)
         return EXIT_DATA
     tables.write_user_energy(artifacts.allocation.stages, out / "user_energy.csv", args.round_wh)
-    tables.write_emissions(artifacts.emissions.records, out / "emissions.csv", args.round_wh, args.round_g)
+    tables.write_emissions(artifacts.emissions, out / "emissions.csv", args.round_wh, args.round_g)
     tables.write_footprints(artifacts.footprints.reports, out / "footprint_report.csv", args.round_g)
     tables.write_flow_summary(artifacts.allocation.stages, out / "flow_summary.csv", args.round_wh)
     total_wh = artifacts.allocation.final.total_wh()

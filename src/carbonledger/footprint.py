@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .carbon import EmissionRecord, co2_kg
+from .carbon import EmissionsResult, co2_kg
 from .errors import BetaUndefinedError, NoBillableUsageError
 from .model import Bundle, Notice, SkuRecord, SkuUsageRecord, month_of
 
@@ -61,25 +61,17 @@ def sku_energy_rates(
 
 def regional_intensity(
     provider: str,
-    emissions: Sequence[EmissionRecord],
-    region_of: Mapping[str, str],
+    region_sums: Mapping[str, Mapping[str, Sequence[float]]],
 ) -> dict[str, float]:
     """Carbon per energy (gCO2e/kWh) of a provider's load in each region.
 
-    PUE and grid differences are folded in because the numerator is the
-    already-grossed-up footprint. Regions with zero energy are absent.
+    ``region_sums`` maps each provider to its ``region -> [kgCO2e, IT Wh]``
+    sums. PUE and grid differences are folded in because the numerator is
+    the already-grossed-up footprint. Regions with zero energy are absent.
     """
-    kg_by_region: dict[str, float] = {}
-    wh_by_region: dict[str, float] = {}
-    for rec in emissions:
-        if rec.user != provider:
-            continue
-        region = region_of[rec.cluster_id]
-        kg_by_region[region] = kg_by_region.get(region, 0.0) + rec.kg_co2e
-        wh_by_region[region] = wh_by_region.get(region, 0.0) + rec.energy_it_wh
     return {
-        region: kg_by_region[region] * 1e6 / wh
-        for region, wh in wh_by_region.items()
+        region: kg * 1e6 / wh
+        for region, (kg, wh) in region_sums.get(provider, {}).items()
         if wh > 0.0
     }
 
@@ -138,8 +130,16 @@ def beta_overhead(total_scope_kg: float, billed_allocated_kg: float) -> float:
     return total_scope_kg / billed_allocated_kg
 
 
+def _add(sums: dict[str, list[float]], key: str, kg: float, wh: float) -> None:
+    acc = sums.get(key)
+    if acc is None:
+        acc = sums[key] = [0.0, 0.0]
+    acc[0] += kg
+    acc[1] += wh
+
+
 def compute_customer_footprints(
-    emissions: Sequence[EmissionRecord],
+    emissions: EmissionsResult,
     bundle: Bundle,
 ) -> FootprintResult:
     """Monthly account footprints with full carbon closure.
@@ -148,10 +148,6 @@ def compute_customer_footprints(
     must end up on customer reports, so overhead users inflate beta
     rather than disappearing.
     """
-    month_of_hour = functools.cache(month_of)
-    records_by_month: dict[str, dict[str, list[EmissionRecord]]] = {}
-    for rec in emissions:
-        records_by_month.setdefault(month_of_hour(rec.hour), {}).setdefault(rec.user, []).append(rec)
     billing_by_month: dict[str, list[SkuUsageRecord]] = {}
     for rec in bundle.billing_usage:
         billing_by_month.setdefault(rec.month, []).append(rec)
@@ -162,20 +158,24 @@ def compute_customer_footprints(
     provider_of_sku = {s.sku_id: s.provider_user for s in catalog}
     product_of_sku = {s.sku_id: s.product_id for s in skus}
 
+    # One pass in row order: [kg, Wh] per month and user, and per month, provider and region.
+    month_of_hour = functools.cache(month_of)
+    is_provider = set(providers)
+    user_sums: dict[str, dict[str, list[float]]] = {}
+    region_sums: dict[str, dict[str, dict[str, list[float]]]] = {}
+    for (user, cluster, hour), wh, kg in zip(emissions.keys, emissions.it_wh, emissions.kg):
+        month = month_of_hour(hour)
+        _add(user_sums.setdefault(month, {}), user, kg, wh)
+        if user in is_provider:
+            _add(region_sums.setdefault(month, {}).setdefault(user, {}), region_of[cluster], kg, wh)
+
     notices: list[Notice] = []
     reports: list[FootprintReport] = []
     months: dict[str, MonthAllocation] = {}
     for month, month_billing in sorted(billing_by_month.items()):
-        records_by_user = records_by_month.get(month, {})
-        provider_kg: dict[str, float] = {}
-        provider_wh: dict[str, float] = {}
-        for user, records in records_by_user.items():
-            kg = wh = 0.0
-            for rec in records:
-                kg += rec.kg_co2e
-                wh += rec.energy_it_wh
-            provider_kg[user] = kg
-            provider_wh[user] = wh
+        sums_by_user = user_sums.get(month, {})
+        provider_kg = {user: kg for user, (kg, _) in sums_by_user.items()}
+        provider_wh = {user: wh for user, (_, wh) in sums_by_user.items()}
         total_scope_kg = sum(sorted(provider_kg.values()))
         if total_scope_kg <= 0.0:
             notices.append(Notice("empty-month", month, "no emissions in scope; month skipped"))
@@ -194,7 +194,7 @@ def compute_customer_footprints(
             provider_usage = usage_by_provider.get(provider, {})
             try:
                 rates = sku_energy_rates(provider, provider_wh.get(provider, 0.0), skus, month_billing)
-                intensity_by_region = regional_intensity(provider, records_by_user.get(provider, []), region_of)
+                intensity_by_region = regional_intensity(provider, region_sums.get(month, {}))
                 alpha = alpha_balance(
                     provider, provider_kg.get(provider, 0.0), rates, intensity_by_region, provider_usage
                 )

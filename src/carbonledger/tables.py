@@ -439,17 +439,18 @@ def write_user_energy(stages, path: Path, energy_step: float = 1.0) -> None:
     _write_csv(Path(path), header, rows())
 
 
-def write_emissions(records, path: Path, energy_step: float = 1.0, carbon_step_g: float = 1.0) -> None:
+def write_emissions(emissions, path: Path, energy_step: float = 1.0, carbon_step_g: float = 1.0) -> None:
+    """Every emission row, in the (user, cluster, hour) order the columns already hold."""
     hour = functools.cache(format_hour)
     rows = (
         (
-            r.user, r.cluster_id, hour(r.hour),
-            _fmt(quantize(r.energy_it_wh, energy_step)),
-            _fmt(quantize(r.energy_total_wh, energy_step)),
-            _fmt(quantize(r.kg_co2e, carbon_step_g / 1000.0)),
-            r.intensity_source.value,
+            user, cluster, hour(at),
+            _fmt(quantize(it_wh, energy_step)),
+            _fmt(quantize(total_wh, energy_step)),
+            _fmt(quantize(kg, carbon_step_g / 1000.0)),
+            source.value,
         )
-        for r in sorted(records, key=attrgetter("user", "cluster_id", "hour"))
+        for (user, cluster, at), it_wh, total_wh, kg, source in emissions.rows()
     )
     _write_csv(
         Path(path),

@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,7 @@ from carbonledger.carbon import (
     co2_kg,
     resolve_intensity,
 )
+from carbonledger.check import run_end_to_end
 from carbonledger.errors import MissingIntensityError
 from carbonledger.model import (
     AnnualIntensityRecord,
@@ -14,7 +17,10 @@ from carbonledger.model import (
     CarbonIntensityRecord,
     PueRecord,
     ZoneMapRow,
+    format_hour,
 )
+from carbonledger.simulate import ScenarioSpec, generate, preset_spec
+from carbonledger.tables import write_emissions
 
 from conftest import H, ledger_of
 
@@ -47,8 +53,8 @@ def test_resolve_unzoned_cluster_has_no_intensity():
     ledger = ledger_of({("u", "c9", H(0)): (10.0, 0.0)})
     bundle = feeds(pue=[PueRecord("c9", H(0), 1.0)], annual=annual, zone_map=[ZoneMapRow("c9", None, "r0")])
     result = compute_emissions(ledger, bundle, missing_intensity=0.0)
-    assert result.records[0].intensity_source is IntensitySource.DEFAULT
-    assert result.records[0].kg_co2e == 0.0
+    assert result.sources == [IntensitySource.DEFAULT]
+    assert result.kg[0] == 0.0
     assert [n.code for n in result.notices] == ["missing-intensity"]
 
 
@@ -58,11 +64,12 @@ def test_emission_arithmetic_at_global_mean():
     result = compute_emissions(
         ledger, feeds(pue=[PueRecord("c0", H(0), 1.10)], hourly=[CarbonIntensityRecord("z0", H(0), 320.8)])
     )
-    record = result.records[0]
-    assert record.energy_it_wh == 1000.0
-    assert record.energy_total_wh == pytest.approx(1100.0, rel=1e-12)
-    assert record.kg_co2e == pytest.approx(0.35288, rel=1e-9)
-    assert record.intensity_source is IntensitySource.HOURLY
+    [(key, it_wh, total_wh, kg, source)] = result.rows()
+    assert key == ("u", "c0", H(0))
+    assert it_wh == 1000.0
+    assert total_wh == pytest.approx(1100.0, rel=1e-12)
+    assert kg == pytest.approx(0.35288, rel=1e-9)
+    assert source is IntensitySource.HOURLY
 
 
 def test_zero_energy_yields_zero_emissions():
@@ -70,7 +77,7 @@ def test_zero_energy_yields_zero_emissions():
     result = compute_emissions(
         ledger, feeds(pue=[PueRecord("c0", H(0), 1.5)], hourly=[CarbonIntensityRecord("z0", H(0), 500.0)])
     )
-    assert result.records[0].kg_co2e == 0.0
+    assert result.kg[0] == 0.0
 
 
 def test_carbon_free_hour_yields_zero_emissions():
@@ -78,13 +85,13 @@ def test_carbon_free_hour_yields_zero_emissions():
     result = compute_emissions(
         ledger, feeds(pue=[PueRecord("c0", H(0), 1.2)], hourly=[CarbonIntensityRecord("z0", H(0), 0.0)])
     )
-    assert result.records[0].kg_co2e == 0.0
+    assert result.kg[0] == 0.0
 
 
 def test_missing_pue_uses_default_and_notices():
     ledger = ledger_of({("u", "c0", H(0)): (1000.0, 0.0)})
     result = compute_emissions(ledger, feeds(hourly=[CarbonIntensityRecord("z0", H(0), 100.0)]))
-    assert result.records[0].energy_total_wh == pytest.approx(1100.0)
+    assert result.total_wh[0] == pytest.approx(1100.0)
     assert [n.code for n in result.notices] == ["missing-pue"]
 
 
@@ -94,9 +101,8 @@ def test_missing_intensity_aborts_unless_allowed():
     with pytest.raises(MissingIntensityError):
         compute_emissions(ledger, bundle)
     result = compute_emissions(ledger, bundle, missing_intensity=50.0)
-    record = result.records[0]
-    assert record.intensity_source is IntensitySource.DEFAULT
-    assert record.kg_co2e == pytest.approx(co2_kg(10.0, 50.0))
+    assert result.sources == [IntensitySource.DEFAULT]
+    assert result.kg[0] == pytest.approx(co2_kg(10.0, 50.0))
     assert "missing-intensity" in {n.code for n in result.notices}
 
 
@@ -104,7 +110,7 @@ def test_missing_intensity_noticed_once_per_cluster_hour():
     # Once one notice per user cell: two here.
     cells = {(user, "c0", H(0)): (10.0, 0.0) for user in ("u1", "u2")}
     result = compute_emissions(ledger_of(cells), feeds(pue=[PueRecord("c0", H(0), 1.0)]), missing_intensity=7.0)
-    assert [r.intensity_source for r in result.records] == [IntensitySource.DEFAULT] * 2
+    assert result.sources == [IntensitySource.DEFAULT] * 2
     assert [(n.code, n.subject) for n in result.notices] == [("missing-intensity", "c0")]
 
 
@@ -117,7 +123,7 @@ def test_emissions_double_when_energy_doubles(idle, dynamic, pue, ci):
         ledger = ledger_of({("u", "c0", H(0)): (idle * scale, dynamic * scale)})
         return compute_emissions(
             ledger, feeds(pue=[PueRecord("c0", H(0), pue)], hourly=[CarbonIntensityRecord("z0", H(0), ci)])
-        ).records[0].kg_co2e
+        ).kg[0]
 
     assert run(2.0) == pytest.approx(2.0 * run(1.0), abs=1e-12 * max(1.0, run(1.0)))
 
@@ -148,6 +154,25 @@ def test_emissions_monotone_in_pue_and_intensity(pue_low, pue_hi, ci_low, ci_hi)
     def run(pue, ci):
         return compute_emissions(
             ledger, feeds(pue=[PueRecord("c0", H(0), pue)], hourly=[CarbonIntensityRecord("z0", H(0), ci)])
-        ).records[0].kg_co2e
+        ).kg[0]
 
     assert run(pue_hi, ci_hi) >= run(pue_low, ci_low)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [preset_spec("sankey-small"), ScenarioSpec(seed=5, machine_count=40, user_count=8, cluster_count=3, hours=24)],
+    ids=["sankey-small", "seed5-40"],
+)
+def test_emission_rows_are_the_final_ledger_in_report_order(spec, tmp_path):
+    artifacts = run_end_to_end(generate(spec))
+    final, emissions = artifacts.allocation.final, artifacts.emissions
+    assert emissions.keys == sorted(final.cells)
+    assert len(emissions) == len(final.idle)
+    for key, it_wh in zip(emissions.keys, emissions.it_wh):
+        row = final.cells[key]
+        assert it_wh == final.idle[row] + final.dynamic[row]
+    write_emissions(emissions, tmp_path / "emissions.csv", energy_step=0.0, carbon_step_g=0.0)
+    with (tmp_path / "emissions.csv").open(newline="") as handle:
+        written = [(r["user"], r["cluster_id"], r["hour_utc"]) for r in csv.DictReader(handle)]
+    assert written == [(user, cluster, format_hour(hour)) for user, cluster, hour in emissions.keys]

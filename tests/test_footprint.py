@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from carbonledger.carbon import EmissionRecord, IntensitySource
+from carbonledger.carbon import EmissionsResult, IntensitySource
 from carbonledger.check import run_end_to_end
 from carbonledger.errors import NoBillableUsageError
 from carbonledger.footprint import (
@@ -18,11 +18,18 @@ from conftest import H
 
 MONTH = "2023-06"
 ZONE_MAP = [ZoneMapRow("c0", "z0", "r-low"), ZoneMapRow("c1", "z1", "r-high")]
-REGION_OF = {row.cluster_id: row.region_id for row in ZONE_MAP}
 
 
-def emission(user, cluster, kg, it_wh, hour=0):
-    return EmissionRecord(user, cluster, H(hour), it_wh, it_wh, kg, IntensitySource.HOURLY)
+def emissions(*rows):
+    """Emission columns from ``(user, cluster, kg, it_wh)`` rows at hour 0, in key order."""
+    result = EmissionsResult()
+    for user, cluster, kg, it_wh in sorted(rows):
+        result.keys.append((user, cluster, H(0)))
+        result.it_wh.append(it_wh)
+        result.total_wh.append(it_wh)
+        result.kg.append(kg)
+        result.sources.append(IntensitySource.HOURLY)
+    return result
 
 
 def catalog_two_skus(provider="svc"):
@@ -82,25 +89,22 @@ def test_sku_rates_no_priced_usage_raises():
 
 
 def test_regional_intensity_constant_grid():
-    emissions = [emission("svc", "c0", kg=0.5, it_wh=1000.0)]
-    result = regional_intensity("svc", emissions, REGION_OF)
+    result = regional_intensity("svc", {"svc": {"r-low": [0.5, 1000.0]}, "other": {"r-high": [9.0, 1.0]}})
     assert result == {"r-low": pytest.approx(500.0, rel=1e-12)}
 
 
 def test_regional_intensity_weighted_mean():
     # 60% of energy at 100 g/kWh, 40% at 600 g/kWh -> 300 g/kWh overall.
-    emissions = [
-        emission("svc", "c0", kg=600.0 * 100.0 / 1e6, it_wh=600.0),
-        emission("svc", "c1", kg=400.0 * 600.0 / 1e6, it_wh=400.0),
-    ]
-    result = regional_intensity("svc", emissions, REGION_OF)
+    sums = {"svc": {"r-low": [600.0 * 100.0 / 1e6, 600.0], "r-high": [400.0 * 600.0 / 1e6, 400.0]}}
+    result = regional_intensity("svc", sums)
     combined = (result["r-low"] * 600.0 + result["r-high"] * 400.0) / 1000.0
     assert combined == pytest.approx(300.0, rel=1e-12)
 
 
 def test_regional_intensity_skips_energyless_regions():
-    emissions = [emission("svc", "c0", kg=0.1, it_wh=200.0)]
-    assert "r-high" not in regional_intensity("svc", emissions, REGION_OF)
+    sums = {"svc": {"r-low": [0.1, 200.0], "r-high": [0.0, 0.0]}}
+    assert list(regional_intensity("svc", sums)) == ["r-low"]
+    assert regional_intensity("absent", sums) == {}
 
 
 def test_alpha_is_one_when_balance_already_holds():
@@ -117,15 +121,12 @@ def test_alpha_is_one_when_balance_already_holds():
 
 def test_alpha_exceeds_one_when_usage_sits_in_low_carbon_region():
     # Energy split across regions, all billed usage in the cleaner one.
-    emissions = [
-        emission("svc", "c0", kg=500.0 * 100.0 / 1e6, it_wh=500.0),
-        emission("svc", "c1", kg=500.0 * 600.0 / 1e6, it_wh=500.0),
-    ]
-    intensities = regional_intensity("svc", emissions, REGION_OF)
+    sums = {"svc": {"r-low": [500.0 * 100.0 / 1e6, 500.0], "r-high": [500.0 * 600.0 / 1e6, 500.0]}}
+    intensities = regional_intensity("svc", sums)
     catalog = [SkuRecord("s", "product", "svc", 1.0, "unit")]
     usage = [SkuUsageRecord("s", "r-low", "acct", MONTH, 4.0)]
     rates = sku_energy_rates("svc", 1000.0, catalog, usage)
-    total_kg = sum(e.kg_co2e for e in emissions)
+    total_kg = sum(kg for kg, _ in sums["svc"].values())
     alpha = alpha_balance("svc", total_kg, rates, intensities, {("s", "r-low"): 4.0})
     assert alpha > 1.0
     # Applying alpha restores the provider's measured carbon exactly.
@@ -141,7 +142,7 @@ def test_beta_requires_billed_usage():
 
 def test_account_footprints_zero_usage_rows():
     result = compute_customer_footprints(
-        [emission("svc", "c0", kg=0.5, it_wh=1000.0)], Bundle(zone_map=ZONE_MAP, sku_catalog=catalog_two_skus())
+        emissions(("svc", "c0", 0.5, 1000.0)), Bundle(zone_map=ZONE_MAP, sku_catalog=catalog_two_skus())
     )
     assert (result.reports, result.months, result.notices) == ([], {}, [])
 
@@ -193,7 +194,7 @@ def test_footprints_are_homogeneous_in_account_usage(scale):
         SkuUsageRecord("s", "r-low", "a2", MONTH, 30.0 * scale),
     ]
     bundle = Bundle(zone_map=ZONE_MAP, sku_catalog=catalog, billing_usage=billing)
-    one, two = compute_customer_footprints([emission("svc", "c0", kg=0.5, it_wh=1000.0)], bundle).reports
+    one, two = compute_customer_footprints(emissions(("svc", "c0", 0.5, 1000.0)), bundle).reports
     assert (one.billing_account, two.billing_account) == ("a1", "a2")
     assert one.kg_co2e == pytest.approx(0.125, rel=1e-9)
     assert two.kg_co2e == pytest.approx(0.375, rel=1e-9)
@@ -231,7 +232,7 @@ def test_footprint_notices_keep_their_order():
         SkuRecord("s-ghost", "product", "ghost", 1.0, "unit"),
         SkuRecord("s-bare", "product", "bare", 1.0, "unit"),
     ]
-    emissions = [emission("svc", "c0", kg=0.5, it_wh=1000.0), emission("overhead", "c1", kg=0.25, it_wh=400.0)]
+    emitted = emissions(("svc", "c0", 0.5, 1000.0), ("overhead", "c1", 0.25, 400.0))
     billing = [
         SkuUsageRecord("s-svc", "r-low", "acct", MONTH, 4.0),
         SkuUsageRecord("s-svc", "r-high", "acct", MONTH, 1.0),
@@ -239,7 +240,7 @@ def test_footprint_notices_keep_their_order():
         SkuUsageRecord("s-svc", "r-low", "acct", "2023-07", 1.0),
     ]
     bundle = Bundle(zone_map=ZONE_MAP, sku_catalog=catalog, billing_usage=billing)
-    result = compute_customer_footprints(emissions, bundle)
+    result = compute_customer_footprints(emitted, bundle)
     assert [(n.code, n.subject, n.detail) for n in result.notices] == [
         ("unallocatable-provider", "bare", "provider 'bare' has no priced usage in 2023-06"),
         ("unallocatable-provider", "ghost", "provider 'ghost' has no carbon-bearing usage in 2023-06"),

@@ -133,10 +133,10 @@ def test_bundle_topology_partial_zone_map():
     )
     cells = {("svc", cluster, H(0)): (1000.0, 0.0) for cluster in ("c0", "c1")}
     emissions = compute_emissions(ledger_of(cells), bundle, missing_intensity=50.0)
-    assert [(r.cluster_id, r.intensity_source) for r in emissions.records] == [
+    assert [(cluster, source) for (_, cluster, _), source in zip(emissions.keys, emissions.sources)] == [
         ("c0", IntensitySource.HOURLY), ("c1", IntensitySource.DEFAULT),
     ]
-    reports = compute_customer_footprints(emissions.records, bundle).reports
+    reports = compute_customer_footprints(emissions, bundle).reports
     assert [(r.billing_account, r.region_id) for r in reports] == [("a", "r0"), ("b", "r1")]
     assert [r.kg_co2e for r in reports] == pytest.approx([0.1, 0.05], rel=1e-12)
 

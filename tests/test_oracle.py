@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
 from carbonledger import check
-from carbonledger.check import compare_with_oracle
+from carbonledger.carbon import IntensitySource
+from carbonledger.check import closure_failures, compare_with_oracle, run_end_to_end
 from carbonledger.errors import OracleSizeError
 from carbonledger.model import Bundle, GcuUsageRecord, ResourceAllocationRecord, ResourceVector
 from carbonledger.oracle import oracle_allocate
@@ -44,6 +47,24 @@ def test_oracle_equivalence_with_unbilled_usage_and_cycles():
     )
     report = compare_with_oracle(generate(spec))
     assert report.within(1e-9), report.worst[:3]
+
+
+def test_oracle_equivalence_with_emission_fallbacks():
+    # cluster-01 has no PUE, zone-02 (cluster-02's) no hourly intensity, and hour 5 no power.
+    bundle = generate(ScenarioSpec(seed=3, machine_count=40, user_count=8, cluster_count=3, hours=24))
+    bundle.pue = [p for p in bundle.pue if p.cluster_id != "cluster-01"]
+    bundle.carbon_intensity = [r for r in bundle.carbon_intensity if r.zone_id != "zone-02"]
+    bundle.power_samples = [
+        dataclasses.replace(s, measured_power_watts=0.0) if s.hour == H(5) else s for s in bundle.power_samples
+    ]
+    report = compare_with_oracle(bundle)
+    assert report.within(1e-9), report.worst[:3]
+    artifacts = run_end_to_end(bundle)
+    assert closure_failures(bundle, artifacts) == []
+    assert ("missing-pue", "cluster-01") in {(n.code, n.subject) for n in artifacts.emissions.notices}
+    fallback = [source for (_, cluster, _), source in zip(artifacts.emissions.keys, artifacts.emissions.sources)
+                if cluster == "cluster-02"]
+    assert fallback and set(fallback) == {IntensitySource.ANNUAL_FALLBACK}
 
 
 def test_oracle_refuses_too_many_machines():

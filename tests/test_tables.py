@@ -52,13 +52,13 @@ def test_read_bundle_stores_each_text_cell_once(tmp_path):
 
 @pytest.fixture(scope="module")
 def cli_1k_artifacts():
-    """The cli-1k shape of the benchmark: 11.4k ledger cells and emission records."""
+    """The cli-1k shape of the benchmark: 11.4k ledger cells and emission rows."""
     return run_end_to_end(generate(ScenarioSpec(seed=7, machine_count=1000, user_count=50, cluster_count=20, hours=12)))
 
 
 REPORT_WRITERS = {
     "user_energy": lambda artifacts, path: write_user_energy(artifacts.allocation.stages, path),
-    "emissions": lambda artifacts, path: write_emissions(artifacts.emissions.records, path),
+    "emissions": lambda artifacts, path: write_emissions(artifacts.emissions, path),
 }
 
 
