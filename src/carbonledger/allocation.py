@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 from .model import (
     RESOURCE_WEIGHTS,
     UNALLOCATED_USER,
-    GcuUsageRecord,
+    GcuUsageTable,
     MachineRecord,
     Notice,
     ResourceAllocationRecord,
@@ -170,7 +170,7 @@ def allocate_idle(
 def allocate_dynamic(
     split: FleetSplit,
     machines: Sequence[MachineRecord],
-    usage: Sequence[GcuUsageRecord],
+    usage: GcuUsageTable,
     allocations: Sequence[ResourceAllocationRecord],
 ) -> tuple[dict[LedgerKey, float], list[Notice]]:
     """Dynamic watt-hours per (user, cluster, hour).
@@ -181,15 +181,20 @@ def allocate_dynamic(
     owner takes it, a shared machine falls back to the idle-allocation
     fractions (and then to the unallocated-overhead user).
 
-    Usage is bucketed by hour once and grouped by machine one hour at a
-    time, so only one hour's grouping is alive at any point.
+    Usage rows are bucketed by hour once, as ``array("q")`` row numbers
+    into the usage columns, and threaded by machine one hour at a time, so
+    only one hour's threading is alive at any point and no row is an object.
     """
     by_id = {m.machine_id: m for m in machines}
-    usage_by_hour: dict[datetime, list[GcuUsageRecord]] = {}
-    for rec in usage:
-        if rec.gcu_used <= 0.0:
+    usage_users, usage_machines, gcu_used = usage.user, usage.machine_id, usage.gcu_used
+    usage_by_hour: dict[datetime, array] = {}
+    for row, (hour, gcu) in enumerate(zip(usage.hour, gcu_used)):
+        if gcu <= 0.0:
             continue
-        usage_by_hour.setdefault(rec.hour, []).append(rec)
+        rows = usage_by_hour.get(hour)
+        if rows is None:
+            rows = usage_by_hour[hour] = array("q")
+        rows.append(row)
 
     fractions = idle_share_table(allocations)
     dynamic: dict[LedgerKey, float] = {}
@@ -197,20 +202,31 @@ def allocate_dynamic(
 
     for part in split:
         hour = part.hour
-        usage_by_machine: dict[str, list[GcuUsageRecord]] = {}
-        for rec in usage_by_hour.pop(hour, ()):
-            usage_by_machine.setdefault(rec.machine_id, []).append(rec)
+        rows = usage_by_hour.pop(hour, array("q"))
+        # first[machine] is the position in ``rows`` of the machine's first
+        # row this hour, and after[i] that of the row after position i, or -1.
+        first: dict[str, int] = {}
+        after = array("q", rows)
+        for i in reversed(range(len(rows))):
+            machine_id = usage_machines[rows[i]]
+            after[i] = first.get(machine_id, -1)
+            first[machine_id] = i
         for machine_id, watts in zip(part.machine_ids, part.dynamic_watts):
             if watts == 0.0:
                 continue
             machine = by_id[machine_id]
             cluster = machine.cluster_id
-            users = usage_by_machine.get(machine_id)
-            if users:
-                total = sum(rec.gcu_used for rec in users)
-                for rec in users:
-                    key = (rec.user, cluster, hour)
-                    dynamic[key] = dynamic.get(key, 0.0) + watts * (rec.gcu_used / total)
+            i = first.get(machine_id, -1)
+            if i >= 0:
+                total, j = 0.0, i
+                while j >= 0:
+                    total += gcu_used[rows[j]]
+                    j = after[j]
+                while i >= 0:
+                    row = rows[i]
+                    key = (usage_users[row], cluster, hour)
+                    dynamic[key] = dynamic.get(key, 0.0) + watts * (gcu_used[row] / total)
+                    i = after[i]
                 continue
             if machine.sharing is Sharing.DEDICATED and machine.owner_user:
                 key = (machine.owner_user, cluster, hour)
@@ -234,7 +250,7 @@ def build_machine_ledger(
     split: FleetSplit,
     machines: Sequence[MachineRecord],
     allocations: Sequence[ResourceAllocationRecord],
-    usage: Sequence[GcuUsageRecord],
+    usage: GcuUsageTable,
 ) -> tuple[Ledger, list[Notice]]:
     """Machine-stage ledger: idle plus dynamic, before any reallocation."""
     idle, idle_notices = allocate_idle(split, machines, allocations)

@@ -60,9 +60,10 @@ def closure_failures(bundle: Bundle, artifacts: RunArtifacts) -> list[str]:
 
     measured: dict[tuple[str, object], float] = {}
     cluster_of = {m.machine_id: m.cluster_id for m in bundle.machines}
-    for sample in bundle.power_samples:
-        key = (cluster_of[sample.machine_id], sample.hour)
-        measured[key] = measured.get(key, 0.0) + sample.measured_power_watts
+    samples = bundle.power_samples
+    for machine_id, hour, watts in zip(samples.machine_id, samples.hour, samples.measured_power_watts):
+        key = (cluster_of[machine_id], hour)
+        measured[key] = measured.get(key, 0.0) + watts
 
     for ledger in artifacts.allocation.stages:
         totals: dict[tuple[str, object], float] = {}
@@ -212,7 +213,8 @@ def compare_with_oracle(bundle: Bundle, rounds: int = 2, default_pue: float = DE
         diffs,
     )
 
-    diffs.sort(key=lambda d: d.deviation, reverse=True)
+    # Ties go by table and key, so the kept rows do not follow the set order of _diff_table.
+    diffs.sort(key=lambda d: (-d.deviation, d.table, d.key))
     return ComparisonReport(
         max_deviation=max(table_max.values(), default=0.0),
         table_max=table_max,

@@ -14,9 +14,13 @@ identified by their start timestamp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import MutableSequence
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
+from operator import attrgetter
+from typing import Any, ClassVar, Iterable
 
 #: Reserved user receiving shared energy that no real user can claim.
 UNALLOCATED_USER = "unallocated-overhead"
@@ -226,14 +230,89 @@ class SkuUsageRecord:
     usage_units: float
 
 
+class ColumnTable(MutableSequence):
+    """Records of one type, stored one column per record field.
+
+    A subclass names its ``record`` type and takes the record's field names
+    as its slots, so each field is a column attribute: an ``array("d")``
+    for a ``float`` field and a list otherwise. A row then costs a few
+    pointers and one double instead of an object. The table reads and edits
+    as a sequence of records, each built on access; hot paths zip the
+    columns instead. It equals only a table of its own type.
+    """
+
+    __slots__ = ()
+    record: ClassVar[type]
+
+    def __init__(self, records: Iterable = ()) -> None:
+        cells = zip(*map(attrgetter(*self.__slots__), records))  # one tuple per column
+        for f in fields(self.record):
+            column = next(cells, ())
+            setattr(self, f.name, array("d", column) if f.type in ("float", float) else list(column))
+
+    def columns(self) -> list:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__slots__[0]))
+
+    def __iter__(self):
+        return map(self.record, *self.columns())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            part = type(self)()
+            for name, column in zip(self.__slots__, self.columns()):
+                setattr(part, name, column[index])
+            return part
+        return self.record(*(column[index] for column in self.columns()))
+
+    def __setitem__(self, index, value) -> None:
+        source = type(self)(value) if isinstance(index, slice) else value
+        cells = [getattr(source, name) for name in self.__slots__]
+        for column, cell in zip(self.columns(), cells):
+            column[index] = cell
+
+    def __delitem__(self, index) -> None:
+        for column in self.columns():
+            del column[index]
+
+    def insert(self, index: int, value) -> None:
+        cells = [getattr(value, name) for name in self.__slots__]
+        for column, cell in zip(self.columns(), cells):
+            column.insert(index, cell)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.columns() == other.columns()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class PowerSampleTable(ColumnTable):
+    record = PowerSample
+    __slots__ = tuple(f.name for f in fields(PowerSample))
+
+
+class GcuUsageTable(ColumnTable):
+    record = GcuUsageRecord
+    __slots__ = tuple(f.name for f in fields(GcuUsageRecord))
+
+
 @dataclass(slots=True)
 class Bundle:
-    """Every input table a pipeline run consumes."""
+    """Every input table a pipeline run consumes.
+
+    ``power_samples`` and ``gcu_usage`` are column tables; records given
+    for either, at construction or by assignment, are stored as columns.
+    """
 
     machines: list[MachineRecord] = field(default_factory=list)
-    power_samples: list[PowerSample] = field(default_factory=list)
+    power_samples: PowerSampleTable = field(default_factory=PowerSampleTable)
     resource_allocations: list[ResourceAllocationRecord] = field(default_factory=list)
-    gcu_usage: list[GcuUsageRecord] = field(default_factory=list)
+    gcu_usage: GcuUsageTable = field(default_factory=GcuUsageTable)
     service_usage: list[ServiceUsageRecord] = field(default_factory=list)
     net_costs: list[NetCostRecord] = field(default_factory=list)
     non_service_costs: list[NonServiceCostRecord] = field(default_factory=list)
@@ -243,6 +322,15 @@ class Bundle:
     zone_map: list[ZoneMapRow] = field(default_factory=list)
     sku_catalog: list[SkuRecord] = field(default_factory=list)
     billing_usage: list[SkuUsageRecord] = field(default_factory=list)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        table = _COLUMN_TABLES.get(name)
+        if table is not None and type(value) is not table:
+            value = table(value)
+        object.__setattr__(self, name, value)
+
+
+_COLUMN_TABLES = {"power_samples": PowerSampleTable, "gcu_usage": GcuUsageTable}
 
 
 @dataclass(frozen=True, slots=True)

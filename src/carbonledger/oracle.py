@@ -48,14 +48,14 @@ class OracleResult:
     footprints_kg: dict[tuple[str, str, str, str], float] = field(default_factory=dict)
 
 
-def _collect_users(bundle: Bundle) -> list[str]:
+def _collect_users(bundle: Bundle, gcu_usage: list) -> list[str]:
     users: set[str] = set()
     for m in bundle.machines:
         if m.owner_user:
             users.add(m.owner_user)
     for a in bundle.resource_allocations:
         users.add(a.user)
-    for u in bundle.gcu_usage:
+    for u in gcu_usage:
         users.add(u.user)
     for s in bundle.service_usage:
         users.add(s.consumer)
@@ -72,8 +72,10 @@ def oracle_allocate(
     default_pue: float = DEFAULT_PUE,
 ) -> OracleResult:
     """Recompute the whole allocation by exhaustive enumeration."""
-    hours = sorted({s.hour for s in bundle.power_samples})
-    users = _collect_users(bundle)
+    # Sample and usage records, each built once: their column tables build one per access.
+    power_samples, gcu_usage = list(bundle.power_samples), list(bundle.gcu_usage)
+    hours = sorted({s.hour for s in power_samples})
+    users = _collect_users(bundle, gcu_usage)
     if len(bundle.machines) > MAX_MACHINES:
         raise OracleSizeError(f"{len(bundle.machines)} machines exceed the oracle limit of {MAX_MACHINES}")
     if len(users) > MAX_USERS + 1:  # the reserved user is always appended
@@ -82,7 +84,7 @@ def oracle_allocate(
         raise OracleSizeError(f"{len(hours)} hours exceed the oracle limit of {MAX_HOURS}")
 
     result = OracleResult()
-    if not bundle.power_samples:
+    if not power_samples:
         result.stage_totals["final"] = {}
         return result
 
@@ -100,11 +102,11 @@ def oracle_allocate(
 
     machine_by_id = {m.machine_id: m for m in bundle.machines}
     usage_rows_by_mh: dict[tuple[str, datetime], list] = {}
-    for u in bundle.gcu_usage:
+    for u in gcu_usage:
         if u.gcu_used > 0.0:
             usage_rows_by_mh.setdefault((u.machine_id, u.hour), []).append(u)
     for hour in hours:
-        samples = [s for s in bundle.power_samples if s.hour == hour]
+        samples = [s for s in power_samples if s.hour == hour]
         for cluster in clusters:
             # Idle-share weights from this cluster-hour's allocations.
             weight_by_user = [0.0] * n

@@ -16,7 +16,7 @@ from datetime import datetime
 from typing import Iterator, Sequence
 
 from .errors import InputError
-from .model import MachineRecord, PowerSample
+from .model import MachineRecord, PowerSampleTable
 
 log = logging.getLogger(__name__)
 
@@ -56,8 +56,8 @@ class FleetSplit:
         return sum(len(part) for part in self.hours)
 
 
-def split_fleet(machines: Sequence[MachineRecord], samples: Sequence[PowerSample]) -> FleetSplit:
-    """Split every sampled machine-hour.
+def split_fleet(machines: Sequence[MachineRecord], samples: PowerSampleTable) -> FleetSplit:
+    """Split every sampled machine-hour, walking the sample columns.
 
     A machine with no sample for some hour simply contributes no row
     (treated as powered off); at DEBUG level the gap is logged once per
@@ -65,19 +65,18 @@ def split_fleet(machines: Sequence[MachineRecord], samples: Sequence[PowerSample
     """
     by_id = {m.machine_id: m for m in machines}
     buckets: dict[datetime, HourSplit] = {}
-    for sample in samples:
-        machine = by_id.get(sample.machine_id)
+    for machine_id, hour, measured in zip(samples.machine_id, samples.hour, samples.measured_power_watts):
+        machine = by_id.get(machine_id)
         if machine is None:
-            raise InputError(f"power sample references unknown machine {sample.machine_id!r}")
-        measured = sample.measured_power_watts
+            raise InputError(f"power sample references unknown machine {machine_id!r}")
         if measured < 0:
-            raise InputError(f"negative measured power {measured} on {machine.machine_id!r}")
-        part = buckets.get(sample.hour)
+            raise InputError(f"negative measured power {measured} on {machine_id!r}")
+        part = buckets.get(hour)
         if part is None:
-            part = buckets[sample.hour] = HourSplit(sample.hour)
+            part = buckets[hour] = HourSplit(hour)
         # The clamp absorbs mis-configured idle ratings.
         idle = min(machine.idle_rating_watts, measured)
-        part.machine_ids.append(sample.machine_id)
+        part.machine_ids.append(machine_id)
         part.idle_watts.append(idle)
         part.dynamic_watts.append(measured - idle)
 

@@ -377,6 +377,14 @@ def _random_fleet(spec: ScenarioSpec) -> Bundle:
 
     # Machines, samples, and per-machine usage. The first machine is always
     # shared so the anchor user below is guaranteed some idle energy.
+    # Samples and usage go straight into their columns: no record per row.
+    samples, usage = bundle.power_samples, bundle.gcu_usage
+    sample_machine, sample_hour, sample_watts = (
+        samples.machine_id.append, samples.hour.append, samples.measured_power_watts.append,
+    )
+    usage_user, usage_machine, usage_hour, usage_gcu = (
+        usage.user.append, usage.machine_id.append, usage.hour.append, usage.gcu_used.append,
+    )
     for i in range(spec.machine_count):
         cluster = rng.choice(clusters)
         dedicated = i > 0 and rng.random() < 0.25
@@ -398,13 +406,16 @@ def _random_fleet(spec: ScenarioSpec) -> Bundle:
             swing = DIURNAL_AMPLITUDE * math.sin(2.0 * math.pi * (index + phase) / 24.0)
             utilization = min(1.0, max(0.0, 0.55 + swing + rng.uniform(-0.08, 0.08)))
             measured = idle_rating + utilization * (peak - idle_rating)
-            bundle.power_samples.append(PowerSample(machine.machine_id, hour, measured))
+            sample_machine(machine.machine_id)
+            sample_hour(hour)
+            sample_watts(measured)
             if rng.random() < 0.03:
                 continue  # busy machine with no attributed usage
             for user in rng.sample(users, k=min(len(users), rng.randint(1, 3))):
-                bundle.gcu_usage.append(
-                    GcuUsageRecord(user, machine.machine_id, hour, rng.uniform(0.5, 40.0))
-                )
+                usage_user(user)
+                usage_machine(machine.machine_id)
+                usage_hour(hour)
+                usage_gcu(rng.uniform(0.5, 40.0))
 
     # Resource allocations: hour-constant per (user, cluster), plus a
     # guaranteed anchor user per cluster so shared idle is always claimable.

@@ -14,13 +14,18 @@ entry also declares its table's checks (key, bounds, references), which
 ``validate_bundle`` walks.
 
 Caches live for one call only, so their memory goes with the call or
-with the bundle it returns. One ``read_bundle`` call parses each distinct
-hour string once and stores equal ``TEXT`` and ``OPTIONAL`` cells once:
-a machine id repeated on every power sample and usage row is one string
-shared by all of them. Each ``write_bundle``, ``write_user_energy`` and
-``write_emissions`` call formats each distinct hour once. The two large
-report writers, ``write_user_energy`` and ``write_emissions``, stream
-their rows to the file and hold only the sorted keys or records. Report
+with the bundle it returns. ``read_bundle`` parses each file a chunk of
+rows at a time, column by column, straight into the columns of the
+column tables (``power_samples``, ``gcu_usage``) and into records for
+the other tables. One call parses each distinct hour string once, so
+equal hours are one object, and stores equal ``TEXT`` and ``OPTIONAL``
+cells once: a machine id repeated on every power sample and usage row is
+one string shared by every column and record that holds it.
+``write_bundle`` formats each column, then sorts the rows. Each
+``write_bundle``, ``write_user_energy`` and ``write_emissions`` call
+formats each distinct hour once. The two large report writers,
+``write_user_energy`` and ``write_emissions``, stream their rows to the
+file; only ``write_user_energy`` holds a sorted copy of its keys. Report
 rounding happens here at serialization time only.
 """
 
@@ -35,15 +40,17 @@ import math
 import sys
 from dataclasses import dataclass
 from datetime import date
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .model import (
     AnnualIntensityRecord,
     Bundle,
     CarbonIntensityRecord,
+    ColumnTable,
     GcuUsageRecord,
     MachineRecord,
     NetCostRecord,
@@ -77,6 +84,14 @@ def _parse_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text!r}")
     return value
+
+
+def _parse_floats(cells: Sequence[str]) -> list[float]:
+    """A column of numbers, parsed at once; a non-finite one raises as in ``_parse_float``."""
+    values = list(map(float, cells))
+    if not math.isfinite(sum(values)):  # a NaN or an infinity, or only an overflowing sum
+        values = list(map(_parse_float, cells))
+    return values
 
 
 def _parse_bool(text: str) -> bool:
@@ -138,13 +153,13 @@ class Table:
     repeats: str = ""
     subject: str = ""
 
-    def make(self) -> Callable[..., Any]:
-        """A constructor taking one parsed cell per column."""
+    def records(self, columns: Sequence[Iterable]) -> Iterator:
+        """The records made from one iterable of parsed cells per column."""
         nested = [i for i, column in enumerate(self.columns) if "." in column.attribute]
         if not nested:
-            return self.record
-        lo, hi, record = nested[0], nested[-1] + 1, self.record
-        return lambda *cells: record(*cells[:lo], ResourceVector(*cells[lo:hi]), *cells[hi:])
+            return map(self.record, *columns)
+        lo, hi = nested[0], nested[-1] + 1
+        return map(self.record, *columns[:lo], map(ResourceVector, *columns[lo:hi]), *columns[hi:])
 
 
 HOUR_UTC = Column("hour_utc", HOUR, "hour")
@@ -211,6 +226,13 @@ SCHEMAS: dict[str, tuple[str, ...]] = {
 REQUIRED_TABLES = ("machines", "power_samples", "zone_map")
 
 
+def _values(records: Sequence, attribute: str) -> Iterable:
+    """One column of a table in row order: a column table's own, or read off each record."""
+    if isinstance(records, ColumnTable):
+        return getattr(records, attribute)
+    return map(attrgetter(attribute), records)
+
+
 def validate_bundle(bundle: Bundle) -> list[Violation]:
     """Every violation in a bundle: violations are data, not failures.
 
@@ -224,44 +246,39 @@ def validate_bundle(bundle: Bundle) -> list[Violation]:
     @functools.cache
     def ids(name: str) -> set:
         table = TABLES[name]
-        return set(map(attrgetter(table.columns[0].attribute), getattr(bundle, table.field)))
+        return set(_values(getattr(bundle, table.field), table.columns[0].attribute))
 
     for table in TABLES.values():
         records = getattr(bundle, table.field)
         subject = attrgetter(table.subject or table.columns[0].attribute)
 
-        def flag(code: str, record: Any, detail: str) -> None:
-            violations.append(Violation(code, subject(record), f"{table.field} {detail}"))
+        def flag(code: str, row: int, detail: str) -> None:
+            violations.append(Violation(code, subject(records[row]), f"{table.field} {detail}"))
 
         if table.key:
             key_columns = [column for column in table.columns if column.name in table.key]
-            key = attrgetter(*(column.attribute for column in key_columns))
             seen = set()
-            for record in records:
-                value = key(record)
+            for row, value in enumerate(zip(*(_values(records, column.attribute) for column in key_columns))):
                 if value in seen:
-                    values = value if len(key_columns) > 1 else (value,)
-                    shown = ", ".join(column.codec.format(v) for column, v in zip(key_columns, values))
-                    flag(table.repeats, record, f"repeats key ({shown})")
+                    shown = ", ".join(column.codec.format(v) for column, v in zip(key_columns, value))
+                    flag(table.repeats, row, f"repeats key ({shown})")
                 seen.add(value)
         for column in table.columns:
-            get = attrgetter(column.attribute)
             if column.codec is FLOAT:
                 low = -sys.float_info.max if column.low is None else column.low
-                for record in records:
-                    value = get(record)
+                for row, value in enumerate(_values(records, column.attribute)):
                     if low <= value < math.inf:  # nearly every value: one comparison clears it
                         continue
                     if not math.isfinite(value):
-                        flag("non-finite-value", record, f"{column.attribute} is {value}")
+                        flag("non-finite-value", row, f"{column.attribute} is {value}")
                     if column.low is not None and value < low:
-                        flag(column.below, record, f"{column.attribute} is {value}")
+                        flag(column.below, row, f"{column.attribute} is {value}")
             if column.refers:
                 target, code = column.refers
                 known = ids(target)
-                for record in records:
-                    if (value := get(record)) not in known:
-                        flag(code, record, f"{column.attribute} {value!r} not in {target}")
+                for row, value in enumerate(_values(records, column.attribute)):
+                    if value not in known:
+                        flag(code, row, f"{column.attribute} {value!r} not in {target}")
 
     for m in bundle.machines:
         if m.sharing is Sharing.DEDICATED and not m.owner_user:
@@ -324,10 +341,10 @@ def write_bundle(bundle: Bundle, directory: Path, manifest_extra: dict | None = 
     directory.mkdir(parents=True, exist_ok=True)
     hour = functools.cache(format_hour)
     for name, table in TABLES.items():
-        cells = [(attrgetter(c.attribute), hour if c.codec is HOUR else c.codec.format)
-                 for c in table.columns]
-        rows = sorted(tuple(fmt(get(record)) for get, fmt in cells) for record in getattr(bundle, table.field))
-        _write_csv(directory / f"{name}.csv", SCHEMAS[name], rows)
+        records = getattr(bundle, table.field)
+        formatted = [map(hour if c.codec is HOUR else c.codec.format, _values(records, c.attribute))
+                     for c in table.columns]
+        _write_csv(directory / f"{name}.csv", SCHEMAS[name], sorted(zip(*formatted)))
 
     hashes = {f"{table}.csv": _sha256(directory / f"{table}.csv") for table in sorted(SCHEMAS)}
     manifest = {"schema_version": SCHEMA_VERSION, "files": hashes}
@@ -337,31 +354,60 @@ def write_bundle(bundle: Bundle, directory: Path, manifest_extra: dict | None = 
     return manifest_path
 
 
-def _read_table(path: Path, table: Table, header: tuple[str, ...], per_read: dict[Codec, Callable]) -> list:
-    parsers = [per_read.get(c.codec, c.codec.parse) for c in table.columns]
-    make = table.make()
-    records = []
+#: Rows parsed at a time: each chunk is parsed column by column, and only one chunk of text is held.
+CHUNK_ROWS = 1024
+
+
+def _read_table(
+    path: Path, table: Table, header: tuple[str, ...], per_read: dict[Codec, Callable], into: list | ColumnTable,
+) -> None:
+    """Parse ``path`` into ``into``: a column table's columns, or a list of records.
+
+    ``per_read`` maps a codec to a parser of a whole chunk of one column's
+    cells; any other codec parses cell by cell.
+    """
+    parsers = [per_read.get(c.codec) or functools.partial(map, c.codec.parse) for c in table.columns]
+    width = len(parsers)
+    if isinstance(into, ColumnTable):
+        columns = [getattr(into, c.attribute) for c in table.columns]
+
+        def add(parsed: list) -> None:
+            for column, values in zip(columns, parsed):
+                column.extend(values)
+    else:
+        def add(parsed: list) -> None:
+            into.extend(table.records(parsed))
+
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
         found = next(reader, [])
         if tuple(found) != header:
             raise InputError(f"{path.name}: header {found} does not match schema {list(header)}")
+        try:
+            while chunk := list(islice(reader, CHUNK_ROWS)):
+                if not {0, width}.issuperset(map(len, chunk)):  # blank lines are skipped
+                    raise ValueError("a row has the wrong number of cells")
+                if parsed := [parse(cells) for parse, cells in zip(parsers, zip(*filter(None, chunk)))]:
+                    add(parsed)
+        except ValueError as exc:
+            _raise_at_first_bad_row(path, table)
+            raise InputError(f"{path.name}: {exc}") from None
+
+
+def _raise_at_first_bad_row(path: Path, table: Table) -> None:
+    """Re-read ``path`` cell by cell and raise an ``InputError`` naming the first bad line and column."""
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader, None)
         for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != len(parsers):
-                    raise ValueError(f"{len(row)} cells where the schema has {len(parsers)}")
-                records.append(make(*[parse(text) for parse, text in zip(parsers, row)]))
-            except ValueError as exc:
-                where = f"{path.name} line {reader.line_num}"
-                for column, parse, text in zip(table.columns, parsers, row):
-                    try:
-                        parse(text)
-                    except ValueError as cell_exc:
-                        raise InputError(f"{where}, column {column.name}: {cell_exc}") from None
-                raise InputError(f"{where}: {exc}") from None
-    return records
+            where = f"{path.name} line {reader.line_num}"
+            for column, text in zip(table.columns, row):
+                try:
+                    column.codec.parse(text)
+                except ValueError as exc:
+                    raise InputError(f"{where}, column {column.name}: {exc}") from None
+            if row and len(row) != len(table.columns):
+                raise InputError(f"{where}: {len(row)} cells where the schema has {len(table.columns)}")
 
 
 def _check_manifest(directory: Path) -> None:
@@ -393,16 +439,18 @@ def read_bundle(directory: Path) -> Bundle:
     _check_manifest(directory)
     # Equal text cells, across all tables, become one string object.
     share = {}.setdefault
+    hour = functools.cache(parse_hour)
     per_read = {
-        HOUR: functools.cache(parse_hour),
-        TEXT: lambda text: share(text, text),
-        OPTIONAL: lambda text: share(text, text) or None,
+        HOUR: functools.partial(map, hour),
+        TEXT: lambda cells: map(share, cells, cells),
+        OPTIONAL: lambda cells: [share(text, text) or None for text in cells],
+        FLOAT: _parse_floats,
     }
     bundle = Bundle()
     for name, table in TABLES.items():
         path = directory / f"{name}.csv"
         if path.exists():
-            setattr(bundle, table.field, _read_table(path, table, SCHEMAS[name], per_read))
+            _read_table(path, table, SCHEMAS[name], per_read, getattr(bundle, table.field))
     return bundle
 
 

@@ -14,6 +14,8 @@ from carbonledger.errors import InputError
 from carbonledger.model import (
     UNALLOCATED_USER,
     GcuUsageRecord,
+    GcuUsageTable,
+    PowerSampleTable,
     ResourceVector,
 )
 from carbonledger.power import split_fleet
@@ -53,7 +55,8 @@ def test_idle_share_all_zero_cluster_hour_is_absent():
     allocations = [alloc("a", gcu=0.0)]
     assert idle_share_table(allocations) == {}
     machines = [shared_machine("m0", idle=40.0)]
-    idle, notices = allocate_idle(split_fleet(machines, [sample("m0", 0, 100.0)]), machines, allocations)
+    split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 100.0)]))
+    idle, notices = allocate_idle(split, machines, allocations)
     assert idle == {(UNALLOCATED_USER, "c0", H(0)): 40.0}
     assert [n.code for n in notices] == ["unallocated-idle"]
 
@@ -68,7 +71,7 @@ def test_idle_fractions_sum_to_one():
 def test_allocate_idle_prod_user_holds_everything():
     # Single shared aggregate; one user owns all allocation, so it takes all idle.
     machines = [shared_machine("m0", idle=6e6)]
-    split = split_fleet(machines, [sample("m0", 0, 14e6)])
+    split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 14e6)]))
     idle, notices = allocate_idle(split, machines, [alloc("prod", gcu=100.0)])
     assert idle == {("prod", "c0", H(0)): 6e6}
     assert notices == []
@@ -80,14 +83,15 @@ def test_allocate_idle_dedicated_goes_to_owner():
         dedicated_machine("m1", owner="alice", idle=20.0),
         dedicated_machine("m2", owner="bob", idle=10.0),
     ]
-    split = split_fleet(machines, [sample("m0", 0, 50.0), sample("m1", 0, 25.0), sample("m2", 0, 90.0)])
+    samples = PowerSampleTable([sample("m0", 0, 50.0), sample("m1", 0, 25.0), sample("m2", 0, 90.0)])
+    split = split_fleet(machines, samples)
     idle, _ = allocate_idle(split, machines, [])
     assert idle == {("alice", "c0", H(0)): 50.0, ("bob", "c0", H(0)): 10.0}
 
 
 def test_allocate_idle_without_allocations_falls_back():
     machines = [shared_machine("m0", idle=40.0)]
-    split = split_fleet(machines, [sample("m0", 0, 100.0)])
+    split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 100.0)]))
     idle, notices = allocate_idle(split, machines, [])
     assert idle == {(UNALLOCATED_USER, "c0", H(0)): 40.0}
     assert [n.code for n in notices] == ["unallocated-idle"]
@@ -96,8 +100,8 @@ def test_allocate_idle_without_allocations_falls_back():
 def test_allocate_dynamic_daytime_split():
     # 8 MW dynamic, 75/25 usage split: 6 MW and 2 MW.
     machines = [shared_machine("m0", idle=6e6)]
-    split = split_fleet(machines, [sample("m0", 0, 14e6)])
-    usage = [GcuUsageRecord("prod", "m0", H(0), 60.0), GcuUsageRecord("non-prod", "m0", H(0), 20.0)]
+    split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 14e6)]))
+    usage = GcuUsageTable([GcuUsageRecord("prod", "m0", H(0), 60.0), GcuUsageRecord("non-prod", "m0", H(0), 20.0)])
     dynamic, _ = allocate_dynamic(split, machines, usage, [])
     assert dynamic[("prod", "c0", H(0))] == pytest.approx(6e6, rel=1e-12)
     assert dynamic[("non-prod", "c0", H(0))] == pytest.approx(2e6, rel=1e-12)
@@ -106,8 +110,8 @@ def test_allocate_dynamic_daytime_split():
 def test_allocate_dynamic_night_split_with_idle_totals():
     # 6 MW dynamic split 50/50 plus prod's 6 MW idle: 9 MW vs 3 MW.
     machines = [shared_machine("m0", idle=6e6)]
-    split = split_fleet(machines, [sample("m0", 0, 12e6)])
-    usage = [GcuUsageRecord("prod", "m0", H(0), 30.0), GcuUsageRecord("non-prod", "m0", H(0), 30.0)]
+    split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 12e6)]))
+    usage = GcuUsageTable([GcuUsageRecord("prod", "m0", H(0), 30.0), GcuUsageRecord("non-prod", "m0", H(0), 30.0)])
     ledger, _ = build_machine_ledger(split, machines, [alloc("prod", gcu=100.0)], usage)
     cells = cells_of(ledger)
     assert sum(cells[("prod", "c0", H(0))]) == pytest.approx(9e6, rel=1e-12)
@@ -116,23 +120,23 @@ def test_allocate_dynamic_night_split_with_idle_totals():
 
 def test_allocate_dynamic_single_user_takes_all():
     machines = [shared_machine("m0", idle=10.0)]
-    split = split_fleet(machines, [sample("m0", 0, 25.0)])
-    dynamic, _ = allocate_dynamic(split, machines, [GcuUsageRecord("solo", "m0", H(0), 2.0)], [])
+    split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 25.0)]))
+    dynamic, _ = allocate_dynamic(split, machines, GcuUsageTable([GcuUsageRecord("solo", "m0", H(0), 2.0)]), [])
     assert dynamic == {("solo", "c0", H(0)): 15.0}
 
 
 def test_zero_usage_dedicated_machine_dynamic_goes_to_owner():
     machines = [dedicated_machine("m0", owner="alice", idle=10.0)]
-    split = split_fleet(machines, [sample("m0", 0, 30.0)])
-    dynamic, _ = allocate_dynamic(split, machines, [], [])
+    split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 30.0)]))
+    dynamic, _ = allocate_dynamic(split, machines, GcuUsageTable(), [])
     assert dynamic == {("alice", "c0", H(0)): 20.0}
 
 
 def test_zero_usage_shared_machine_dynamic_follows_idle_fractions():
     machines = [shared_machine("m0", idle=10.0)]
-    split = split_fleet(machines, [sample("m0", 0, 30.0)])
+    split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 30.0)]))
     allocations = [alloc("a", gcu=30.0), alloc("b", gcu=10.0)]
-    dynamic, _ = allocate_dynamic(split, machines, [], allocations)
+    dynamic, _ = allocate_dynamic(split, machines, GcuUsageTable(), allocations)
     assert dynamic[("a", "c0", H(0))] == pytest.approx(15.0, rel=1e-12)
     assert dynamic[("b", "c0", H(0))] == pytest.approx(5.0, rel=1e-12)
 
@@ -140,11 +144,11 @@ def test_zero_usage_shared_machine_dynamic_follows_idle_fractions():
 def test_dynamic_is_per_machine_local():
     # A user with no usage on m1 receives nothing from m1.
     machines = [shared_machine("m0", idle=0.0), shared_machine("m1", idle=0.0)]
-    split = split_fleet(machines, [sample("m0", 0, 10.0), sample("m1", 0, 50.0)])
-    usage = [
+    split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 10.0), sample("m1", 0, 50.0)]))
+    usage = GcuUsageTable([
         GcuUsageRecord("a", "m0", H(0), 5.0),
         GcuUsageRecord("b", "m1", H(0), 5.0),
-    ]
+    ])
     dynamic, _ = allocate_dynamic(split, machines, usage, [])
     assert dynamic[("a", "c0", H(0))] == 10.0
     assert dynamic[("b", "c0", H(0))] == 50.0
@@ -181,7 +185,7 @@ def test_machine_ledger_conserves_measured_power(data):
     machine_count = data.draw(st.integers(1, 12))
     user_count = data.draw(st.integers(1, 5))
     users = [f"u{i}" for i in range(user_count)]
-    machines, samples, usage = [], [], []
+    machines, samples, usage = [], PowerSampleTable(), GcuUsageTable()
     for i in range(machine_count):
         rating = data.draw(st.floats(0, 500, allow_nan=False), label=f"rating{i}")
         measured = data.draw(st.floats(0, 800, allow_nan=False), label=f"measured{i}")
@@ -203,13 +207,13 @@ def test_machine_ledger_conserves_measured_power(data):
 
 def test_permuting_user_labels_permutes_outputs():
     machines = [shared_machine("m0", idle=50.0)]
-    samples = [sample("m0", 0, 120.0)]
-    usage = [GcuUsageRecord("a", "m0", H(0), 3.0), GcuUsageRecord("b", "m0", H(0), 1.0)]
+    samples = PowerSampleTable([sample("m0", 0, 120.0)])
+    usage = GcuUsageTable([GcuUsageRecord("a", "m0", H(0), 3.0), GcuUsageRecord("b", "m0", H(0), 1.0)])
     allocations = [alloc("a", gcu=1.0), alloc("b", gcu=3.0)]
     ledger, _ = build_machine_ledger(split_fleet(machines, samples), machines, allocations, usage)
 
     swap = {"a": "b", "b": "a"}
-    usage_swapped = [GcuUsageRecord(swap[u.user], u.machine_id, u.hour, u.gcu_used) for u in usage]
+    usage_swapped = GcuUsageTable(GcuUsageRecord(swap[u.user], u.machine_id, u.hour, u.gcu_used) for u in usage)
     allocations_swapped = [
         alloc(swap[a.user], gcu=a.allocation.gcu) for a in allocations
     ]
@@ -238,9 +242,9 @@ def test_cross_hour_order_leaves_machine_stage_cells_exactly_equal():
     assert any(m.owner_user for m in bundle.machines)
     machine_major = machine_stage(bundle, bundle.power_samples, bundle.gcu_usage)
     for reverse in (False, True):
-        samples = sorted(bundle.power_samples, key=lambda s: s.hour, reverse=reverse)
-        usage = sorted(bundle.gcu_usage, key=lambda u: u.hour, reverse=reverse)
-        assert samples != bundle.power_samples
+        samples = PowerSampleTable(sorted(bundle.power_samples, key=lambda s: s.hour, reverse=reverse))
+        usage = GcuUsageTable(sorted(bundle.gcu_usage, key=lambda u: u.hour, reverse=reverse))
+        assert samples != bundle.power_samples and usage != bundle.gcu_usage
         assert machine_stage(bundle, samples, usage) == machine_major
 
 
@@ -251,14 +255,14 @@ def test_cross_hour_order_leaves_machine_stage_cells_exactly_equal():
 )
 def test_split_fleet_rejects_bad_sample_in_a_later_hour(bad):
     machines = [shared_machine("m0"), shared_machine("m1")]
-    samples = [sample("m0", 0, 10.0), sample("m1", 0, 10.0), sample("m0", 1, 10.0), bad]
+    samples = PowerSampleTable([sample("m0", 0, 10.0), sample("m1", 0, 10.0), sample("m0", 1, 10.0), bad])
     with pytest.raises(InputError):
         split_fleet(machines, samples)
 
 
 def test_missing_sample_is_logged_at_debug(caplog):
     machines = [shared_machine("m0"), shared_machine("m1")]
-    samples = [sample("m0", 0, 10.0), sample("m1", 0, 10.0), sample("m0", 1, 10.0)]
+    samples = PowerSampleTable([sample("m0", 0, 10.0), sample("m1", 0, 10.0), sample("m0", 1, 10.0)])
     with caplog.at_level(logging.INFO, logger="carbonledger.power"):
         split_fleet(machines, samples)
     assert caplog.records == []

@@ -120,7 +120,7 @@ def test_clip_keeps_in_range_hourly_and_daily_records_and_passes_the_rest_whole(
         records = getattr(bundle, name)
         kept = [r for r in records if r.hour < second_day]
         assert 0 < len(kept) < len(records), name
-        assert getattr(clipped, name) == kept, name
+        assert list(getattr(clipped, name)) == kept, name
     for name in ("net_costs", "non_service_costs"):
         records = getattr(bundle, name)
         kept = [r for r in records if r.day == date(2023, 6, 5)]

@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 from dataclasses import fields
 
 import pytest
@@ -12,9 +13,11 @@ from carbonledger.model import (
     Bundle,
     CarbonIntensityRecord,
     GcuUsageRecord,
+    GcuUsageTable,
     MachineRecord,
     NetCostRecord,
     NonServiceCostRecord,
+    PowerSampleTable,
     PueRecord,
     ResourceAllocationRecord,
     ResourceVector,
@@ -34,6 +37,45 @@ from conftest import H, alloc, dedicated_machine, ledger_of, sample, shared_mach
 def test_parse_and_format_hour_roundtrip():
     text = "2023-09-18T14:00Z"
     assert format_hour(parse_hour(text)) == text
+
+
+def test_column_table_gives_back_its_records_in_order():
+    samples = [sample("m1", 1, 80.0), sample("m0", 0, 50.5), sample("m1", 0, 0.0)]
+    usage = [GcuUsageRecord("bob", "m1", H(1), 2.5), GcuUsageRecord("alice", "m0", H(0), 1.0)]
+    for table, records in ((PowerSampleTable(samples), samples), (GcuUsageTable(usage), usage)):
+        assert len(table) == len(records)
+        assert list(table) == records
+        assert [table[i] for i in range(-len(records), len(records))] == records + records
+        assert list(table[1:]) == records[1:]
+    assert PowerSampleTable(samples).measured_power_watts == array("d", [80.0, 50.5, 0.0])
+    assert GcuUsageTable(usage).user == ["bob", "alice"]
+
+
+def test_column_table_edits_like_a_list_of_records():
+    records = [sample("m0", 0, 1.0), sample("m1", 0, 2.0), sample("m2", 1, 3.0)]
+    table, expected = PowerSampleTable(records), list(records)
+    table.append(sample("m3", 2, 4.0))
+    expected.append(sample("m3", 2, 4.0))
+    del table[1]
+    del expected[1]
+    table[0] = sample("m9", 5, 9.0)
+    expected[0] = sample("m9", 5, 9.0)
+    table.insert(1, sample("m4", 3, 5.0))
+    expected.insert(1, sample("m4", 3, 5.0))
+    assert list(table) == expected
+    assert table == PowerSampleTable(expected)
+    assert table != PowerSampleTable(expected[::-1])
+    assert table != PowerSampleTable(expected[:-1])
+    assert table != expected  # a list of records is not a column table
+    assert GcuUsageTable() != PowerSampleTable()
+
+
+def test_bundle_stores_sample_and_usage_records_as_columns():
+    bundle = Bundle(power_samples=[sample("m0", 0, 5.0)], gcu_usage=[GcuUsageRecord("a", "m0", H(0), 1.0)])
+    assert type(bundle.power_samples) is PowerSampleTable and type(bundle.gcu_usage) is GcuUsageTable
+    bundle.power_samples = [sample("m1", 1, 6.0)]
+    assert bundle.power_samples == PowerSampleTable([sample("m1", 1, 6.0)])
+    assert type(Bundle().gcu_usage) is GcuUsageTable
 
 
 def _fleet(machines, samples=(), usage=()) -> Bundle:

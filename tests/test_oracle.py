@@ -1,7 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import carbonledger
 from carbonledger import check
 from carbonledger.carbon import IntensitySource
 from carbonledger.check import closure_failures, compare_with_oracle, run_end_to_end
@@ -65,6 +70,38 @@ def test_oracle_equivalence_with_emission_fallbacks():
     fallback = [source for (_, cluster, _), source in zip(artifacts.emissions.keys, artifacts.emissions.sources)
                 if cluster == "cluster-02"]
     assert fallback and set(fallback) == {IntensitySource.ANNUAL_FALLBACK}
+
+
+#: Prints the worst diffs of a seed-3 fleet (60 machines, 24 h) against an
+#: oracle whose emissions are doubled, so every emission row deviates by 0.5.
+WORST_DIFFS = """
+from carbonledger import check
+from carbonledger.simulate import ScenarioSpec, generate
+reference = check.oracle_allocate
+
+def disagreeing(bundle, **kwargs):
+    result = reference(bundle, **kwargs)
+    result.emissions_kg = {key: 2.0 * kg for key, kg in result.emissions_kg.items()}
+    return result
+
+check.oracle_allocate = disagreeing
+for d in check.compare_with_oracle(generate(ScenarioSpec(seed=3, machine_count=60, hours=24))).worst:
+    print(d.table, d.key, repr(d.pipeline), repr(d.oracle), repr(d.deviation))
+"""
+
+
+def test_worst_oracle_diffs_do_not_follow_the_hash_seed():
+    # Once tied deviations kept set order, so oracle_diff.csv changed with PYTHONHASHSEED.
+    src = str(Path(carbonledger.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    printed = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", WORST_DIFFS], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        printed.append(done.stdout)
+    assert len(printed[0].splitlines()) == check.KEEP_WORST
+    assert printed[0] == printed[1]
 
 
 def test_oracle_refuses_too_many_machines():

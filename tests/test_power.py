@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from carbonledger.errors import InputError
-from carbonledger.model import Bundle, ZoneMapRow
+from carbonledger.model import Bundle, PowerSampleTable, ZoneMapRow
 from carbonledger.power import split_fleet
 from carbonledger.tables import validate_bundle
 
@@ -24,7 +24,8 @@ def split_rows(split):
 
 def split_one(rating, measured):
     """(idle, dynamic) of one machine-hour."""
-    [(_, _, idle, dynamic)] = split_rows(split_fleet([shared_machine(idle=rating)], [sample(watts=measured)]))
+    samples = PowerSampleTable([sample(watts=measured)])
+    [(_, _, idle, dynamic)] = split_rows(split_fleet([shared_machine(idle=rating)], samples))
     return idle, dynamic
 
 
@@ -47,12 +48,12 @@ def test_powered_off_machine():
 
 def test_mismatched_identifiers_rejected():
     with pytest.raises(InputError):
-        split_fleet([shared_machine("m0")], [sample("other")])
+        split_fleet([shared_machine("m0")], PowerSampleTable([sample("other")]))
 
 
 def test_negative_measured_power_rejected():
     with pytest.raises(InputError):
-        split_fleet([shared_machine("m0")], [sample(watts=-1.0)])
+        split_fleet([shared_machine("m0")], PowerSampleTable([sample(watts=-1.0)]))
 
 
 @given(rating=watts, measured=watts)
@@ -76,20 +77,20 @@ def test_higher_rating_never_lowers_idle(measured, low, high):
 
 def test_cluster_series_single_machine():
     machines = [shared_machine("m0", idle=6.0)]
-    split = split_fleet(machines, [sample("m0", 0, 14.0)])
+    split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 14.0)]))
     assert len(split) == 1
     assert split_rows(split) == [("m0", H(0), 6.0, 8.0)]
 
 
 def test_cluster_series_figure_scenario_night():
     machines = [shared_machine("m0", idle=6e6)]
-    split = split_fleet(machines, [sample("m0", 0, 12e6)])
+    split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 12e6)]))
     assert [(idle, dynamic, idle + dynamic) for _, _, idle, dynamic in split_rows(split)] == [(6e6, 6e6, 12e6)]
 
 
 def test_missing_sample_contributes_nothing():
     machines = [shared_machine("m0"), shared_machine("m1")]
-    split = split_fleet(machines, [sample("m0", 0, 40.0)])
+    split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 40.0)]))
     assert [(machine_id, idle + dynamic) for machine_id, _, idle, dynamic in split_rows(split)] == [("m0", 40.0)]
 
 
@@ -99,7 +100,7 @@ def test_unknown_cluster_rejected():
     bundle = Bundle(machines=machines, power_samples=samples, zone_map=[ZoneMapRow("c0", "z0", "r0")])
     assert [(v.code, v.subject) for v in validate_bundle(bundle)] == [("unknown-cluster", "m0")]
     with pytest.raises(InputError):
-        split_fleet(machines, [sample("ghost-machine", 0, 10.0)])
+        split_fleet(machines, PowerSampleTable([sample("ghost-machine", 0, 10.0)]))
 
 
 @given(data=st.data())
@@ -107,7 +108,7 @@ def test_random_fleet_totals_match_independent_resummation(data):
     # Oracle: re-sum the raw samples directly, bypassing the split step.
     count = data.draw(st.integers(min_value=1, max_value=50))
     machines = []
-    samples = []
+    samples = PowerSampleTable()
     for i in range(count):
         rating = data.draw(watts, label=f"rating{i}")
         measured = data.draw(watts, label=f"measured{i}")

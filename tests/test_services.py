@@ -401,6 +401,23 @@ def test_run_artifacts_stay_small():
     assert retained < 4 * 2**20
 
 
+def test_generated_bundle_stays_small():
+    # The same cli-1k shape: 11.8k power samples and 23.0k usage rows. One
+    # frozen record per sample and usage row once held 5.52 MiB here; their
+    # column tables bring the whole bundle to 3.44 MiB.
+    spec = ScenarioSpec(seed=7, machine_count=1000, user_count=50, cluster_count=20, hours=12)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        bundle = generate(spec)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(bundle.power_samples) > 10_000 and len(bundle.gcu_usage) > 20_000
+    assert held < 4 * 2**20
+
+
 def test_pipeline_empty_fleet():
     result = run_allocation_pipeline(Bundle())
     assert result.final.cells == {}

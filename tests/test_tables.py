@@ -37,6 +37,9 @@ def test_bundle_roundtrip_preserves_every_record(name, tmp_path):
     assert _records(reloaded) == _records(original)
     second = json.loads(write_bundle(reloaded, tmp_path / "second").read_text())
     assert second["files"] == first["files"]
+    for table in SCHEMAS:
+        written = (tmp_path / "second" / f"{table}.csv").read_bytes()
+        assert written == (tmp_path / "first" / f"{table}.csv").read_bytes(), table
 
 
 def test_read_bundle_stores_each_text_cell_once(tmp_path):
@@ -46,6 +49,9 @@ def test_read_bundle_stores_each_text_cell_once(tmp_path):
     assert bundle.power_samples and bundle.gcu_usage
     assert all(s.machine_id is machine_ids[s.machine_id] for s in bundle.power_samples)
     assert all(u.machine_id is machine_ids[u.machine_id] for u in bundle.gcu_usage)
+    users = {u: u for u in bundle.gcu_usage.user}
+    assert all(user is users[user] for user in bundle.gcu_usage.user)
+    assert len(set(map(id, bundle.power_samples.hour))) == len(set(bundle.power_samples.hour))
     assert None in {m.owner_user for m in bundle.machines}
     assert None in {u.billing_account for u in bundle.billing_usage}
 
