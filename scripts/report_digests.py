@@ -3,7 +3,8 @@
 Each case is a `carbonledger simulate` bundle and the options its
 `carbonledger run` gets: every preset, a seeded fleet (seed 5, 300
 machines, cyclic economy, unbilled usage), the same fleet over 48 h run
-on its first day only (`--start/--end`), a seed-3 fleet (100 machines,
+on its first day only (`--start/--end`) and on its second day only
+(`--start` alone), a seed-3 fleet (100 machines,
 30 users, 4 clusters, 12 h), the benchmark's cli-1k shape (seed 7,
 1000 machines, 50 users, 20 clusters, 12 h), and `sankey-small` and the
 seed-5 fleet again with `--round-wh 0 --round-g 0`, so that their reports
@@ -48,6 +49,7 @@ SEED5 = ["--seed", "5", "--machines", "300", "--cyclic-economy", "--unbilled-usa
 CASES = {name: (["--preset", name], []) for name in PRESETS}
 CASES["seed5-300-cyclic-unbilled"] = (SEED5, [])
 CASES["seed5-300-48h-first-day"] = ([*SEED5, "--hours", "48"], ["--start", "2023-06-05", "--end", "2023-06-06"])
+CASES["seed5-300-48h-second-day"] = ([*SEED5, "--hours", "48"], ["--start", "2023-06-06"])
 CASES["seed3-100-12h"] = (["--seed", "3", "--machines", "100", "--users", "30", "--clusters", "4", "--hours", "12"], [])
 CASES["cli-1k-seed7"] = (["--seed", "7", "--machines", "1000", "--users", "50", "--clusters", "20", "--hours", "12"], [])
 UNROUNDED = ["--round-wh", "0", "--round-g", "0"]

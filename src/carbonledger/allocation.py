@@ -8,7 +8,6 @@ per machine-hour proportional to compute-unit usage.
 
 from __future__ import annotations
 
-import logging
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -27,7 +26,6 @@ from .model import (
 )
 from .power import FleetSplit
 
-log = logging.getLogger(__name__)
 
 LedgerKey = tuple[str, str, datetime]  # (user, cluster_id, hour)
 

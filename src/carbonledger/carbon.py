@@ -9,7 +9,6 @@ accounting (clean-energy purchases) is out of scope.
 
 from __future__ import annotations
 
-import logging
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -20,7 +19,6 @@ from .allocation import Ledger, LedgerKey
 from .errors import MissingIntensityError
 from .model import Bundle, Notice, format_hour
 
-log = logging.getLogger(__name__)
 
 DEFAULT_PUE = 1.10
 

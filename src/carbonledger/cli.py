@@ -10,27 +10,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import logging
 import math
 import sys
 from datetime import date
+from itertools import compress
 from pathlib import Path
 from typing import Callable
 
 from . import check, simulate, tables
 from .carbon import DEFAULT_PUE
-from .errors import (
-    BetaUndefinedError,
-    CarbonLedgerError,
-    InputError,
-    MissingIntensityError,
-    OracleSizeError,
-    ScenarioError,
-)
-from .model import Bundle, Violation, day_of
+from .errors import CarbonLedgerError, InputError, OracleSizeError, ScenarioError
+from .model import Bundle, ColumnTable, Violation, day_of
 from .tables import validate_bundle
 
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -52,20 +46,26 @@ SCENARIO_FLAGS = {
 
 
 def _clip_bundle(bundle: Bundle, start: date | None, end: date | None) -> Bundle:
-    """Keep the hourly and daily records in [start, end); every other table passes whole."""
+    """Keep the hourly and daily rows in [start, end); every other table passes whole.
+
+    Each table is narrowed by one mask over its ``hour`` or ``day`` column,
+    and each distinct hour or day is tested once.
+    """
     if start is None and end is None:
         return bundle
 
     def keep(day: date) -> bool:
         return (start is None or day >= start) and (end is None or day < end)
 
+    hour_kept = functools.cache(lambda hour: keep(day_of(hour)))
+    dated = ((tables.HOUR_UTC, hour_kept), (tables.DAY_UTC, functools.cache(keep)))
     clipped = {}
     for table in tables.TABLES.values():
         records = getattr(bundle, table.field)
-        if tables.HOUR_UTC in table.columns:
-            records = [r for r in records if keep(day_of(r.hour))]
-        elif tables.DAY_UTC in table.columns:
-            records = [r for r in records if keep(r.day)]
+        for column, in_range in dated:
+            if column in table.columns:
+                mask = list(map(in_range, tables._values(records, column.attribute)))
+                records = records.where(mask) if isinstance(records, ColumnTable) else list(compress(records, mask))
         clipped[table.field] = records
     return Bundle(**clipped)
 
@@ -300,9 +300,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return cmd_report(args.input)
         raise InputError(f"unknown command {args.command!r}")
-    except (MissingIntensityError, BetaUndefinedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (InputError, ScenarioError, OracleSizeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

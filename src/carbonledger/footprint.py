@@ -11,15 +11,12 @@ billed usage. Reported monthly.
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .carbon import EmissionsResult, co2_kg
 from .errors import BetaUndefinedError, NoBillableUsageError
 from .model import Bundle, Notice, SkuRecord, SkuUsageRecord, month_of
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,11 +15,12 @@ identified by their start timestamp.
 from __future__ import annotations
 
 from array import array
-from collections.abc import MutableSequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, index
 from typing import Any, ClassVar, Iterable
 
 #: Reserved user receiving shared energy that no real user can claim.
@@ -230,15 +231,16 @@ class SkuUsageRecord:
     usage_units: float
 
 
-class ColumnTable(MutableSequence):
+class ColumnTable(Sequence):
     """Records of one type, stored one column per record field.
 
     A subclass names its ``record`` type and takes the record's field names
     as its slots, so each field is a column attribute: an ``array("d")``
     for a ``float`` field and a list otherwise. A row then costs a few
-    pointers and one double instead of an object. The table reads and edits
-    as a sequence of records, each built on access; hot paths zip the
-    columns instead. It equals only a table of its own type.
+    pointers and one double instead of an object. The table reads as a
+    sequence of records, each built on access; hot paths zip the columns
+    instead. It grows by ``append`` and narrows by ``where``, which copies
+    the kept rows into a new table. It equals only a table of its own type.
     """
 
     __slots__ = ()
@@ -259,28 +261,20 @@ class ColumnTable(MutableSequence):
     def __iter__(self):
         return map(self.record, *self.columns())
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            part = type(self)()
-            for name, column in zip(self.__slots__, self.columns()):
-                setattr(part, name, column[index])
-            return part
-        return self.record(*(column[index] for column in self.columns()))
+    def __getitem__(self, row: int):
+        row = index(row)  # a slice is no row
+        return self.record(*(column[row] for column in self.columns()))
 
-    def __setitem__(self, index, value) -> None:
-        source = type(self)(value) if isinstance(index, slice) else value
-        cells = [getattr(source, name) for name in self.__slots__]
-        for column, cell in zip(self.columns(), cells):
-            column[index] = cell
+    def append(self, record) -> None:
+        for name, column in zip(self.__slots__, self.columns()):
+            column.append(getattr(record, name))
 
-    def __delitem__(self, index) -> None:
-        for column in self.columns():
-            del column[index]
-
-    def insert(self, index: int, value) -> None:
-        cells = [getattr(value, name) for name in self.__slots__]
-        for column, cell in zip(self.columns(), cells):
-            column.insert(index, cell)
+    def where(self, keep: Sequence[bool]) -> ColumnTable:
+        """The rows whose ``keep`` entry is true, in order, in a new table of this type."""
+        part = type(self)()
+        for column, kept in zip(self.columns(), part.columns()):
+            kept.extend(compress(column, keep))
+        return part
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

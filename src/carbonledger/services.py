@@ -8,7 +8,6 @@ entry point runs the five stages in order and snapshots each one.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from datetime import date
 from typing import Sequence
@@ -31,7 +30,6 @@ from .model import (
 )
 from .power import split_fleet
 
-log = logging.getLogger(__name__)
 
 FlowKey = tuple[str, str, date]  # (provider, consumer, day)
 DayPlans = dict[date, dict[str, list[tuple[str, float]]]]  # day -> provider -> [(consumer, fraction)]

@@ -35,7 +35,6 @@ import csv
 import functools
 import hashlib
 import json
-import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -69,7 +68,6 @@ from .model import (
     parse_hour,
 )
 
-log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"

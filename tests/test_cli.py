@@ -15,6 +15,7 @@ import carbonledger
 from carbonledger import check
 from carbonledger.check import closure_failures, run_end_to_end
 from carbonledger.cli import REPORTS, _clip_bundle, main
+from carbonledger.model import GcuUsageTable, PowerSampleTable
 from carbonledger.oracle import oracle_allocate
 from carbonledger.simulate import ScenarioSpec, generate, preset_spec
 from carbonledger.tables import validate_bundle, write_bundle
@@ -78,7 +79,7 @@ def test_run_produces_reports_with_figure_values(figure1_dir, tmp_path, capsys):
 
 def test_log_level_flag_shows_debug_lines_only_when_asked(tmp_path, caplog):
     bundle = generate(ScenarioSpec(seed=3, machine_count=6, user_count=3, cluster_count=1, hours=2))
-    del bundle.power_samples[0]
+    bundle.power_samples = list(bundle.power_samples)[1:]
     write_bundle(bundle, tmp_path / "bundle")
     run = ["run", "--input", str(tmp_path / "bundle"), "--output", str(tmp_path / "reports")]
     root = logging.getLogger()
@@ -113,21 +114,24 @@ def test_run_respects_date_window(figure1_dir, tmp_path):
 
 def test_clip_keeps_in_range_hourly_and_daily_records_and_passes_the_rest_whole():
     bundle = generate(ScenarioSpec(seed=5, machine_count=30, user_count=6, hours=48, cyclic_economy=True))
-    clipped = _clip_bundle(bundle, date(2023, 6, 5), date(2023, 6, 6))
-    second_day = datetime(2023, 6, 6, tzinfo=timezone.utc)
+    first_day, second_day = date(2023, 6, 5), date(2023, 6, 6)
     hourly = ("power_samples", "resource_allocations", "gcu_usage", "service_usage", "pue", "carbon_intensity")
-    for name in hourly:
-        records = getattr(bundle, name)
-        kept = [r for r in records if r.hour < second_day]
-        assert 0 < len(kept) < len(records), name
-        assert list(getattr(clipped, name)) == kept, name
-    for name in ("net_costs", "non_service_costs"):
-        records = getattr(bundle, name)
-        kept = [r for r in records if r.day == date(2023, 6, 5)]
-        assert 0 < len(kept) < len(records), name
-        assert getattr(clipped, name) == kept, name
-    for name in ("machines", "annual_intensity", "zone_map", "sku_catalog", "billing_usage"):
-        assert getattr(clipped, name) == getattr(bundle, name) != [], name
+    # (start, end, the days kept): the first day by both bounds, the second by --start alone.
+    for start, end, kept_day in ((first_day, second_day, first_day), (second_day, None, second_day)):
+        clipped = _clip_bundle(bundle, start, end)
+        assert type(clipped.power_samples) is PowerSampleTable and type(clipped.gcu_usage) is GcuUsageTable
+        for name in hourly:
+            records = getattr(bundle, name)
+            kept = [r for r in records if r.hour.date() == kept_day]
+            assert 0 < len(kept) < len(records), name
+            assert list(getattr(clipped, name)) == kept, name
+        for name in ("net_costs", "non_service_costs"):
+            records = getattr(bundle, name)
+            kept = [r for r in records if r.day == kept_day]
+            assert 0 < len(kept) < len(records), name
+            assert getattr(clipped, name) == kept, name
+        for name in ("machines", "annual_intensity", "zone_map", "sku_catalog", "billing_usage"):
+            assert getattr(clipped, name) == getattr(bundle, name) != [], name
 
 
 def test_oracle_check_passes_on_presets(figure1_dir):
@@ -270,7 +274,9 @@ def test_nan_power_sample_fails_closed(tmp_path):
     # Once reported NaN kgCO2e with no closure failure and exit 0.
     bundle = generate(ScenarioSpec(seed=3, machine_count=40, user_count=6, hours=24))
     bundle.billing_usage.clear()
-    bundle.power_samples[0] = dataclasses.replace(bundle.power_samples[0], measured_power_watts=math.nan)
+    samples = list(bundle.power_samples)
+    samples[0] = dataclasses.replace(samples[0], measured_power_watts=math.nan)
+    bundle.power_samples = samples
 
     assert "non-finite-value" in {v.code for v in validate_bundle(bundle)}
     artifacts = run_end_to_end(bundle)
@@ -322,6 +328,18 @@ def test_service_usage_in_an_unmapped_cluster_fails_closed(tmp_path):
     assert main(["run", "--input", str(bundle_dir), "--output", str(out)]) == 1
     with (out / "validation_report.csv").open(newline="") as handle:
         assert {row["code"] for row in csv.DictReader(handle)} == {"unknown-cluster"}
+    assert [name for name in REPORTS if (out / name).exists()] == []
+
+
+def test_billing_without_accounts_leaves_beta_undefined(tmp_path, capsys):
+    # No billed row can absorb the month's carbon, so beta has no denominator.
+    bundle = generate(preset_spec("two-accounts"))
+    bundle.billing_usage = [dataclasses.replace(b, billing_account=None) for b in bundle.billing_usage]
+    bundle_dir, out = tmp_path / "unaccounted", tmp_path / "reports"
+    write_bundle(bundle, bundle_dir)
+    capsys.readouterr()
+    assert main(["run", "--input", str(bundle_dir), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: no billed SKU usage can absorb")
     assert [name for name in REPORTS if (out / name).exists()] == []
 
 
