@@ -19,8 +19,7 @@ from .model import (
     GcuUsageTable,
     MachineRecord,
     Notice,
-    ResourceAllocationRecord,
-    ResourceVector,
+    ResourceAllocationTable,
     Sharing,
     format_hour,
 )
@@ -88,31 +87,29 @@ class Ledger:
         return out
 
 
-def weighted_allocation(vector: ResourceVector) -> float:
-    """Collapse a resource vector to a single busy-power-equivalent number."""
+def weighted_allocation(gcu: float, ram_gib: float, ssd_tib: float, hdd_tib: float) -> float:
+    """Collapse the four quantities of a resource vector to a single busy-power-equivalent number."""
     return (
-        RESOURCE_WEIGHTS.gcu * vector.gcu
-        + RESOURCE_WEIGHTS.ram_gib * vector.ram_gib
-        + RESOURCE_WEIGHTS.ssd_tib * vector.ssd_tib
-        + RESOURCE_WEIGHTS.hdd_tib * vector.hdd_tib
+        RESOURCE_WEIGHTS.gcu * gcu
+        + RESOURCE_WEIGHTS.ram_gib * ram_gib
+        + RESOURCE_WEIGHTS.ssd_tib * ssd_tib
+        + RESOURCE_WEIGHTS.hdd_tib * hdd_tib
     )
 
 
-def idle_share_table(
-    allocations: Sequence[ResourceAllocationRecord],
-) -> dict[tuple[str, datetime], dict[str, float]]:
+def idle_share_table(allocations: ResourceAllocationTable) -> dict[tuple[str, datetime], dict[str, float]]:
     """Per cluster-hour, each user's fraction of the weighted allocation.
 
     Cluster-hours whose weighted total is zero are absent from the result.
     Fractions over the present users sum to 1.
     """
+    weights = map(weighted_allocation, allocations.gcu, allocations.ram_gib, allocations.ssd_tib, allocations.hdd_tib)
     sums: dict[tuple[str, datetime], dict[str, float]] = {}
-    for rec in allocations:
-        w = weighted_allocation(rec.allocation)
+    for key, user, w in zip(zip(allocations.cluster_id, allocations.hour), allocations.user, weights):
         if w == 0.0:
             continue
-        per_user = sums.setdefault((rec.cluster_id, rec.hour), {})
-        per_user[rec.user] = per_user.get(rec.user, 0.0) + w
+        per_user = sums.setdefault(key, {})
+        per_user[user] = per_user.get(user, 0.0) + w
     fractions: dict[tuple[str, datetime], dict[str, float]] = {}
     for key, per_user in sums.items():
         denom = sum(per_user.values())
@@ -123,7 +120,7 @@ def idle_share_table(
 def allocate_idle(
     split: FleetSplit,
     machines: Sequence[MachineRecord],
-    allocations: Sequence[ResourceAllocationRecord],
+    allocations: ResourceAllocationTable,
 ) -> tuple[dict[LedgerKey, float], list[Notice]]:
     """Idle watt-hours per (user, cluster, hour).
 
@@ -169,7 +166,7 @@ def allocate_dynamic(
     split: FleetSplit,
     machines: Sequence[MachineRecord],
     usage: GcuUsageTable,
-    allocations: Sequence[ResourceAllocationRecord],
+    allocations: ResourceAllocationTable,
 ) -> tuple[dict[LedgerKey, float], list[Notice]]:
     """Dynamic watt-hours per (user, cluster, hour).
 
@@ -247,7 +244,7 @@ def allocate_dynamic(
 def build_machine_ledger(
     split: FleetSplit,
     machines: Sequence[MachineRecord],
-    allocations: Sequence[ResourceAllocationRecord],
+    allocations: ResourceAllocationTable,
     usage: GcuUsageTable,
 ) -> tuple[Ledger, list[Notice]]:
     """Machine-stage ledger: idle plus dynamic, before any reallocation."""

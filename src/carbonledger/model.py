@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
-from itertools import compress
+from itertools import chain, compress, islice
 from operator import attrgetter, index
-from typing import Any, ClassVar, Iterable
+from typing import Any, Callable, ClassVar, Iterable, Iterator
 
 #: Reserved user receiving shared energy that no real user can claim.
 UNALLOCATED_USER = "unallocated-overhead"
@@ -91,9 +91,6 @@ class ResourceVector:
     ram_gib: float = 0.0
     ssd_tib: float = 0.0
     hdd_tib: float = 0.0
-
-    def is_zero(self) -> bool:
-        return self.gcu == 0.0 and self.ram_gib == 0.0 and self.ssd_tib == 0.0 and self.hdd_tib == 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,43 +228,88 @@ class SkuUsageRecord:
     usage_units: float
 
 
+#: The columns a ``ResourceVector`` field is stored in: one ``array("d")`` per vector field, named after it.
+VECTOR_COLUMNS = tuple(f.name for f in fields(ResourceVector))
+
+
+def _is_vector(f: Field) -> bool:
+    return f.type in ("ResourceVector", ResourceVector)
+
+
+def column_paths(record: type) -> tuple[str, ...]:
+    """The record attribute each column of a table of ``record`` holds, in order.
+
+    A field is one column; a ``ResourceVector`` field is ``VECTOR_COLUMNS``,
+    each spelled ``field.column`` (``allocation.gcu``).
+    """
+    return tuple(chain.from_iterable(
+        (f"{f.name}.{name}" for name in VECTOR_COLUMNS) if _is_vector(f) else (f.name,)
+        for f in fields(record)
+    ))
+
+
+def column_names(record: type) -> tuple[str, ...]:
+    """A column table's slots: the last part of each of ``column_paths(record)``."""
+    return tuple(path.rpartition(".")[2] for path in column_paths(record))
+
+
 class ColumnTable(Sequence):
     """Records of one type, stored one column per record field.
 
-    A subclass names its ``record`` type and takes the record's field names
-    as its slots, so each field is a column attribute: an ``array("d")``
-    for a ``float`` field and a list otherwise. A row then costs a few
-    pointers and one double instead of an object. The table reads as a
-    sequence of records, each built on access; hot paths zip the columns
-    instead. It grows by ``append`` and narrows by ``where``, which copies
-    the kept rows into a new table. It equals only a table of its own type.
+    A subclass names its ``record`` type and takes ``column_names(record)``
+    as its slots, so each column is an attribute: an ``array("d")`` for a
+    ``float`` field and a list otherwise. A ``ResourceVector`` field is
+    four ``array("d")`` columns, ``VECTOR_COLUMNS``. A row then costs a few
+    pointers and doubles instead of an object or two. The table reads as a
+    sequence of records, each built on access, its vector included; hot
+    paths zip the columns instead. It grows by ``append`` (a record) or
+    ``extend`` (rows of cells) and narrows by ``where``, which copies the
+    kept rows into a new table. It equals only a table of its own type.
     """
 
     __slots__ = ()
     record: ClassVar[type]
+    #: A record's cells in column order.
+    cells: ClassVar[Callable[[Any], tuple]]
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls.cells = staticmethod(attrgetter(*column_paths(cls.record)))
 
     def __init__(self, records: Iterable = ()) -> None:
-        cells = zip(*map(attrgetter(*self.__slots__), records))  # one tuple per column
-        for f in fields(self.record):
-            column = next(cells, ())
-            setattr(self, f.name, array("d", column) if f.type in ("float", float) else list(column))
+        floats = {f.name for f in fields(self.record) if f.type in ("float", float)}.union(VECTOR_COLUMNS)
+        for name in self.__slots__:
+            setattr(self, name, array("d") if name in floats else [])
+        self.extend(map(self.cells, records))
 
     def columns(self) -> list:
         return [getattr(self, name) for name in self.__slots__]
 
+    def _records(self, columns: Iterable[Iterable]) -> Iterator:
+        """The records made from one iterable of cells per column."""
+        columns = iter(columns)
+        return map(self.record, *[
+            map(ResourceVector, *islice(columns, len(VECTOR_COLUMNS))) if _is_vector(f) else next(columns)
+            for f in fields(self.record)
+        ])
+
     def __len__(self) -> int:
         return len(getattr(self, self.__slots__[0]))
 
-    def __iter__(self):
-        return map(self.record, *self.columns())
+    def __iter__(self) -> Iterator:
+        return self._records(self.columns())
 
     def __getitem__(self, row: int):
         row = index(row)  # a slice is no row
-        return self.record(*(column[row] for column in self.columns()))
+        return next(self._records([column[row]] for column in self.columns()))
 
     def append(self, record) -> None:
-        for name, column in zip(self.__slots__, self.columns()):
-            column.append(getattr(record, name))
+        self.extend([self.cells(record)])
+
+    def extend(self, rows: Iterable[tuple]) -> None:
+        """Append rows, each given as its cells in column order; no record is built."""
+        for column, cells in zip(self.columns(), zip(*rows)):
+            column.extend(cells)
 
     def where(self, keep: Sequence[bool]) -> ColumnTable:
         """The rows whose ``keep`` entry is true, in order, in a new table of this type."""
@@ -287,27 +329,38 @@ class ColumnTable(Sequence):
 
 class PowerSampleTable(ColumnTable):
     record = PowerSample
-    __slots__ = tuple(f.name for f in fields(PowerSample))
+    __slots__ = column_names(PowerSample)
+
+
+class ResourceAllocationTable(ColumnTable):
+    record = ResourceAllocationRecord
+    __slots__ = column_names(ResourceAllocationRecord)
 
 
 class GcuUsageTable(ColumnTable):
     record = GcuUsageRecord
-    __slots__ = tuple(f.name for f in fields(GcuUsageRecord))
+    __slots__ = column_names(GcuUsageRecord)
+
+
+class ServiceUsageTable(ColumnTable):
+    record = ServiceUsageRecord
+    __slots__ = column_names(ServiceUsageRecord)
 
 
 @dataclass(slots=True)
 class Bundle:
     """Every input table a pipeline run consumes.
 
-    ``power_samples`` and ``gcu_usage`` are column tables; records given
-    for either, at construction or by assignment, are stored as columns.
+    ``power_samples``, ``resource_allocations``, ``gcu_usage`` and
+    ``service_usage`` are column tables; records given for any of them, at
+    construction or by assignment, are stored as columns.
     """
 
     machines: list[MachineRecord] = field(default_factory=list)
     power_samples: PowerSampleTable = field(default_factory=PowerSampleTable)
-    resource_allocations: list[ResourceAllocationRecord] = field(default_factory=list)
+    resource_allocations: ResourceAllocationTable = field(default_factory=ResourceAllocationTable)
     gcu_usage: GcuUsageTable = field(default_factory=GcuUsageTable)
-    service_usage: list[ServiceUsageRecord] = field(default_factory=list)
+    service_usage: ServiceUsageTable = field(default_factory=ServiceUsageTable)
     net_costs: list[NetCostRecord] = field(default_factory=list)
     non_service_costs: list[NonServiceCostRecord] = field(default_factory=list)
     pue: list[PueRecord] = field(default_factory=list)
@@ -324,7 +377,12 @@ class Bundle:
         object.__setattr__(self, name, value)
 
 
-_COLUMN_TABLES = {"power_samples": PowerSampleTable, "gcu_usage": GcuUsageTable}
+_COLUMN_TABLES = {
+    "power_samples": PowerSampleTable,
+    "resource_allocations": ResourceAllocationTable,
+    "gcu_usage": GcuUsageTable,
+    "service_usage": ServiceUsageTable,
+}
 
 
 @dataclass(frozen=True, slots=True)

@@ -48,16 +48,16 @@ class OracleResult:
     footprints_kg: dict[tuple[str, str, str, str], float] = field(default_factory=dict)
 
 
-def _collect_users(bundle: Bundle, gcu_usage: list) -> list[str]:
+def _collect_users(bundle: Bundle, allocations: list, gcu_usage: list, service_usage: list) -> list[str]:
     users: set[str] = set()
     for m in bundle.machines:
         if m.owner_user:
             users.add(m.owner_user)
-    for a in bundle.resource_allocations:
+    for a in allocations:
         users.add(a.user)
     for u in gcu_usage:
         users.add(u.user)
-    for s in bundle.service_usage:
+    for s in service_usage:
         users.add(s.consumer)
         users.add(s.provider)
     for n in bundle.net_costs:
@@ -72,10 +72,11 @@ def oracle_allocate(
     default_pue: float = DEFAULT_PUE,
 ) -> OracleResult:
     """Recompute the whole allocation by exhaustive enumeration."""
-    # Sample and usage records, each built once: their column tables build one per access.
+    # The column tables' records, each built once: a column table builds them on every pass.
     power_samples, gcu_usage = list(bundle.power_samples), list(bundle.gcu_usage)
+    allocations, service_usage = list(bundle.resource_allocations), list(bundle.service_usage)
     hours = sorted({s.hour for s in power_samples})
-    users = _collect_users(bundle, gcu_usage)
+    users = _collect_users(bundle, allocations, gcu_usage, service_usage)
     if len(bundle.machines) > MAX_MACHINES:
         raise OracleSizeError(f"{len(bundle.machines)} machines exceed the oracle limit of {MAX_MACHINES}")
     if len(users) > MAX_USERS + 1:  # the reserved user is always appended
@@ -107,11 +108,12 @@ def oracle_allocate(
             usage_rows_by_mh.setdefault((u.machine_id, u.hour), []).append(u)
     for hour in hours:
         samples = [s for s in power_samples if s.hour == hour]
+        hour_allocations = [a for a in allocations if a.hour == hour]
         for cluster in clusters:
             # Idle-share weights from this cluster-hour's allocations.
             weight_by_user = [0.0] * n
-            for a in bundle.resource_allocations:
-                if a.cluster_id != cluster or a.hour != hour:
+            for a in hour_allocations:
+                if a.cluster_id != cluster:
                     continue
                 v = a.allocation
                 weight_by_user[index[a.user]] += (
@@ -179,8 +181,9 @@ def oracle_allocate(
 
     # Major reallocation: per provider/cluster/hour, gamma per consumer.
     for cluster in clusters:
+        cluster_usage = [u for u in service_usage if u.cluster_id == cluster]
         for hour in hours:
-            rows = [u for u in bundle.service_usage if u.cluster_id == cluster and u.hour == hour]
+            rows = [u for u in cluster_usage if u.hour == hour]
             providers = sorted({r.provider for r in rows})
             vector = dyn_vec[(cluster, hour)]
             moves: list[tuple[int, int, float]] = []

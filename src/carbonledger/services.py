@@ -8,8 +8,10 @@ entry point runs the five stages in order and snapshots each one.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from datetime import date
+from itertools import compress
 from typing import Sequence
 
 from .allocation import (
@@ -25,7 +27,7 @@ from .model import (
     NetCostRecord,
     NonServiceCostRecord,
     Notice,
-    ServiceUsageRecord,
+    ServiceUsageTable,
     day_of,
 )
 from .power import split_fleet
@@ -35,36 +37,42 @@ FlowKey = tuple[str, str, date]  # (provider, consumer, day)
 DayPlans = dict[date, dict[str, list[tuple[str, float]]]]  # day -> provider -> [(consumer, fraction)]
 
 
-def apply_major_realloc(ledger: Ledger, usages: Sequence[ServiceUsageRecord]) -> Ledger:
+def apply_major_realloc(ledger: Ledger, usages: ServiceUsageTable) -> Ledger:
     """Move each major provider's dynamic energy to its consumers.
 
     Idle energy stays put: resource allocations already attribute it to
     end users. All moves are computed against the incoming ledger
     snapshot, so the result does not depend on provider order. Providers
     whose records carry the storage-style flag split by a weighted blend
-    of compute and storage usage, the rest by compute usage alone.
+    of compute and storage usage, the rest by compute usage alone. Usage
+    rows are grouped by (provider, cluster, hour) as ``array("q")`` row
+    numbers into the usage columns.
     """
-    storage_style = {rec.provider for rec in usages if rec.colossus_style}
+    storage_style = set(compress(usages.provider, usages.colossus_style))
     w = RESOURCE_WEIGHTS
-    groups: dict[LedgerKey, list[ServiceUsageRecord]] = {}
-    for rec in usages:
-        groups.setdefault((rec.provider, rec.cluster_id, rec.hour), []).append(rec)
+    consumers, gcu, ssd, hdd = usages.consumer, usages.gcu, usages.ssd_tib, usages.hdd_tib
+    groups: dict[LedgerKey, array] = {}
+    for row, key in enumerate(zip(usages.provider, usages.cluster_id, usages.hour)):
+        rows = groups.get(key)
+        if rows is None:
+            rows = groups[key] = array("q")
+        rows.append(row)
 
     out = ledger.copy(STAGE_AFTER_MAJOR)
     gains: dict[LedgerKey, float] = {}
-    for key, group in groups.items():
+    for key, rows in groups.items():
         provider, cluster, hour = key
-        row = ledger.cells.get(key)
-        if row is None or ledger.dynamic[row] == 0.0:
+        cell = ledger.cells.get(key)
+        if cell is None or ledger.dynamic[cell] == 0.0:
             continue
-        dynamic_wh = ledger.dynamic[row]
+        dynamic_wh = ledger.dynamic[cell]
         blend = provider in storage_style
         shares: dict[str, float] = {}
-        for rec in group:
-            u = rec.usage
-            share = w.gcu * u.gcu + w.ssd_tib * u.ssd_tib + w.hdd_tib * u.hdd_tib if blend else u.gcu
+        for row in rows:
+            share = w.gcu * gcu[row] + w.ssd_tib * ssd[row] + w.hdd_tib * hdd[row] if blend else gcu[row]
             if share > 0.0:
-                shares[rec.consumer] = shares.get(rec.consumer, 0.0) + share
+                consumer = consumers[row]
+                shares[consumer] = shares.get(consumer, 0.0) + share
         denominator = sum(shares.values())
         if denominator <= 0.0:
             continue
@@ -76,7 +84,7 @@ def apply_major_realloc(ledger: Ledger, usages: Sequence[ServiceUsageRecord]) ->
         remainder = dynamic_wh - moved
         if remainder < 0.0:  # float dust from the share quotients
             remainder = 0.0
-        out.dynamic[row] = remainder
+        out.dynamic[cell] = remainder
 
     for key, wh in gains.items():
         out.credit(key, 0.0, wh)

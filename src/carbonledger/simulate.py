@@ -419,22 +419,17 @@ def _random_fleet(spec: ScenarioSpec) -> Bundle:
 
     # Resource allocations: hour-constant per (user, cluster), plus a
     # guaranteed anchor user per cluster so shared idle is always claimable.
+    # These rows and the service-usage rows below go into their columns as
+    # tuples of cells, one block at a time.
     for cluster in clusters:
         holders = {users[0]} | {u for u in users if rng.random() < 0.6}
-        vectors = {
-            u: ResourceVector(
-                gcu=rng.uniform(5.0, 80.0),
-                ram_gib=rng.uniform(0.0, 600.0),
-                ssd_tib=rng.uniform(0.0, 8.0),
-                hdd_tib=rng.uniform(0.0, 30.0),
-            )
+        vectors = {  # gcu, ram_gib, ssd_tib, hdd_tib
+            u: (rng.uniform(5.0, 80.0), rng.uniform(0.0, 600.0), rng.uniform(0.0, 8.0), rng.uniform(0.0, 30.0))
             for u in sorted(holders)
         }
-        for hour in hours:
-            for user, vector in vectors.items():
-                bundle.resource_allocations.append(
-                    ResourceAllocationRecord(user, cluster, hour, vector)
-                )
+        bundle.resource_allocations.extend(
+            (user, cluster, hour, *vector) for hour in hours for user, vector in vectors.items()
+        )
 
     # Major shared services with per-cluster-hour usage rows.
     major_count = min(2, max(0, spec.user_count - 2))
@@ -445,18 +440,16 @@ def _random_fleet(spec: ScenarioSpec) -> Bundle:
         for cluster in clusters:
             if rng.random() < 0.3:
                 continue
+            rows = []
             for hour in hours:
                 for consumer in consumers:
-                    usage = ResourceVector(
-                        gcu=rng.uniform(0.0, 20.0),
-                        ssd_tib=rng.uniform(0.0, 5.0) if storage_style else 0.0,
-                        hdd_tib=rng.uniform(0.0, 40.0) if storage_style else 0.0,
-                    )
-                    if usage.is_zero():
+                    gcu = rng.uniform(0.0, 20.0)
+                    ssd_tib = rng.uniform(0.0, 5.0) if storage_style else 0.0
+                    hdd_tib = rng.uniform(0.0, 40.0) if storage_style else 0.0
+                    if gcu == 0.0 and ssd_tib == 0.0 and hdd_tib == 0.0:
                         continue
-                    bundle.service_usage.append(
-                        ServiceUsageRecord(consumer, provider, cluster, hour, usage, storage_style)
-                    )
+                    rows.append((consumer, provider, cluster, hour, gcu, 0.0, ssd_tib, hdd_tib, storage_style))
+            bundle.service_usage.extend(rows)
 
     # Minor-service economy: chained levels of providers over the plain
     # users. Providers mostly recover their full costs through internal

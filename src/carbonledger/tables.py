@@ -15,12 +15,15 @@ entry also declares its table's checks (key, bounds, references), which
 
 Caches live for one call only, so their memory goes with the call or
 with the bundle it returns. ``read_bundle`` parses each file a chunk of
-rows at a time, column by column, straight into the columns of the
-column tables (``power_samples``, ``gcu_usage``) and into records for
-the other tables. One call parses each distinct hour string once, so
-equal hours are one object, and stores equal ``TEXT`` and ``OPTIONAL``
-cells once: a machine id repeated on every power sample and usage row is
-one string shared by every column and record that holds it.
+rows at a time, column by column, straight into the columns of the four
+column tables (``power_samples``, ``resource_allocations``,
+``gcu_usage`` and ``service_usage``, whose resource vectors are four
+float columns each) and into records for the other tables; no row of a
+column table becomes a record on read, write or validation. One call
+parses each distinct hour string once, so equal hours are one object,
+and stores equal ``TEXT`` and ``OPTIONAL`` cells once: a machine id
+repeated on every power sample and usage row is one string shared by
+every column and record that holds it.
 ``write_bundle`` formats each column, then sorts the rows. Each
 ``write_bundle``, ``write_user_energy`` and ``write_emissions`` call
 formats each distinct hour once. The two large report writers,
@@ -42,10 +45,11 @@ from datetime import date
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import InputError
 from .model import (
+    VECTOR_COLUMNS,
     AnnualIntensityRecord,
     Bundle,
     CarbonIntensityRecord,
@@ -57,7 +61,6 @@ from .model import (
     PowerSample,
     PueRecord,
     ResourceAllocationRecord,
-    ResourceVector,
     ServiceUsageRecord,
     Sharing,
     SkuRecord,
@@ -137,11 +140,11 @@ class Column:
 class Table:
     """One bundle table: its ``Bundle`` field, record type, columns and checks.
 
-    Columns follow the record's field order; dotted columns fill the
-    record's ResourceVector, also in field order. ``validate_bundle``
-    reads the checks: no two records may share the ``key`` columns (a
-    repeat raises ``repeats``), and a violation names its record by the
-    ``subject`` attribute, the first column's if empty.
+    Columns follow the record's field order; a dotted column is one field
+    of the record's ResourceVector, as in ``model.column_paths``.
+    ``validate_bundle`` reads the checks: no two records may share the
+    ``key`` columns (a repeat raises ``repeats``), and a violation names
+    its record by the ``subject`` attribute, the first column's if empty.
     """
 
     field: str
@@ -151,14 +154,6 @@ class Table:
     repeats: str = ""
     subject: str = ""
 
-    def records(self, columns: Sequence[Iterable]) -> Iterator:
-        """The records made from one iterable of parsed cells per column."""
-        nested = [i for i, column in enumerate(self.columns) if "." in column.attribute]
-        if not nested:
-            return map(self.record, *columns)
-        lo, hi = nested[0], nested[-1] + 1
-        return map(self.record, *columns[:lo], map(ResourceVector, *columns[lo:hi]), *columns[hi:])
-
 
 HOUR_UTC = Column("hour_utc", HOUR, "hour")
 DAY_UTC = Column("day_utc", DAY, "day")
@@ -166,8 +161,7 @@ G_PER_KWH = Column("g_per_kwh", FLOAT, "intensity_g_per_kwh", low=0.0)
 
 
 def _vector(attribute: str) -> tuple[Column, ...]:
-    names = ("gcu", "ram_gib", "ssd_tib", "hdd_tib")
-    return tuple(Column(name, FLOAT, f"{attribute}.{name}", low=0.0) for name in names)
+    return tuple(Column(name, FLOAT, f"{attribute}.{name}", low=0.0) for name in VECTOR_COLUMNS)
 
 
 TABLES: dict[str, Table] = {
@@ -225,9 +219,12 @@ REQUIRED_TABLES = ("machines", "power_samples", "zone_map")
 
 
 def _values(records: Sequence, attribute: str) -> Iterable:
-    """One column of a table in row order: a column table's own, or read off each record."""
+    """One column of a table in row order: a column table's own, or read off each record.
+
+    A column table names a vector field's column by its last part: ``allocation.gcu`` is ``gcu``.
+    """
     if isinstance(records, ColumnTable):
-        return getattr(records, attribute)
+        return getattr(records, attribute.rpartition(".")[2])
     return map(attrgetter(attribute), records)
 
 
@@ -297,14 +294,14 @@ def validate_bundle(bundle: Bundle) -> list[Violation]:
     conflicts(
         "conflicting-zone", ((r.cluster_id, r.zone_id) for r in zones if r.zone_id), "cluster mapped to two zones",
     )
+    usage = bundle.service_usage
     conflicts(
-        "mixed-service-style", ((su.provider, su.colossus_style) for su in bundle.service_usage),
-        "provider flagged both storage-style and not",
+        "mixed-service-style", zip(usage.provider, usage.colossus_style), "provider flagged both storage-style and not",
     )
     violations.extend(
-        Violation("self-service-usage", su.provider, "consumer equals provider")
-        for su in bundle.service_usage
-        if su.consumer == su.provider
+        Violation("self-service-usage", provider, "consumer equals provider")
+        for consumer, provider in zip(usage.consumer, usage.provider)
+        if consumer == provider
     )
 
     violations.sort(key=attrgetter("code", "subject", "detail"))
@@ -367,14 +364,14 @@ def _read_table(
     parsers = [per_read.get(c.codec) or functools.partial(map, c.codec.parse) for c in table.columns]
     width = len(parsers)
     if isinstance(into, ColumnTable):
-        columns = [getattr(into, c.attribute) for c in table.columns]
+        columns = [_values(into, c.attribute) for c in table.columns]
 
         def add(parsed: list) -> None:
             for column, values in zip(columns, parsed):
                 column.extend(values)
     else:
         def add(parsed: list) -> None:
-            into.extend(table.records(parsed))
+            into.extend(map(table.record, *parsed))
 
     with path.open(newline="") as handle:
         reader = csv.reader(handle)

@@ -16,7 +16,7 @@ from carbonledger.model import (
     GcuUsageRecord,
     GcuUsageTable,
     PowerSampleTable,
-    ResourceVector,
+    ResourceAllocationTable,
 )
 from carbonledger.power import split_fleet
 from carbonledger.simulate import ScenarioSpec, generate
@@ -26,25 +26,25 @@ from conftest import H, alloc, cells_of, dedicated_machine, sample, shared_machi
 
 def test_weighted_allocation_compute_and_ram():
     # 10 compute units + 200 GiB at table weights: 10*1 + 200/20 = 20.
-    assert weighted_allocation(ResourceVector(gcu=10, ram_gib=200)) == 20.0
+    assert weighted_allocation(gcu=10, ram_gib=200, ssd_tib=0, hdd_tib=0) == 20.0
 
 
 def test_weighted_allocation_storage_only():
     # 1 TiB SSD + 6 TiB HDD: 1*1 + 6/6 = 2.
-    assert weighted_allocation(ResourceVector(ssd_tib=1, hdd_tib=6)) == 2.0
+    assert weighted_allocation(gcu=0, ram_gib=0, ssd_tib=1, hdd_tib=6) == 2.0
 
 
 def test_weighted_allocation_zero_vector():
-    assert weighted_allocation(ResourceVector()) == 0.0
+    assert weighted_allocation(0.0, 0.0, 0.0, 0.0) == 0.0
 
 
 def test_idle_fraction_sole_claimant():
-    allocations = [alloc("alice", gcu=3.0)]
+    allocations = ResourceAllocationTable([alloc("alice", gcu=3.0)])
     assert idle_share_table(allocations) == {("c0", H(0)): {"alice": 1.0}}
 
 
 def test_idle_fraction_two_users():
-    allocations = [alloc("a", gcu=10, ram_gib=200), alloc("b", ssd_tib=1, hdd_tib=6)]
+    allocations = ResourceAllocationTable([alloc("a", gcu=10, ram_gib=200), alloc("b", ssd_tib=1, hdd_tib=6)])
     shares = idle_share_table(allocations)[("c0", H(0))]
     assert shares["a"] == pytest.approx(20.0 / 22.0, abs=1e-12)
     assert shares["b"] == pytest.approx(2.0 / 22.0, abs=1e-12)
@@ -52,7 +52,7 @@ def test_idle_fraction_two_users():
 
 def test_idle_share_all_zero_cluster_hour_is_absent():
     # No weighted allocation: no fractions, so shared idle goes to the overhead user.
-    allocations = [alloc("a", gcu=0.0)]
+    allocations = ResourceAllocationTable([alloc("a", gcu=0.0)])
     assert idle_share_table(allocations) == {}
     machines = [shared_machine("m0", idle=40.0)]
     split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 100.0)]))
@@ -62,7 +62,7 @@ def test_idle_share_all_zero_cluster_hour_is_absent():
 
 
 def test_idle_fractions_sum_to_one():
-    allocations = [alloc(f"u{i}", gcu=float(i + 1)) for i in range(7)]
+    allocations = ResourceAllocationTable(alloc(f"u{i}", gcu=float(i + 1)) for i in range(7))
     shares = idle_share_table(allocations)[("c0", H(0))]
     assert sorted(shares) == [f"u{i}" for i in range(7)]
     assert sum(shares.values()) == pytest.approx(1.0, abs=1e-12)
@@ -72,7 +72,7 @@ def test_allocate_idle_prod_user_holds_everything():
     # Single shared aggregate; one user owns all allocation, so it takes all idle.
     machines = [shared_machine("m0", idle=6e6)]
     split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 14e6)]))
-    idle, notices = allocate_idle(split, machines, [alloc("prod", gcu=100.0)])
+    idle, notices = allocate_idle(split, machines, ResourceAllocationTable([alloc("prod", gcu=100.0)]))
     assert idle == {("prod", "c0", H(0)): 6e6}
     assert notices == []
 
@@ -85,14 +85,14 @@ def test_allocate_idle_dedicated_goes_to_owner():
     ]
     samples = PowerSampleTable([sample("m0", 0, 50.0), sample("m1", 0, 25.0), sample("m2", 0, 90.0)])
     split = split_fleet(machines, samples)
-    idle, _ = allocate_idle(split, machines, [])
+    idle, _ = allocate_idle(split, machines, ResourceAllocationTable())
     assert idle == {("alice", "c0", H(0)): 50.0, ("bob", "c0", H(0)): 10.0}
 
 
 def test_allocate_idle_without_allocations_falls_back():
     machines = [shared_machine("m0", idle=40.0)]
     split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 100.0)]))
-    idle, notices = allocate_idle(split, machines, [])
+    idle, notices = allocate_idle(split, machines, ResourceAllocationTable())
     assert idle == {(UNALLOCATED_USER, "c0", H(0)): 40.0}
     assert [n.code for n in notices] == ["unallocated-idle"]
 
@@ -102,7 +102,7 @@ def test_allocate_dynamic_daytime_split():
     machines = [shared_machine("m0", idle=6e6)]
     split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 14e6)]))
     usage = GcuUsageTable([GcuUsageRecord("prod", "m0", H(0), 60.0), GcuUsageRecord("non-prod", "m0", H(0), 20.0)])
-    dynamic, _ = allocate_dynamic(split, machines, usage, [])
+    dynamic, _ = allocate_dynamic(split, machines, usage, ResourceAllocationTable())
     assert dynamic[("prod", "c0", H(0))] == pytest.approx(6e6, rel=1e-12)
     assert dynamic[("non-prod", "c0", H(0))] == pytest.approx(2e6, rel=1e-12)
 
@@ -112,7 +112,7 @@ def test_allocate_dynamic_night_split_with_idle_totals():
     machines = [shared_machine("m0", idle=6e6)]
     split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 12e6)]))
     usage = GcuUsageTable([GcuUsageRecord("prod", "m0", H(0), 30.0), GcuUsageRecord("non-prod", "m0", H(0), 30.0)])
-    ledger, _ = build_machine_ledger(split, machines, [alloc("prod", gcu=100.0)], usage)
+    ledger, _ = build_machine_ledger(split, machines, ResourceAllocationTable([alloc("prod", gcu=100.0)]), usage)
     cells = cells_of(ledger)
     assert sum(cells[("prod", "c0", H(0))]) == pytest.approx(9e6, rel=1e-12)
     assert sum(cells[("non-prod", "c0", H(0))]) == pytest.approx(3e6, rel=1e-12)
@@ -121,21 +121,22 @@ def test_allocate_dynamic_night_split_with_idle_totals():
 def test_allocate_dynamic_single_user_takes_all():
     machines = [shared_machine("m0", idle=10.0)]
     split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 25.0)]))
-    dynamic, _ = allocate_dynamic(split, machines, GcuUsageTable([GcuUsageRecord("solo", "m0", H(0), 2.0)]), [])
+    usage = GcuUsageTable([GcuUsageRecord("solo", "m0", H(0), 2.0)])
+    dynamic, _ = allocate_dynamic(split, machines, usage, ResourceAllocationTable())
     assert dynamic == {("solo", "c0", H(0)): 15.0}
 
 
 def test_zero_usage_dedicated_machine_dynamic_goes_to_owner():
     machines = [dedicated_machine("m0", owner="alice", idle=10.0)]
     split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 30.0)]))
-    dynamic, _ = allocate_dynamic(split, machines, GcuUsageTable(), [])
+    dynamic, _ = allocate_dynamic(split, machines, GcuUsageTable(), ResourceAllocationTable())
     assert dynamic == {("alice", "c0", H(0)): 20.0}
 
 
 def test_zero_usage_shared_machine_dynamic_follows_idle_fractions():
     machines = [shared_machine("m0", idle=10.0)]
     split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 30.0)]))
-    allocations = [alloc("a", gcu=30.0), alloc("b", gcu=10.0)]
+    allocations = ResourceAllocationTable([alloc("a", gcu=30.0), alloc("b", gcu=10.0)])
     dynamic, _ = allocate_dynamic(split, machines, GcuUsageTable(), allocations)
     assert dynamic[("a", "c0", H(0))] == pytest.approx(15.0, rel=1e-12)
     assert dynamic[("b", "c0", H(0))] == pytest.approx(5.0, rel=1e-12)
@@ -149,7 +150,7 @@ def test_dynamic_is_per_machine_local():
         GcuUsageRecord("a", "m0", H(0), 5.0),
         GcuUsageRecord("b", "m1", H(0), 5.0),
     ])
-    dynamic, _ = allocate_dynamic(split, machines, usage, [])
+    dynamic, _ = allocate_dynamic(split, machines, usage, ResourceAllocationTable())
     assert dynamic[("a", "c0", H(0))] == 10.0
     assert dynamic[("b", "c0", H(0))] == 50.0
 
@@ -165,14 +166,14 @@ positive = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infin
 )
 def test_fractions_are_scale_invariant(vectors, scale):
     users = [f"u{i}" for i in range(len(vectors))]
-    base = [
+    base = ResourceAllocationTable(
         alloc(u, gcu=v[0], ram_gib=v[1], ssd_tib=v[2], hdd_tib=v[3])
         for u, v in zip(users, vectors)
-    ]
-    scaled = [
+    )
+    scaled = ResourceAllocationTable(
         alloc(u, gcu=v[0] * scale, ram_gib=v[1] * scale, ssd_tib=v[2] * scale, hdd_tib=v[3] * scale)
         for u, v in zip(users, vectors)
-    ]
+    )
     original = idle_share_table(base)[("c0", H(0))]
     rescaled = idle_share_table(scaled)[("c0", H(0))]
     for user in users:
@@ -198,7 +199,7 @@ def test_machine_ledger_conserves_measured_power(data):
         for user in users:
             if data.draw(st.booleans(), label=f"uses-{i}-{user}"):
                 usage.append(GcuUsageRecord(user, f"m{i}", H(0), data.draw(positive, label=f"g{i}{user}")))
-    allocations = [alloc(u, gcu=data.draw(positive, label=f"alloc-{u}")) for u in users]
+    allocations = ResourceAllocationTable(alloc(u, gcu=data.draw(positive, label=f"alloc-{u}")) for u in users)
     split = split_fleet(machines, samples)
     ledger, _ = build_machine_ledger(split, machines, allocations, usage)
     measured_total = sum(s.measured_power_watts for s in samples)
@@ -209,14 +210,12 @@ def test_permuting_user_labels_permutes_outputs():
     machines = [shared_machine("m0", idle=50.0)]
     samples = PowerSampleTable([sample("m0", 0, 120.0)])
     usage = GcuUsageTable([GcuUsageRecord("a", "m0", H(0), 3.0), GcuUsageRecord("b", "m0", H(0), 1.0)])
-    allocations = [alloc("a", gcu=1.0), alloc("b", gcu=3.0)]
+    allocations = ResourceAllocationTable([alloc("a", gcu=1.0), alloc("b", gcu=3.0)])
     ledger, _ = build_machine_ledger(split_fleet(machines, samples), machines, allocations, usage)
 
     swap = {"a": "b", "b": "a"}
     usage_swapped = GcuUsageTable(GcuUsageRecord(swap[u.user], u.machine_id, u.hour, u.gcu_used) for u in usage)
-    allocations_swapped = [
-        alloc(swap[a.user], gcu=a.allocation.gcu) for a in allocations
-    ]
+    allocations_swapped = ResourceAllocationTable(alloc(swap[a.user], gcu=a.allocation.gcu) for a in allocations)
     ledger_swapped, _ = build_machine_ledger(
         split_fleet(machines, samples), machines, allocations_swapped, usage_swapped
     )

@@ -15,7 +15,7 @@ import carbonledger
 from carbonledger import check
 from carbonledger.check import closure_failures, run_end_to_end
 from carbonledger.cli import REPORTS, _clip_bundle, main
-from carbonledger.model import GcuUsageTable, PowerSampleTable
+from carbonledger.model import GcuUsageTable, PowerSampleTable, ResourceAllocationTable, ServiceUsageTable
 from carbonledger.oracle import oracle_allocate
 from carbonledger.simulate import ScenarioSpec, generate, preset_spec
 from carbonledger.tables import validate_bundle, write_bundle
@@ -119,7 +119,11 @@ def test_clip_keeps_in_range_hourly_and_daily_records_and_passes_the_rest_whole(
     # (start, end, the days kept): the first day by both bounds, the second by --start alone.
     for start, end, kept_day in ((first_day, second_day, first_day), (second_day, None, second_day)):
         clipped = _clip_bundle(bundle, start, end)
-        assert type(clipped.power_samples) is PowerSampleTable and type(clipped.gcu_usage) is GcuUsageTable
+        for name, kind in (
+            ("power_samples", PowerSampleTable), ("resource_allocations", ResourceAllocationTable),
+            ("gcu_usage", GcuUsageTable), ("service_usage", ServiceUsageTable),
+        ):
+            assert type(getattr(clipped, name)) is kind, name
         for name in hourly:
             records = getattr(bundle, name)
             kept = [r for r in records if r.hour.date() == kept_day]

@@ -20,8 +20,10 @@ from carbonledger.model import (
     PowerSampleTable,
     PueRecord,
     ResourceAllocationRecord,
+    ResourceAllocationTable,
     ResourceVector,
     ServiceUsageRecord,
+    ServiceUsageTable,
     Sharing,
     SkuRecord,
     SkuUsageRecord,
@@ -39,10 +41,20 @@ def test_parse_and_format_hour_roundtrip():
     assert format_hour(parse_hour(text)) == text
 
 
+ALLOCATIONS = [alloc("bob", "c1", 1, gcu=2.0, ram_gib=40.0, hdd_tib=6.0), alloc("alice", gcu=0.5, ssd_tib=1.5)]
+SERVICE_USAGE = [
+    ServiceUsageRecord("alice", "svc", "c0", H(0), ResourceVector(gcu=1.0, ssd_tib=2.0, hdd_tib=3.0), True),
+    ServiceUsageRecord("bob", "api", "c1", H(1), ResourceVector(gcu=4.0, ram_gib=8.0)),
+]
+
+
 def test_column_table_gives_back_its_records_in_order():
     samples = [sample("m1", 1, 80.0), sample("m0", 0, 50.5), sample("m1", 0, 0.0)]
     usage = [GcuUsageRecord("bob", "m1", H(1), 2.5), GcuUsageRecord("alice", "m0", H(0), 1.0)]
-    for table, records in ((PowerSampleTable(samples), samples), (GcuUsageTable(usage), usage)):
+    for table, records in (
+        (PowerSampleTable(samples), samples), (GcuUsageTable(usage), usage),
+        (ResourceAllocationTable(ALLOCATIONS), ALLOCATIONS), (ServiceUsageTable(SERVICE_USAGE), SERVICE_USAGE),
+    ):
         assert len(table) == len(records)
         assert list(table) == records
         assert [table[i] for i in range(-len(records), len(records))] == records + records
@@ -51,6 +63,18 @@ def test_column_table_gives_back_its_records_in_order():
             table[1:]  # a slice is no row
     assert PowerSampleTable(samples).measured_power_watts == array("d", [80.0, 50.5, 0.0])
     assert GcuUsageTable(usage).user == ["bob", "alice"]
+    # A resource vector is four float columns named after its fields; the flag stays a list.
+    allocations, services = ResourceAllocationTable(ALLOCATIONS), ServiceUsageTable(SERVICE_USAGE)
+    assert allocations.__slots__ == ("user", "cluster_id", "hour", "gcu", "ram_gib", "ssd_tib", "hdd_tib")
+    assert [allocations.gcu, allocations.ram_gib, allocations.ssd_tib, allocations.hdd_tib] == [
+        array("d", [2.0, 0.5]), array("d", [40.0, 0.0]), array("d", [0.0, 1.5]), array("d", [6.0, 0.0]),
+    ]
+    assert services.consumer == ["alice", "bob"] and services.colossus_style == [True, False]
+    for table in (allocations, services):
+        for name in ("gcu", "ram_gib", "ssd_tib", "hdd_tib"):
+            assert type(getattr(table, name)) is array and getattr(table, name).typecode == "d"
+    assert allocations[1].allocation == ResourceVector(gcu=0.5, ssd_tib=1.5)
+    assert services[-1].usage == ResourceVector(gcu=4.0, ram_gib=8.0)
 
 
 def test_column_table_edits_like_a_list_of_records():
@@ -75,6 +99,19 @@ def test_column_table_edits_like_a_list_of_records():
     assert table != PowerSampleTable(expected[:-1])
     assert table != expected  # a list of records is not a column table
     assert GcuUsageTable() != PowerSampleTable()
+    for kind, records in ((ResourceAllocationTable, ALLOCATIONS), (ServiceUsageTable, SERVICE_USAGE)):
+        grown = kind(records[:1])
+        grown.append(records[1])
+        assert grown == kind(records) and list(grown) == records
+        extended = kind()
+        extended.extend(map(kind.cells, records))  # rows of cells in column order
+        assert extended == grown
+        part = grown.where([False, True])
+        assert type(part) is kind and list(part) == records[1:] and part == kind(records[1:])
+        assert type(part.hdd_tib) is array and part.hdd_tib.typecode == "d"
+        assert grown != kind(records[::-1])
+        assert grown != records
+    assert ResourceAllocationTable() != ServiceUsageTable() and ResourceAllocationTable() != GcuUsageTable()
 
 
 def test_bundle_stores_sample_and_usage_records_as_columns():
@@ -83,6 +120,14 @@ def test_bundle_stores_sample_and_usage_records_as_columns():
     bundle.power_samples = [sample("m1", 1, 6.0)]
     assert bundle.power_samples == PowerSampleTable([sample("m1", 1, 6.0)])
     assert type(Bundle().gcu_usage) is GcuUsageTable
+    bundle = Bundle(resource_allocations=ALLOCATIONS, service_usage=SERVICE_USAGE)
+    assert bundle.resource_allocations == ResourceAllocationTable(ALLOCATIONS)
+    assert bundle.service_usage == ServiceUsageTable(SERVICE_USAGE)
+    bundle.resource_allocations, bundle.service_usage = ALLOCATIONS[1:], SERVICE_USAGE[:1]
+    assert bundle.resource_allocations == ResourceAllocationTable(ALLOCATIONS[1:])
+    assert bundle.service_usage == ServiceUsageTable(SERVICE_USAGE[:1])
+    empty = Bundle()
+    assert type(empty.resource_allocations) is ResourceAllocationTable and type(empty.service_usage) is ServiceUsageTable
 
 
 def _fleet(machines, samples=(), usage=()) -> Bundle:

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,16 @@ from carbonledger import check
 from carbonledger.carbon import IntensitySource
 from carbonledger.check import closure_failures, compare_with_oracle, run_end_to_end
 from carbonledger.errors import OracleSizeError
-from carbonledger.model import Bundle, GcuUsageRecord, ResourceAllocationRecord, ResourceVector
+from carbonledger.model import (
+    Bundle,
+    GcuUsageRecord,
+    GcuUsageTable,
+    PowerSampleTable,
+    ResourceAllocationRecord,
+    ResourceAllocationTable,
+    ResourceVector,
+    ServiceUsageTable,
+)
 from carbonledger.oracle import oracle_allocate
 from carbonledger.services import run_allocation_pipeline
 from carbonledger.simulate import ScenarioSpec, generate, preset_spec
@@ -102,6 +112,22 @@ def test_worst_oracle_diffs_do_not_follow_the_hash_seed():
         printed.append(done.stdout)
     assert len(printed[0].splitlines()) == check.KEEP_WORST
     assert printed[0] == printed[1]
+
+
+def test_oracle_iterates_each_column_table_once(monkeypatch):
+    # A column table builds its records on every pass, so a pass per cluster-hour rebuilds them all each time.
+    bundle = generate(ScenarioSpec(seed=1, machine_count=20, user_count=5, cluster_count=2, hours=6))
+    kinds = (PowerSampleTable, ResourceAllocationTable, GcuUsageTable, ServiceUsageTable)
+    assert all(len(getattr(bundle, name)) for name in ("resource_allocations", "service_usage"))
+    passes = Counter()
+    for kind in kinds:
+        def counted(table, iterate=kind.__iter__):
+            passes[type(table)] += 1
+            return iterate(table)
+
+        monkeypatch.setattr(kind, "__iter__", counted)
+    oracle_allocate(bundle)
+    assert passes == Counter(kinds)
 
 
 def test_oracle_refuses_too_many_machines():

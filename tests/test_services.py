@@ -13,6 +13,7 @@ from carbonledger.model import (
     NonServiceCostRecord,
     ResourceVector,
     ServiceUsageRecord,
+    ServiceUsageTable,
 )
 from carbonledger.services import (
     apply_major_realloc,
@@ -39,7 +40,7 @@ def usage_row(consumer, provider, gcu=0.0, ssd=0.0, hdd=0.0, colossus=False, clu
 def major_shares(provider, rows, dynamic_wh=1.0):
     """Each consumer's fraction of the provider's dynamic energy after the major stage."""
     ledger = ledger_of({(provider, "c0", H(0)): (0.0, dynamic_wh)})
-    result = apply_major_realloc(ledger, rows)
+    result = apply_major_realloc(ledger, ServiceUsageTable(rows))
     return {user: dynamic / dynamic_wh for (user, _, _), _, dynamic in result.rows()}
 
 
@@ -82,7 +83,7 @@ def test_colossus_fraction_weights_storage_types():
 
 def test_apply_major_without_usage_is_identity():
     ledger = ledger_of({("a", "c0", H(0)): (5.0, 7.0)})
-    result = apply_major_realloc(ledger, [])
+    result = apply_major_realloc(ledger, ServiceUsageTable())
     assert cells_of(result) == cells_of(ledger) == {("a", "c0", H(0)): (5.0, 7.0)}
 
 
@@ -92,7 +93,7 @@ def test_apply_major_moves_dynamic_only():
         ("a", "c0", H(0)): (1.0, 0.0),
     })
     rows = [usage_row("a", "svc", gcu=6.0), usage_row("b", "svc", gcu=4.0)]
-    cells = cells_of(apply_major_realloc(ledger, rows))
+    cells = cells_of(apply_major_realloc(ledger, ServiceUsageTable(rows)))
     assert cells[("svc", "c0", H(0))] == (4.0, 0.0)
     assert cells[("a", "c0", H(0))][1] == pytest.approx(6.0, rel=1e-12)
     assert cells[("b", "c0", H(0))][1] == pytest.approx(4.0, rel=1e-12)
@@ -108,7 +109,7 @@ def test_apply_major_acts_per_cluster():
         usage_row("gmailish", "svc", gcu=1.0, cluster="c0"),
         usage_row("gmailish", "svc", gcu=1.0, cluster="c1"),
     ]
-    cells = cells_of(apply_major_realloc(ledger, rows))
+    cells = cells_of(apply_major_realloc(ledger, ServiceUsageTable(rows)))
     assert cells[("gmailish", "c0", H(0))][1] == 10.0
     assert cells[("gmailish", "c1", H(0))][1] == 30.0
 
@@ -402,9 +403,9 @@ def test_run_artifacts_stay_small():
 
 
 def test_generated_bundle_stays_small():
-    # The same cli-1k shape: 11.8k power samples and 23.0k usage rows. One
-    # frozen record per sample and usage row once held 5.52 MiB here; their
-    # column tables bring the whole bundle to 3.44 MiB.
+    # The same cli-1k shape: 11.8k power samples, 23.0k usage rows, 7.0k
+    # allocations and 8.1k service-usage rows. One frozen record per row once
+    # held 5.52 MiB here; four column tables bring the whole bundle to 2.29 MiB.
     spec = ScenarioSpec(seed=7, machine_count=1000, user_count=50, cluster_count=20, hours=12)
     gc.collect()
     tracemalloc.start()
@@ -467,5 +468,5 @@ def test_rounds_flag_extends_stages():
 def test_apply_major_zero_denominator_keeps_provider_dynamic():
     ledger = ledger_of({("svc", "c0", H(0)): (0.0, 10.0)})
     rows = [usage_row("a", "svc", gcu=0.0)]
-    result = apply_major_realloc(ledger, rows)
+    result = apply_major_realloc(ledger, ServiceUsageTable(rows))
     assert cells_of(result) == {("svc", "c0", H(0)): (0.0, 10.0)}

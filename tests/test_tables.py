@@ -1,6 +1,8 @@
 import csv
+import gc
 import json
 import tracemalloc
+from array import array
 from collections import Counter
 from dataclasses import fields
 
@@ -9,6 +11,7 @@ import pytest
 from carbonledger.check import run_end_to_end
 from carbonledger.cli import main
 from carbonledger.errors import InputError
+from carbonledger.model import GcuUsageTable, PowerSampleTable, ResourceAllocationTable, ServiceUsageTable
 from carbonledger.simulate import PRESETS, ScenarioSpec, generate, preset_spec
 from carbonledger.tables import (
     SCHEMAS,
@@ -25,6 +28,14 @@ ROUNDTRIP_SPECS["seeded"] = ScenarioSpec(
 )
 
 
+COLUMN_TABLES = {
+    "power_samples": PowerSampleTable,
+    "resource_allocations": ResourceAllocationTable,
+    "gcu_usage": GcuUsageTable,
+    "service_usage": ServiceUsageTable,
+}
+
+
 def _records(bundle):
     return {table.name: Counter(getattr(bundle, table.name)) for table in fields(bundle)}
 
@@ -35,6 +46,10 @@ def test_bundle_roundtrip_preserves_every_record(name, tmp_path):
     first = json.loads(write_bundle(original, tmp_path / "first").read_text())
     reloaded = read_bundle(tmp_path / "first")
     assert _records(reloaded) == _records(original)
+    for name, kind in COLUMN_TABLES.items():
+        assert type(getattr(reloaded, name)) is kind, name
+    for table in (reloaded.resource_allocations, reloaded.service_usage):
+        assert all(type(column) is array for column in (table.gcu, table.ram_gib, table.ssd_tib, table.hdd_tib))
     second = json.loads(write_bundle(reloaded, tmp_path / "second").read_text())
     assert second["files"] == first["files"]
     for table in SCHEMAS:
@@ -54,6 +69,26 @@ def test_read_bundle_stores_each_text_cell_once(tmp_path):
     assert len(set(map(id, bundle.power_samples.hour))) == len(set(bundle.power_samples.hour))
     assert None in {m.owner_user for m in bundle.machines}
     assert None in {u.billing_account for u in bundle.billing_usage}
+
+
+def test_read_allocations_and_service_usage_hold_no_record_per_row(tmp_path):
+    # 696 allocation and 720 service-usage rows. A frozen record and a
+    # ResourceVector per row held 233 and 248 bytes a row; columns hold 60 and 75.
+    write_bundle(generate(ScenarioSpec(seed=7, machine_count=100, user_count=10, cluster_count=4, hours=24)), tmp_path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        bundle = read_bundle(tmp_path)
+        for name in ("resource_allocations", "service_usage"):
+            rows = len(getattr(bundle, name))
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            setattr(bundle, name, [])  # drops the table read above
+            gc.collect()
+            held = before - tracemalloc.get_traced_memory()[0]
+            assert rows > 500 and held <= 120 * rows, f"{name}: {held / rows:.1f} bytes a row"
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")
