@@ -11,7 +11,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from .model import (
     RESOURCE_WEIGHTS,
@@ -36,24 +37,118 @@ def minor_round_stage(round_number: int) -> str:
     return f"after_minor_round_{round_number}"
 
 
+class Axes:
+    """The sorted users, clusters and hours of one run, and the cell ids they span.
+
+    A cell ``(user, cluster, hour)`` is the int ``(u * C + c) * H + h``,
+    where ``u``, ``c`` and ``h`` are positions on the axes and ``C`` and
+    ``H`` their lengths. Ascending ids are therefore ascending
+    ``(user, cluster, hour)`` keys, and ``cell % (C * H)`` is the cell's
+    cluster-hour, ``c * H + h``.
+    """
+
+    __slots__ = ("users", "clusters", "hours", "user_index", "cluster_index", "hour_index", "span")
+
+    def __init__(self, users: Iterable[str], clusters: Iterable[str], hours: Iterable[datetime]) -> None:
+        self.users = sorted(set(users))
+        self.clusters = sorted(set(clusters))
+        self.hours = sorted(set(hours))
+        self.user_index = {user: u for u, user in enumerate(self.users)}
+        self.cluster_index = {cluster: c for c, cluster in enumerate(self.clusters)}
+        self.hour_index = {hour: h for h, hour in enumerate(self.hours)}
+        #: Cells per user: every cluster-hour.
+        self.span = len(self.clusters) * len(self.hours)
+
+    @property
+    def size(self) -> int:
+        """How many cell ids the axes span."""
+        return len(self.users) * self.span
+
+    def user_base(self, user: str) -> int:
+        """Id of the user's first cell; adding a cluster-hour gives any of its cells."""
+        u = self.user_index.get(user)
+        if u is None:
+            raise ValueError(f"user {user!r} is not on the ledger's users axis")
+        return u * self.span
+
+    def cell(self, user: str, cluster: str, hour: datetime) -> int:
+        return self.user_base(user) + self.cluster_index[cluster] * len(self.hours) + self.hour_index[hour]
+
+    def key(self, cell: int) -> LedgerKey:
+        u, ch = divmod(cell, self.span)
+        c, h = divmod(ch, len(self.hours))
+        return self.users[u], self.clusters[c], self.hours[h]
+
+
+def machine_axes(split: FleetSplit, machines: Sequence[MachineRecord], *users: Iterable[str]) -> Axes:
+    """Axes over the split's hours, the machines' clusters and every user a stage can credit.
+
+    The users are the machine owners, the overhead user and every user
+    named in ``users``.
+    """
+    owners = (m.owner_user for m in machines if m.owner_user)
+    return Axes(
+        chain((UNALLOCATED_USER,), owners, *users),
+        (m.cluster_id for m in machines),
+        (part.hour for part in split),
+    )
+
+
+class _SparseRows(dict):
+    """Cell id -> row, reading -1 for a cell the index does not hold."""
+
+    def __missing__(self, cell: int) -> int:
+        return -1
+
+
+class CellIndex:
+    """Row of every cell id of a run, and id of every row, in first-credited order.
+
+    ``rows[cell]`` is the cell's row or -1, and ``rows[cell] = row`` sets
+    it. A dense index holds one 8-byte ``array("q")`` slot per id the axes
+    span; a sparse one holds a dict entry per cell, 90-110 bytes with its
+    int key and row, so it is the layout for axes whose span dwarfs the
+    cells.
+    """
+
+    __slots__ = ("axes", "ids", "rows")
+
+    def __init__(self, axes: Axes, dense: bool = True) -> None:
+        self.axes = axes
+        self.ids = array("q")
+        self.rows = array("q", [-1]) * axes.size if dense else _SparseRows()
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def in_id_order(self, count: int) -> Iterator[tuple[int, int]]:
+        """(cell id, row) of the first ``count`` rows, in ascending id."""
+        if isinstance(self.rows, array):
+            return ((cell, row) for cell, row in enumerate(self.rows) if 0 <= row < count)
+        rows = self.rows
+        return ((cell, rows[cell]) for cell in sorted(self.ids[:count]))
+
+
 @dataclass(slots=True)
 class Ledger:
-    """Idle and dynamic watt-hours per (user, cluster, hour) at one pipeline stage.
+    """Idle and dynamic watt-hours per (user, cluster, hour) cell at one pipeline stage.
 
-    The stages of a run share one append-only key index, ``cells`` (key →
-    row); a stage's cells are the first ``len(idle)`` keys. Only the latest
-    stage, the one no ``copy`` has ``superseded``, may append keys.
+    The stages of a run share one append-only ``CellIndex``; a stage's
+    cells are its first ``len(idle)`` rows, and row ``r`` of the ``idle``
+    and ``dynamic`` columns belongs to cell ``cells.ids[r]``. Stages credit
+    the columns in place. Only the latest stage, the one no ``copy`` has
+    ``superseded``, may be credited or append cells.
     """
 
     stage: str
-    cells: dict[LedgerKey, int] = field(default_factory=dict)
+    cells: CellIndex
     idle: array = field(default_factory=lambda: array("d"))
     dynamic: array = field(default_factory=lambda: array("d"))
     superseded: bool = field(default=False, init=False)
 
     def rows(self) -> Iterator[tuple[LedgerKey, float, float]]:
         """(key, idle Wh, dynamic Wh) of every cell of this stage, in row order."""
-        return zip(self.cells, self.idle, self.dynamic)
+        return zip(map(self.cells.axes.key, self.cells.ids), self.idle, self.dynamic)
 
     def copy(self, stage: str) -> Ledger:
         """The next stage, starting from this one's cells; only the latest stage may start one."""
@@ -61,17 +156,30 @@ class Ledger:
         self.superseded = True
         return Ledger(stage, self.cells, array("d", self.idle), array("d", self.dynamic))
 
-    def credit(self, key: LedgerKey, idle_wh: float, dynamic_wh: float) -> None:
-        """Add to a cell, appending it to the key index if it is new."""
-        row = self.cells.get(key)
-        if row is not None and row < len(self.idle):
-            self.idle[row] += idle_wh
-            self.dynamic[row] += dynamic_wh
-            return
+    def add(self, cell: int) -> int:
+        """Append a cell new to the index as a zero row of this stage; returns its row."""
         self._require_latest()
-        self.cells[key] = len(self.idle)
-        self.idle.append(idle_wh)
-        self.dynamic.append(dynamic_wh)
+        row = self.cells.rows[cell] = len(self.idle)
+        self.cells.ids.append(cell)
+        self.idle.append(0.0)
+        self.dynamic.append(0.0)
+        return row
+
+    def row(self, cell: int) -> int:
+        """Row of a cell, appending it as a zero row of this stage if it is new."""
+        row = self.cells.rows[cell]
+        return row if row >= 0 else self.add(cell)
+
+    def credit(self, key: LedgerKey, idle_wh: float, dynamic_wh: float) -> None:
+        """Add to the cell of a (user, cluster, hour) key, appending it to the index if it is new.
+
+        The stages credit their columns by cell id; this is the edge for
+        ledgers built from keys.
+        """
+        self._require_latest()
+        row = self.row(self.cells.axes.cell(*key))
+        self.idle[row] += idle_wh
+        self.dynamic[row] += dynamic_wh
 
     def _require_latest(self) -> None:
         if self.superseded or len(self.idle) != len(self.cells):
@@ -81,10 +189,14 @@ class Ledger:
         return sum(idle + dynamic for idle, dynamic in zip(self.idle, self.dynamic))
 
     def totals_by_user(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for (user, _, _), idle, dynamic in self.rows():
-            out[user] = out.get(user, 0.0) + idle + dynamic
-        return out
+        """Each user's Wh, summed in row order; users in order of their first row."""
+        span = self.cells.axes.span
+        sums: dict[int, float] = {}
+        for cell, idle, dynamic in zip(self.cells.ids, self.idle, self.dynamic):
+            u = cell // span
+            sums[u] = sums.get(u, 0.0) + idle + dynamic
+        users = self.cells.axes.users
+        return {users[u]: wh for u, wh in sums.items()}
 
 
 def weighted_allocation(gcu: float, ram_gib: float, ssd_tib: float, hdd_tib: float) -> float:
@@ -118,57 +230,66 @@ def idle_share_table(allocations: ResourceAllocationTable) -> dict[tuple[str, da
 
 
 def allocate_idle(
+    ledger: Ledger,
     split: FleetSplit,
     machines: Sequence[MachineRecord],
     allocations: ResourceAllocationTable,
-) -> tuple[dict[LedgerKey, float], list[Notice]]:
-    """Idle watt-hours per (user, cluster, hour).
+) -> list[Notice]:
+    """Credit idle watt-hours to the ledger's (user, cluster, hour) cells; returns the notices.
 
+    Dedicated idle is credited as the split is walked; shared idle is
+    summed per cluster-hour and then credited by the idle-share fractions.
     Shared idle in a cluster-hour with no weighted allocations anywhere
     falls back to the reserved unallocated-overhead user; dropping it
     would break conservation.
     """
-    by_id = {m.machine_id: m for m in machines}
+    axes = ledger.cells.axes
+    hour_count = len(axes.hours)
+    # machine id -> (c * H, the id of the idle owner's (cluster, first hour) cell or -1 when shared)
+    placed: dict[str, tuple[int, int]] = {}
+    for m in machines:
+        offset = axes.cluster_index[m.cluster_id] * hour_count
+        owner = axes.user_base(m.owner_user or UNALLOCATED_USER) + offset if m.sharing is Sharing.DEDICATED else -1
+        placed[m.machine_id] = offset, owner
     fractions = idle_share_table(allocations)
-    idle: dict[LedgerKey, float] = {}
-    shared_totals: dict[tuple[str, datetime], float] = {}
+    idle = ledger.idle
+    shared_totals: dict[int, float] = {}  # c * H + h -> shared idle Wh
     notices: list[Notice] = []
 
     for part in split:
-        hour = part.hour
+        h = axes.hour_index[part.hour]
         for machine_id, watts in zip(part.machine_ids, part.idle_watts):
-            machine = by_id[machine_id]
-            if machine.sharing is Sharing.DEDICATED:
-                key = (machine.owner_user or UNALLOCATED_USER, machine.cluster_id, hour)
-                idle[key] = idle.get(key, 0.0) + watts
+            offset, owner = placed[machine_id]
+            if owner >= 0:
+                idle[ledger.row(owner + h)] += watts
             else:
-                ch = (machine.cluster_id, hour)
+                ch = offset + h
                 shared_totals[ch] = shared_totals.get(ch, 0.0) + watts
 
-    for (cluster, hour), total in shared_totals.items():
+    for ch, total in shared_totals.items():
         if total == 0.0:
             continue
+        c, h = divmod(ch, hour_count)
+        cluster, hour = axes.clusters[c], axes.hours[h]
         per_user = fractions.get((cluster, hour))
         if not per_user:
             notices.append(
                 Notice("unallocated-idle", cluster, f"no weighted allocations at {format_hour(hour)}")
             )
-            key = (UNALLOCATED_USER, cluster, hour)
-            idle[key] = idle.get(key, 0.0) + total
-            continue
+            per_user = {UNALLOCATED_USER: 1.0}
         for user, fraction in per_user.items():
-            key = (user, cluster, hour)
-            idle[key] = idle.get(key, 0.0) + fraction * total
-    return idle, notices
+            idle[ledger.row(axes.user_base(user) + ch)] += fraction * total
+    return notices
 
 
 def allocate_dynamic(
+    ledger: Ledger,
     split: FleetSplit,
     machines: Sequence[MachineRecord],
     usage: GcuUsageTable,
     allocations: ResourceAllocationTable,
-) -> tuple[dict[LedgerKey, float], list[Notice]]:
-    """Dynamic watt-hours per (user, cluster, hour).
+) -> list[Notice]:
+    """Credit dynamic watt-hours to the ledger's (user, cluster, hour) cells; returns the notices.
 
     Per machine-hour, dynamic energy is split by each user's share of the
     machine's compute-unit usage. A machine-hour with dynamic energy but
@@ -180,6 +301,8 @@ def allocate_dynamic(
     into the usage columns, and threaded by machine one hour at a time, so
     only one hour's threading is alive at any point and no row is an object.
     """
+    axes = ledger.cells.axes
+    hour_count = len(axes.hours)
     by_id = {m.machine_id: m for m in machines}
     usage_users, usage_machines, gcu_used = usage.user, usage.machine_id, usage.gcu_used
     usage_by_hour: dict[datetime, array] = {}
@@ -192,11 +315,13 @@ def allocate_dynamic(
         rows.append(row)
 
     fractions = idle_share_table(allocations)
-    dynamic: dict[LedgerKey, float] = {}
+    base_of = {user: u * axes.span for user, u in axes.user_index.items()}
+    rows_of, dynamic = ledger.cells.rows, ledger.dynamic
     notices: list[Notice] = []
 
     for part in split:
         hour = part.hour
+        h = axes.hour_index[hour]
         rows = usage_by_hour.pop(hour, array("q"))
         # first[machine] is the position in ``rows`` of the machine's first
         # row this hour, and after[i] that of the row after position i, or -1.
@@ -211,6 +336,7 @@ def allocate_dynamic(
                 continue
             machine = by_id[machine_id]
             cluster = machine.cluster_id
+            ch = axes.cluster_index[cluster] * hour_count + h
             i = first.get(machine_id, -1)
             if i >= 0:
                 total, j = 0.0, i
@@ -219,26 +345,26 @@ def allocate_dynamic(
                     j = after[j]
                 while i >= 0:
                     row = rows[i]
-                    key = (usage_users[row], cluster, hour)
-                    dynamic[key] = dynamic.get(key, 0.0) + watts * (gcu_used[row] / total)
+                    cell = base_of[usage_users[row]] + ch
+                    at = rows_of[cell]
+                    if at < 0:
+                        at = ledger.add(cell)
+                    dynamic[at] += watts * (gcu_used[row] / total)
                     i = after[i]
                 continue
             if machine.sharing is Sharing.DEDICATED and machine.owner_user:
-                key = (machine.owner_user, cluster, hour)
-                dynamic[key] = dynamic.get(key, 0.0) + watts
+                dynamic[ledger.row(base_of[machine.owner_user] + ch)] += watts
                 continue
             per_user = fractions.get((cluster, hour))
             if per_user:
                 for user, fraction in per_user.items():
-                    key = (user, cluster, hour)
-                    dynamic[key] = dynamic.get(key, 0.0) + fraction * watts
+                    dynamic[ledger.row(base_of[user] + ch)] += fraction * watts
             else:
                 notices.append(
                     Notice("unallocated-dynamic", machine_id, f"no usage or allocations at {format_hour(hour)}")
                 )
-                key = (UNALLOCATED_USER, cluster, hour)
-                dynamic[key] = dynamic.get(key, 0.0) + watts
-    return dynamic, notices
+                dynamic[ledger.row(base_of[UNALLOCATED_USER] + ch)] += watts
+    return notices
 
 
 def build_machine_ledger(
@@ -246,13 +372,20 @@ def build_machine_ledger(
     machines: Sequence[MachineRecord],
     allocations: ResourceAllocationTable,
     usage: GcuUsageTable,
+    axes: Axes | None = None,
 ) -> tuple[Ledger, list[Notice]]:
-    """Machine-stage ledger: idle plus dynamic, before any reallocation."""
-    idle, idle_notices = allocate_idle(split, machines, allocations)
-    dynamic, dyn_notices = allocate_dynamic(split, machines, usage, allocations)
-    ledger = Ledger(STAGE_MACHINE)
-    for key, wh in idle.items():
-        ledger.credit(key, wh, 0.0)
-    for key, wh in dynamic.items():
-        ledger.credit(key, 0.0, wh)
-    return ledger, [*idle_notices, *dyn_notices]
+    """Machine-stage ledger: idle plus dynamic, before any reallocation.
+
+    ``axes`` defaults to the machine stage's own users (owners, allocation
+    and usage users, the overhead user). The index is dense unless the
+    axes span more ids than the stage has input rows (machine-hours,
+    allocation and usage rows), so a dense index never outweighs one
+    float column of those inputs.
+    """
+    if axes is None:
+        axes = machine_axes(split, machines, allocations.user, usage.user)
+    dense = axes.size <= len(split) + len(allocations) + len(usage)
+    ledger = Ledger(STAGE_MACHINE, CellIndex(axes, dense))
+    notices = allocate_idle(ledger, split, machines, allocations)
+    notices += allocate_dynamic(ledger, split, machines, usage, allocations)
+    return ledger, notices

@@ -15,7 +15,7 @@ from datetime import datetime
 from enum import Enum
 from typing import Iterator, Mapping
 
-from .allocation import Ledger, LedgerKey
+from .allocation import Axes, Ledger, LedgerKey
 from .errors import MissingIntensityError
 from .model import Bundle, Notice, format_hour
 
@@ -58,9 +58,14 @@ def resolve_intensity(
 
 @dataclass(slots=True)
 class EmissionsResult:
-    """Emissions of every final-ledger cell, as columns in (user, cluster, hour) order."""
+    """Emissions of every final-ledger cell, as columns in ascending cell id.
 
-    keys: list[LedgerKey] = field(default_factory=list)
+    Ascending ids are (user, cluster, hour) order; ``cells`` holds the ids
+    and ``axes`` decodes them.
+    """
+
+    axes: Axes
+    cells: array = field(default_factory=lambda: array("q"))
     it_wh: array = field(default_factory=lambda: array("d"))
     total_wh: array = field(default_factory=lambda: array("d"))
     kg: array = field(default_factory=lambda: array("d"))
@@ -68,11 +73,15 @@ class EmissionsResult:
     notices: list[Notice] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.cells)
+
+    def keys(self) -> Iterator[LedgerKey]:
+        """The (user, cluster, hour) key of every row, in id order."""
+        return map(self.axes.key, self.cells)
 
     def rows(self) -> Iterator[tuple[LedgerKey, float, float, float, IntensitySource]]:
-        """(key, IT Wh, total Wh, kgCO2e, intensity source) of every row, in key order."""
-        return zip(self.keys, self.it_wh, self.total_wh, self.kg, self.sources)
+        """(key, IT Wh, total Wh, kgCO2e, intensity source) of every row, in id order."""
+        return zip(self.keys(), self.it_wh, self.total_wh, self.kg, self.sources)
 
     def total_kg(self) -> float:
         return sum(self.kg)
@@ -86,33 +95,42 @@ def compute_emissions(
 ) -> EmissionsResult:
     """Emissions per ledger entry: IT energy x PUE x zone intensity.
 
-    A missing PUE falls back to the default and is flagged. A cluster-hour
-    that no feed covers aborts the run unless ``missing_intensity`` gives
-    the gCO2e/kWh to use there, which is flagged once per cluster-hour.
+    Cells are walked in ascending id. PUE and intensity are looked up once
+    per cluster-hour, in the order the walk first reaches it. A missing
+    PUE falls back to the default and is flagged. A cluster-hour that no
+    feed covers aborts the run unless ``missing_intensity`` gives the
+    gCO2e/kWh to use there, which is flagged once per cluster-hour.
     """
     pue_by_key = {(p.cluster_id, p.hour): p.pue for p in bundle.pue}
     zone_of = {r.cluster_id: r.zone_id for r in bundle.zone_map if r.zone_id}
     hourly = {(r.zone_id, r.hour): r.intensity_g_per_kwh for r in bundle.carbon_intensity}
     annual = {(r.zone_id, r.year): r.intensity_g_per_kwh for r in bundle.annual_intensity}
-    result = EmissionsResult()
+    axes = ledger.cells.axes
+    result = EmissionsResult(axes)
     notices = result.notices
-    missing_pue: set[tuple[str, datetime]] = set()
-    # Intensity depends only on the cluster-hour.
-    resolved: dict[tuple[str, datetime], tuple[float, IntensitySource]] = {}
+    hour_count = len(axes.hours)
+    # Per cluster-hour c * H + h: PUE (None when missing), whether a missing
+    # PUE was noticed, and the resolved (intensity, source).
+    pue_at: list[float | None] = [pue_by_key.get((c, h)) for c in axes.clusters for h in axes.hours]
+    pue_noticed = bytearray(axes.span)
+    resolved: list[tuple[float, IntensitySource] | None] = [None] * axes.span
+    idle, dynamic = ledger.idle, ledger.dynamic
 
-    for key, idle_wh, dynamic_wh in sorted(ledger.rows()):
-        _, cluster, hour = key
-        it_wh = idle_wh + dynamic_wh
-        pue = pue_by_key.get((cluster, hour))
+    for cell, row in ledger.cells.in_id_order(len(idle)):
+        ch = cell % axes.span
+        it_wh = idle[row] + dynamic[row]
+        pue = pue_at[ch]
         if pue is None:
             pue = default_pue
-            if it_wh > 0.0 and (cluster, hour) not in missing_pue:
-                missing_pue.add((cluster, hour))
+            if it_wh > 0.0 and not pue_noticed[ch]:
+                pue_noticed[ch] = 1
+                cluster, hour = axes.clusters[ch // hour_count], axes.hours[ch % hour_count]
                 notices.append(
                     Notice("missing-pue", cluster, f"default {pue} used at {format_hour(hour)}")
                 )
-        found = resolved.get((cluster, hour))
+        found = resolved[ch]
         if found is None:
+            cluster, hour = axes.clusters[ch // hour_count], axes.hours[ch % hour_count]
             try:
                 found = resolve_intensity(cluster, hour, zone_of, hourly, annual)
             except MissingIntensityError:
@@ -122,10 +140,10 @@ def compute_emissions(
                 notices.append(
                     Notice("missing-intensity", cluster, f"default {missing_intensity} g/kWh at {format_hour(hour)}")
                 )
-            resolved[cluster, hour] = found
+            resolved[ch] = found
         intensity, source = found
         total_wh = it_wh * pue
-        result.keys.append(key)
+        result.cells.append(cell)
         result.it_wh.append(it_wh)
         result.total_wh.append(total_wh)
         result.kg.append(co2_kg(total_wh, intensity))

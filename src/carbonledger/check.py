@@ -65,12 +65,19 @@ def closure_failures(bundle: Bundle, artifacts: RunArtifacts) -> list[str]:
         key = (cluster_of[machine_id], hour)
         measured[key] = measured.get(key, 0.0) + watts
 
+    # Each measured cluster-hour's position c * H + h on the ledger's axes; one off them holds nothing.
+    axes = artifacts.allocation.final.cells.axes
+    span = axes.span
+    at: dict[tuple[str, object], int] = {}
+    for cluster, hour in measured:
+        c, h = axes.cluster_index.get(cluster), axes.hour_index.get(hour)
+        at[cluster, hour] = span if c is None or h is None else c * len(axes.hours) + h
     for ledger in artifacts.allocation.stages:
-        totals: dict[tuple[str, object], float] = {}
-        for (_, cluster, hour), idle, dynamic in ledger.rows():
-            totals[cluster, hour] = totals.get((cluster, hour), 0.0) + idle + dynamic
+        totals = [0.0] * (span + 1)
+        for cell, idle, dynamic in zip(ledger.cells.ids, ledger.idle, ledger.dynamic):
+            totals[cell % span] += idle + dynamic
         for key, expected in measured.items():
-            got = totals.get(key, 0.0)
+            got = totals[at[key]]
             if expected == 0.0:
                 if not abs(got) <= 1e-6:
                     failures.append(f"{ledger.stage}: energy {got} appeared in powerless {key}")
@@ -187,7 +194,8 @@ def compare_with_oracle(bundle: Bundle, rounds: int = 2, default_pue: float = DE
         ("machine_idle", machine_stage.idle, reference.machine_idle),
         ("machine_dynamic", machine_stage.dynamic, reference.machine_dynamic),
     ):
-        pipeline_wh = {k: wh for k, wh in zip(machine_stage.cells, column) if wh != 0.0}
+        keys = map(machine_stage.cells.axes.key, machine_stage.cells.ids)
+        pipeline_wh = {k: wh for k, wh in zip(keys, column) if wh != 0.0}
         table_max[name] = _diff_table(name, pipeline_wh, oracle_wh, diffs)
     for ledger in artifacts.allocation.stages:
         # A stage the oracle lacks compares against nothing, so its energy counts as deviation.
@@ -199,7 +207,7 @@ def compare_with_oracle(bundle: Bundle, rounds: int = 2, default_pue: float = DE
         )
     table_max["emissions"] = _diff_table(
         "emissions",
-        {key: kg for key, kg in zip(artifacts.emissions.keys, artifacts.emissions.kg) if kg != 0.0},
+        {key: kg for key, kg in zip(artifacts.emissions.keys(), artifacts.emissions.kg) if kg != 0.0},
         reference.emissions_kg,
         diffs,
     )

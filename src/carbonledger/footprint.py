@@ -10,7 +10,6 @@ billed usage. Reported monthly.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -156,15 +155,19 @@ def compute_customer_footprints(
     product_of_sku = {s.sku_id: s.product_id for s in skus}
 
     # One pass in row order: [kg, Wh] per month and user, and per month, provider and region.
-    month_of_hour = functools.cache(month_of)
+    axes = emissions.axes
+    hour_count = len(axes.hours)
+    months_at = [month_of(hour) for hour in axes.hours]
     is_provider = set(providers)
     user_sums: dict[str, dict[str, list[float]]] = {}
     region_sums: dict[str, dict[str, dict[str, list[float]]]] = {}
-    for (user, cluster, hour), wh, kg in zip(emissions.keys, emissions.it_wh, emissions.kg):
-        month = month_of_hour(hour)
+    for cell, wh, kg in zip(emissions.cells, emissions.it_wh, emissions.kg):
+        u, ch = divmod(cell, axes.span)
+        user, month = axes.users[u], months_at[ch % hour_count]
         _add(user_sums.setdefault(month, {}), user, kg, wh)
         if user in is_provider:
-            _add(region_sums.setdefault(month, {}).setdefault(user, {}), region_of[cluster], kg, wh)
+            region = region_of[axes.clusters[ch // hour_count]]
+            _add(region_sums.setdefault(month, {}).setdefault(user, {}), region, kg, wh)
 
     notices: list[Notice] = []
     reports: list[FootprintReport] = []

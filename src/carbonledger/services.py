@@ -17,8 +17,8 @@ from typing import Sequence
 from .allocation import (
     STAGE_AFTER_MAJOR,
     Ledger,
-    LedgerKey,
     build_machine_ledger,
+    machine_axes,
     minor_round_stage,
 )
 from .model import (
@@ -37,6 +37,18 @@ FlowKey = tuple[str, str, date]  # (provider, consumer, day)
 DayPlans = dict[date, dict[str, list[tuple[str, float]]]]  # day -> provider -> [(consumer, fraction)]
 
 
+def _add_gains(column: array, gain: array, copied: int) -> None:
+    """Add a stage's gain column to its ledger column once the stage has been walked.
+
+    The first ``copied`` rows came from the previous stage: each adds its
+    gain, and one that gained nothing (0.0) stays as it is. The rows past
+    them are the cells the stage appended, which hold their gain alone.
+    """
+    for row in compress(range(copied), gain):
+        column[row] += gain[row]
+    column[copied:] = gain[copied:]
+
+
 def apply_major_realloc(ledger: Ledger, usages: ServiceUsageTable) -> Ledger:
     """Move each major provider's dynamic energy to its consumers.
 
@@ -45,28 +57,38 @@ def apply_major_realloc(ledger: Ledger, usages: ServiceUsageTable) -> Ledger:
     snapshot, so the result does not depend on provider order. Providers
     whose records carry the storage-style flag split by a weighted blend
     of compute and storage usage, the rest by compute usage alone. Usage
-    rows are grouped by (provider, cluster, hour) as ``array("q")`` row
-    numbers into the usage columns.
+    rows are grouped by the provider's cell id as ``array("q")`` row
+    numbers into the usage columns; a row naming a user, cluster or hour
+    off the ledger's axes has no cell to move. Gains go into a gain column
+    with a row per cell, new cells appended as first reached, and are
+    added once every provider has moved.
     """
     storage_style = set(compress(usages.provider, usages.colossus_style))
     w = RESOURCE_WEIGHTS
     consumers, gcu, ssd, hdd = usages.consumer, usages.gcu, usages.ssd_tib, usages.hdd_tib
-    groups: dict[LedgerKey, array] = {}
-    for row, key in enumerate(zip(usages.provider, usages.cluster_id, usages.hour)):
-        rows = groups.get(key)
+    axes = ledger.cells.axes
+    hour_count = len(axes.hours)
+    user_index, cluster_index, hour_index = axes.user_index, axes.cluster_index, axes.hour_index
+    groups: dict[int, array] = {}
+    for row, (provider, cluster, hour) in enumerate(zip(usages.provider, usages.cluster_id, usages.hour)):
+        u, c, h = user_index.get(provider), cluster_index.get(cluster), hour_index.get(hour)
+        if u is None or c is None or h is None:
+            continue
+        cell = u * axes.span + c * hour_count + h
+        rows = groups.get(cell)
         if rows is None:
-            rows = groups[key] = array("q")
+            rows = groups[cell] = array("q")
         rows.append(row)
 
     out = ledger.copy(STAGE_AFTER_MAJOR)
-    gains: dict[LedgerKey, float] = {}
-    for key, rows in groups.items():
-        provider, cluster, hour = key
-        cell = ledger.cells.get(key)
-        if cell is None or ledger.dynamic[cell] == 0.0:
+    rows_of, copied = ledger.cells.rows, len(ledger.dynamic)
+    gain = array("d", bytes(8 * copied))
+    for cell, rows in groups.items():
+        at = rows_of[cell]
+        if not 0 <= at < copied or ledger.dynamic[at] == 0.0:
             continue
-        dynamic_wh = ledger.dynamic[cell]
-        blend = provider in storage_style
+        dynamic_wh = ledger.dynamic[at]
+        blend = axes.users[cell // axes.span] in storage_style
         shares: dict[str, float] = {}
         for row in rows:
             share = w.gcu * gcu[row] + w.ssd_tib * ssd[row] + w.hdd_tib * hdd[row] if blend else gcu[row]
@@ -76,18 +98,23 @@ def apply_major_realloc(ledger: Ledger, usages: ServiceUsageTable) -> Ledger:
         denominator = sum(shares.values())
         if denominator <= 0.0:
             continue
+        ch = cell % axes.span
         moved = 0.0
         for consumer, share in shares.items():
             amount = dynamic_wh * (share / denominator)
-            gains[(consumer, cluster, hour)] = gains.get((consumer, cluster, hour), 0.0) + amount
+            target = axes.user_base(consumer) + ch
+            row = rows_of[target]
+            if row < 0:
+                row = out.add(target)
+                gain.append(0.0)
+            gain[row] += amount
             moved += amount
         remainder = dynamic_wh - moved
         if remainder < 0.0:  # float dust from the share quotients
             remainder = 0.0
-        out.dynamic[cell] = remainder
+        out.dynamic[at] = remainder
 
-    for key, wh in gains.items():
-        out.credit(key, 0.0, wh)
+    _add_gains(out.dynamic, gain, copied)
     return out
 
 
@@ -163,29 +190,52 @@ def apply_minor_realloc_round(
     Idle and dynamic components move in proportion, so component sums are
     conserved as exactly as the totals. Returns the new ledger, the total
     energy moved, and the energy moved per (provider, consumer, day).
+    Gains go into an idle and a dynamic gain column with a row per cell,
+    new cells appended as first reached, and are added after the walk,
+    which covers only the rows the round copied.
     """
     out = ledger.copy(stage)
-    gains: dict[LedgerKey, list[float]] = {}
+    axes = ledger.cells.axes
+    span, hour_count = axes.span, len(axes.hours)
+    # day -> provider's user index -> (provider, day, total fraction, [(consumer's first cell, consumer, fraction)])
+    compiled: dict[date, dict[int, tuple]] = {}
+    for day, plan in plans.items():
+        compiled[day] = providers = {}
+        for provider, outflows in plan.items():
+            u = axes.user_index.get(provider)
+            total_fraction = sum(f for _, f in outflows)
+            if u is None or not outflows or total_fraction <= 0.0:
+                continue
+            targets = [(axes.user_base(consumer), consumer, fraction) for consumer, fraction in outflows]
+            providers[u] = (provider, day, total_fraction, targets)
+    providers_at = [compiled.get(day_of(hour)) for hour in axes.hours]  # per hour on the axis
+
+    rows_of, copied = ledger.cells.rows, len(ledger.idle)
+    gain_idle = array("d", bytes(8 * copied))
+    gain_dyn = array("d", gain_idle)
     flows: dict[FlowKey, float] = {}
     moved_total = 0.0
 
-    for row, (key, idle_wh, dynamic_wh) in enumerate(ledger.rows()):
-        provider, cluster, hour = key
-        plan = plans.get(day := day_of(hour))
+    for row, (cell, idle_wh, dynamic_wh) in enumerate(zip(ledger.cells.ids, ledger.idle, ledger.dynamic)):
+        u, ch = divmod(cell, span)
+        providers = providers_at[ch % hour_count]
+        if providers is None:
+            continue
+        plan = providers.get(u)
         if plan is None:
             continue
-        outflows = plan.get(provider)
-        if not outflows:
-            continue
-        total_fraction = sum(f for _, f in outflows)
-        if total_fraction <= 0.0:
-            continue
-        for consumer, fraction in outflows:
+        provider, day, total_fraction, targets = plan
+        for base, consumer, fraction in targets:
             idle_part = idle_wh * fraction
             dyn_part = dynamic_wh * fraction
-            gain = gains.setdefault((consumer, cluster, hour), [0.0, 0.0])
-            gain[0] += idle_part
-            gain[1] += dyn_part
+            target = base + ch
+            at = rows_of[target]
+            if at < 0:
+                at = out.add(target)
+                gain_idle.append(0.0)
+                gain_dyn.append(0.0)
+            gain_idle[at] += idle_part
+            gain_dyn[at] += dyn_part
             amount = idle_part + dyn_part
             flows[(provider, consumer, day)] = flows.get((provider, consumer, day), 0.0) + amount
             moved_total += amount
@@ -195,8 +245,8 @@ def apply_minor_realloc_round(
         out.idle[row] = idle_wh * keep
         out.dynamic[row] = dynamic_wh * keep
 
-    for key, (idle_wh, dyn_wh) in gains.items():
-        out.credit(key, idle_wh, dyn_wh)
+    _add_gains(out.idle, gain_idle, copied)
+    _add_gains(out.dynamic, gain_dyn, copied)
     return out, moved_total, flows
 
 
@@ -229,8 +279,16 @@ def run_allocation_pipeline(bundle: Bundle, rounds: int = 2) -> AllocationResult
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     split = split_fleet(bundle.machines, bundle.power_samples)
+    axes = machine_axes(
+        split,
+        bundle.machines,
+        bundle.resource_allocations.user,
+        bundle.gcu_usage.user,
+        bundle.service_usage.consumer,
+        (rec.user for rec in bundle.net_costs),
+    )
     machine_ledger, notices = build_machine_ledger(
-        split, bundle.machines, bundle.resource_allocations, bundle.gcu_usage
+        split, bundle.machines, bundle.resource_allocations, bundle.gcu_usage, axes
     )
     stages = [machine_ledger]
     stages.append(apply_major_realloc(machine_ledger, bundle.service_usage))

@@ -24,12 +24,13 @@ parses each distinct hour string once, so equal hours are one object,
 and stores equal ``TEXT`` and ``OPTIONAL`` cells once: a machine id
 repeated on every power sample and usage row is one string shared by
 every column and record that holds it.
-``write_bundle`` formats each column, then sorts the rows. Each
-``write_bundle``, ``write_user_energy`` and ``write_emissions`` call
-formats each distinct hour once. The two large report writers,
+``write_bundle`` formats each column, then sorts the rows, and formats
+each distinct hour once. The two large report writers,
 ``write_user_energy`` and ``write_emissions``, stream their rows to the
-file; only ``write_user_energy`` holds a sorted copy of its keys. Report
-rounding happens here at serialization time only.
+file in ascending cell id, which is (user, cluster, hour) order, so
+neither sorts; each decodes a row's id through the run's axes and
+formats each distinct hour once. Report rounding happens here at
+serialization time only.
 """
 
 from __future__ import annotations
@@ -459,12 +460,13 @@ def write_oracle_diff(diffs, path: Path) -> None:
 
 
 def write_user_energy(stages, path: Path, energy_step: float = 1.0) -> None:
-    """Final ledger with one total column per pipeline stage.
+    """Final ledger with one total column per pipeline stage, in ascending cell id.
 
-    The stages share one key index and each holds a prefix of it, so the
-    final stage's keys are every stage's keys.
+    The stages share one cell index and each holds a prefix of its rows,
+    so the final stage's cells are every stage's cells.
     """
     final = stages[-1]
+    key = final.cells.axes.key
     header = ["user", "cluster_id", "hour_utc", "idle_wh", "dynamic_wh"]
     header.extend(f"{ledger.stage}_wh" for ledger in stages)
     hour = functools.cache(format_hour)
@@ -473,7 +475,8 @@ def write_user_energy(stages, path: Path, energy_step: float = 1.0) -> None:
         return _fmt(quantize(value, energy_step))
 
     def rows():
-        for (user, cluster, at), row in sorted(zip(final.cells, range(len(final.idle)))):
+        for cell, row in final.cells.in_id_order(len(final.idle)):
+            user, cluster, at = key(cell)
             yield (
                 user, cluster, hour(at), wh(final.idle[row]), wh(final.dynamic[row]),
                 *(wh(s.idle[row] + s.dynamic[row] if row < len(s.idle) else 0.0) for s in stages),

@@ -1,6 +1,6 @@
 from datetime import datetime, timedelta, timezone
 
-from carbonledger.allocation import STAGE_MACHINE, Ledger
+from carbonledger.allocation import STAGE_MACHINE, Axes, CellIndex, Ledger
 from carbonledger.model import (
     MachineRecord,
     PowerSample,
@@ -17,9 +17,14 @@ def H(index: int) -> datetime:
     return HOUR0 + timedelta(hours=index)
 
 
-def ledger_of(cells: dict, stage: str = STAGE_MACHINE) -> Ledger:
-    """A ledger holding ``{(user, cluster, hour): (idle_wh, dynamic_wh)}``."""
-    ledger = Ledger(stage)
+def ledger_of(cells: dict, stage: str = STAGE_MACHINE, users=(), dense: bool = True) -> Ledger:
+    """A ledger holding ``{(user, cluster, hour): (idle_wh, dynamic_wh)}``.
+
+    Its axes span the cells' keys plus ``users``, the users a later stage
+    may credit.
+    """
+    axes = Axes([*users, *(u for u, _, _ in cells)], (c for _, c, _ in cells), (h for _, _, h in cells))
+    ledger = Ledger(stage, CellIndex(axes, dense))
     for key, (idle_wh, dynamic_wh) in cells.items():
         ledger.credit(key, idle_wh, dynamic_wh)
     return ledger

@@ -1,13 +1,19 @@
 import logging
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from carbonledger.allocation import (
+    STAGE_MACHINE,
+    Axes,
+    CellIndex,
+    Ledger,
     allocate_dynamic,
     allocate_idle,
     build_machine_ledger,
     idle_share_table,
+    machine_axes,
     weighted_allocation,
 )
 from carbonledger.errors import InputError
@@ -22,6 +28,20 @@ from carbonledger.power import split_fleet
 from carbonledger.simulate import ScenarioSpec, generate
 
 from conftest import H, alloc, cells_of, dedicated_machine, sample, shared_machine
+
+
+def idle_of(split, machines, allocations):
+    """``allocate_idle`` alone on an empty ledger: idle Wh per credited cell, and the notices."""
+    ledger = Ledger(STAGE_MACHINE, CellIndex(machine_axes(split, machines, allocations.user)))
+    notices = allocate_idle(ledger, split, machines, allocations)
+    return {key: idle for key, idle, _ in ledger.rows()}, notices
+
+
+def dynamic_of(split, machines, usage, allocations):
+    """``allocate_dynamic`` alone on an empty ledger: dynamic Wh per credited cell, and the notices."""
+    ledger = Ledger(STAGE_MACHINE, CellIndex(machine_axes(split, machines, allocations.user, usage.user)))
+    notices = allocate_dynamic(ledger, split, machines, usage, allocations)
+    return {key: dynamic for key, _, dynamic in ledger.rows()}, notices
 
 
 def test_weighted_allocation_compute_and_ram():
@@ -56,7 +76,7 @@ def test_idle_share_all_zero_cluster_hour_is_absent():
     assert idle_share_table(allocations) == {}
     machines = [shared_machine("m0", idle=40.0)]
     split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 100.0)]))
-    idle, notices = allocate_idle(split, machines, allocations)
+    idle, notices = idle_of(split, machines, allocations)
     assert idle == {(UNALLOCATED_USER, "c0", H(0)): 40.0}
     assert [n.code for n in notices] == ["unallocated-idle"]
 
@@ -72,7 +92,7 @@ def test_allocate_idle_prod_user_holds_everything():
     # Single shared aggregate; one user owns all allocation, so it takes all idle.
     machines = [shared_machine("m0", idle=6e6)]
     split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 14e6)]))
-    idle, notices = allocate_idle(split, machines, ResourceAllocationTable([alloc("prod", gcu=100.0)]))
+    idle, notices = idle_of(split, machines, ResourceAllocationTable([alloc("prod", gcu=100.0)]))
     assert idle == {("prod", "c0", H(0)): 6e6}
     assert notices == []
 
@@ -85,14 +105,14 @@ def test_allocate_idle_dedicated_goes_to_owner():
     ]
     samples = PowerSampleTable([sample("m0", 0, 50.0), sample("m1", 0, 25.0), sample("m2", 0, 90.0)])
     split = split_fleet(machines, samples)
-    idle, _ = allocate_idle(split, machines, ResourceAllocationTable())
+    idle, _ = idle_of(split, machines, ResourceAllocationTable())
     assert idle == {("alice", "c0", H(0)): 50.0, ("bob", "c0", H(0)): 10.0}
 
 
 def test_allocate_idle_without_allocations_falls_back():
     machines = [shared_machine("m0", idle=40.0)]
     split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 100.0)]))
-    idle, notices = allocate_idle(split, machines, ResourceAllocationTable())
+    idle, notices = idle_of(split, machines, ResourceAllocationTable())
     assert idle == {(UNALLOCATED_USER, "c0", H(0)): 40.0}
     assert [n.code for n in notices] == ["unallocated-idle"]
 
@@ -102,7 +122,7 @@ def test_allocate_dynamic_daytime_split():
     machines = [shared_machine("m0", idle=6e6)]
     split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 14e6)]))
     usage = GcuUsageTable([GcuUsageRecord("prod", "m0", H(0), 60.0), GcuUsageRecord("non-prod", "m0", H(0), 20.0)])
-    dynamic, _ = allocate_dynamic(split, machines, usage, ResourceAllocationTable())
+    dynamic, _ = dynamic_of(split, machines, usage, ResourceAllocationTable())
     assert dynamic[("prod", "c0", H(0))] == pytest.approx(6e6, rel=1e-12)
     assert dynamic[("non-prod", "c0", H(0))] == pytest.approx(2e6, rel=1e-12)
 
@@ -122,14 +142,14 @@ def test_allocate_dynamic_single_user_takes_all():
     machines = [shared_machine("m0", idle=10.0)]
     split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 25.0)]))
     usage = GcuUsageTable([GcuUsageRecord("solo", "m0", H(0), 2.0)])
-    dynamic, _ = allocate_dynamic(split, machines, usage, ResourceAllocationTable())
+    dynamic, _ = dynamic_of(split, machines, usage, ResourceAllocationTable())
     assert dynamic == {("solo", "c0", H(0)): 15.0}
 
 
 def test_zero_usage_dedicated_machine_dynamic_goes_to_owner():
     machines = [dedicated_machine("m0", owner="alice", idle=10.0)]
     split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 30.0)]))
-    dynamic, _ = allocate_dynamic(split, machines, GcuUsageTable(), ResourceAllocationTable())
+    dynamic, _ = dynamic_of(split, machines, GcuUsageTable(), ResourceAllocationTable())
     assert dynamic == {("alice", "c0", H(0)): 20.0}
 
 
@@ -137,7 +157,7 @@ def test_zero_usage_shared_machine_dynamic_follows_idle_fractions():
     machines = [shared_machine("m0", idle=10.0)]
     split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 30.0)]))
     allocations = ResourceAllocationTable([alloc("a", gcu=30.0), alloc("b", gcu=10.0)])
-    dynamic, _ = allocate_dynamic(split, machines, GcuUsageTable(), allocations)
+    dynamic, _ = dynamic_of(split, machines, GcuUsageTable(), allocations)
     assert dynamic[("a", "c0", H(0))] == pytest.approx(15.0, rel=1e-12)
     assert dynamic[("b", "c0", H(0))] == pytest.approx(5.0, rel=1e-12)
 
@@ -150,7 +170,7 @@ def test_dynamic_is_per_machine_local():
         GcuUsageRecord("a", "m0", H(0), 5.0),
         GcuUsageRecord("b", "m1", H(0), 5.0),
     ])
-    dynamic, _ = allocate_dynamic(split, machines, usage, ResourceAllocationTable())
+    dynamic, _ = dynamic_of(split, machines, usage, ResourceAllocationTable())
     assert dynamic[("a", "c0", H(0))] == 10.0
     assert dynamic[("b", "c0", H(0))] == 50.0
 
@@ -227,8 +247,8 @@ def test_permuting_user_labels_permutes_outputs():
 def machine_stage(bundle, samples, usage):
     split = split_fleet(bundle.machines, samples)
     allocations = bundle.resource_allocations
-    idle, _ = allocate_idle(split, bundle.machines, allocations)
-    dynamic, _ = allocate_dynamic(split, bundle.machines, usage, allocations)
+    idle, _ = idle_of(split, bundle.machines, allocations)
+    dynamic, _ = dynamic_of(split, bundle.machines, usage, allocations)
     ledger, _ = build_machine_ledger(split, bundle.machines, allocations, usage)
     return idle, dynamic, cells_of(ledger)
 
@@ -270,3 +290,37 @@ def test_missing_sample_is_logged_at_debug(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "machine m1 has no sample for 1 hour(s); treated as powered off"
     ]
+
+
+def test_cell_ids_ascend_in_key_order():
+    axes = Axes(["b", "a", UNALLOCATED_USER], ["c1", "c0"], [H(2), H(0), H(1)])
+    keys = [(u, c, h) for u in ("a", "b", UNALLOCATED_USER) for c in ("c0", "c1") for h in (H(0), H(1), H(2))]
+    cells = [axes.cell(*key) for key in keys]
+    assert sorted(cells) == cells == list(range(axes.size))
+    assert [axes.key(cell) for cell in cells] == sorted(keys)
+    with pytest.raises(ValueError, match="not on the ledger's users axis"):
+        axes.cell("nobody", "c0", H(0))
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+def test_cell_index_walks_a_stage_in_id_order(dense):
+    axes = Axes(["a", "b"], ["c0"], [H(0), H(1)])
+    first = Ledger(STAGE_MACHINE, CellIndex(axes, dense))
+    for key in [("b", "c0", H(1)), ("a", "c0", H(1)), ("b", "c0", H(0))]:
+        first.credit(key, 1.0, 0.0)
+    second = first.copy("next")
+    second.credit(("a", "c0", H(0)), 1.0, 0.0)
+    assert list(first.cells.in_id_order(len(first.idle))) == [(1, 1), (2, 2), (3, 0)]
+    assert list(second.cells.in_id_order(len(second.idle))) == [(0, 3), (1, 1), (2, 2), (3, 0)]
+    assert second.cells.rows[0] == 3 and first.cells.rows[0] == 3
+
+
+def test_machine_ledger_index_is_sparse_when_the_axes_dwarf_its_inputs():
+    machines = [shared_machine("m0", idle=10.0)]
+    split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 30.0)]))
+    allocations = ResourceAllocationTable([alloc("a", gcu=1.0)])
+    own, _ = build_machine_ledger(split, machines, allocations, GcuUsageTable())
+    wide_axes = Axes(["a", UNALLOCATED_USER, *(f"u{i}" for i in range(10))], ["c0"], [H(0)])
+    wide, _ = build_machine_ledger(split, machines, allocations, GcuUsageTable(), wide_axes)
+    assert isinstance(own.cells.rows, array) and not isinstance(wide.cells.rows, array)
+    assert cells_of(own) == cells_of(wide) == {("a", "c0", H(0)): (10.0, 20.0)}

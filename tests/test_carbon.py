@@ -167,12 +167,13 @@ def test_emissions_monotone_in_pue_and_intensity(pue_low, pue_hi, ci_low, ci_hi)
 def test_emission_rows_are_the_final_ledger_in_report_order(spec, tmp_path):
     artifacts = run_end_to_end(generate(spec))
     final, emissions = artifacts.allocation.final, artifacts.emissions
-    assert emissions.keys == sorted(final.cells)
+    assert list(emissions.keys()) == sorted(key for key, _, _ in final.rows())
+    assert list(emissions.cells) == sorted(final.cells.ids)
     assert len(emissions) == len(final.idle)
-    for key, it_wh in zip(emissions.keys, emissions.it_wh):
-        row = final.cells[key]
+    for cell, it_wh in zip(emissions.cells, emissions.it_wh):
+        row = final.cells.rows[cell]
         assert it_wh == final.idle[row] + final.dynamic[row]
     write_emissions(emissions, tmp_path / "emissions.csv", energy_step=0.0, carbon_step_g=0.0)
     with (tmp_path / "emissions.csv").open(newline="") as handle:
         written = [(r["user"], r["cluster_id"], r["hour_utc"]) for r in csv.DictReader(handle)]
-    assert written == [(user, cluster, format_hour(hour)) for user, cluster, hour in emissions.keys]
+    assert written == [(user, cluster, format_hour(hour)) for user, cluster, hour in emissions.keys()]

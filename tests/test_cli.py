@@ -437,12 +437,15 @@ def test_oracle_check_refuses_the_run_only_flags(flags, figure1_dir, tmp_path):
     assert not out.exists()
 
 
-#: SHA-256 of the run reports. Refactors must keep them byte-identical under
-#: every hash seed. The seed-3 fleet's footprint_report.csv once followed
-#: PYTHONHASHSEED, because beta summed its scope in set order.
+#: SHA-256 of the run reports, per case: simulate options, run options and
+#: digests. Refactors must keep them byte-identical under every hash seed.
+#: The seed-3 fleet's footprint_report.csv once followed PYTHONHASHSEED,
+#: because beta summed its scope in set order. The unrounded case carries
+#: every float bit, so a change in the order of any sum shows here.
 RECORDED_REPORTS = {
     "figure1": (
         ["--preset", "figure1"],
+        [],
         {
             "user_energy.csv": "419879f6bc371a255c8764ea3d870018995508c6888a6454c30ee5c97c978481",
             "emissions.csv": "56044229a9fe0cbd76a350bd3725842d92f52f0833f05e701238b5f8a1ae4299",
@@ -452,6 +455,7 @@ RECORDED_REPORTS = {
     ),
     "seed5-300-cyclic-unbilled": (
         ["--seed", "5", "--machines", "300", "--cyclic-economy", "--unbilled-usage"],
+        [],
         {
             "user_energy.csv": "324d9a8001e223be76f6d62b76af4674e8c1fdd1dbb568de1d50fbed51a1eba6",
             "emissions.csv": "61ceeca9b7bbf8d325b0164a1235e7f5c8c29dd1268aecb8e8b5c3dc172d1f33",
@@ -461,6 +465,7 @@ RECORDED_REPORTS = {
     ),
     "seed3-100-12h": (
         ["--seed", "3", "--machines", "100", "--users", "30", "--clusters", "4", "--hours", "12"],
+        [],
         {
             "user_energy.csv": "a1ac4045ec205af6331ff47a4c1f9e7a199d93aee95816948bffd104987c0f3b",
             "emissions.csv": "0368be229f3dffb540992693f9d10f993f350f1e096d511ef6cbee7e58d257b5",
@@ -468,17 +473,28 @@ RECORDED_REPORTS = {
             "flow_summary.csv": "d69695e0e70b5ecb60846f38b04b8093e139433564dadfd8addb960f16c86da4",
         },
     ),
+    "seed5-300-cyclic-unbilled-unrounded": (
+        ["--seed", "5", "--machines", "300", "--cyclic-economy", "--unbilled-usage"],
+        ["--round-wh", "0", "--round-g", "0"],
+        {
+            "user_energy.csv": "c8838b0b0a2673071b564760de1c2cc2957058992d2e08e0b7faef309b66337a",
+            "emissions.csv": "743388949cb2c30f0e95367dda5911f7176c2acb9941cb4c28bb019673078961",
+            "footprint_report.csv": "ad5da0ecc1c48e39df80ecbd3290f840ca5e096b6cca77877d997f5c8c004345",
+            "flow_summary.csv": "50d9b91cb981edf9e3cca28d2a74f3f6f39d8f1a40c5e0d5e00a5e61b676ce1b",
+        },
+    ),
 }
 
 #: Simulates into argv[1], runs, and prints "<report> <sha256>" per report
-#: named in argv[2]; argv[3:] are the simulate options.
+#: named in argv[2]; argv[3] holds the run options, space-separated, and
+#: argv[4:] are the simulate options.
 RUN_AND_HASH = """
 import contextlib, hashlib, io, sys
 from carbonledger.cli import main
-work, names, options = sys.argv[1], sys.argv[2].split(","), sys.argv[3:]
+work, names, run_options, options = sys.argv[1], sys.argv[2].split(","), sys.argv[3].split(), sys.argv[4:]
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["simulate", "--output", work + "/bundle", *options]) == 0
-    assert main(["run", "--input", work + "/bundle", "--output", work + "/reports"]) == 0
+    assert main(["run", "--input", work + "/bundle", "--output", work + "/reports", *run_options]) == 0
 for name in names:
     with open(work + "/reports/" + name, "rb") as handle:
         print(name, hashlib.sha256(handle.read()).hexdigest())
@@ -488,12 +504,12 @@ for name in names:
 @pytest.mark.parametrize("hash_seed", ["0", "1", "42"])
 @pytest.mark.parametrize("case", sorted(RECORDED_REPORTS))
 def test_run_reports_match_recorded_digests(case, hash_seed, tmp_path):
-    args, expected = RECORDED_REPORTS[case]
+    args, run_args, expected = RECORDED_REPORTS[case]
     src = str(Path(carbonledger.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
     done = subprocess.run(
-        [sys.executable, "-c", RUN_AND_HASH, str(tmp_path), ",".join(expected), *args],
+        [sys.executable, "-c", RUN_AND_HASH, str(tmp_path), ",".join(expected), " ".join(run_args), *args],
         env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr

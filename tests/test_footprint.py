@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from carbonledger.allocation import Axes
 from carbonledger.carbon import EmissionsResult, IntensitySource
 from carbonledger.check import run_end_to_end
 from carbonledger.errors import NoBillableUsageError
@@ -22,9 +23,9 @@ ZONE_MAP = [ZoneMapRow("c0", "z0", "r-low"), ZoneMapRow("c1", "z1", "r-high")]
 
 def emissions(*rows):
     """Emission columns from ``(user, cluster, kg, it_wh)`` rows at hour 0, in key order."""
-    result = EmissionsResult()
+    result = EmissionsResult(Axes((u for u, *_ in rows), (c for _, c, *_ in rows), [H(0)]))
     for user, cluster, kg, it_wh in sorted(rows):
-        result.keys.append((user, cluster, H(0)))
+        result.cells.append(result.axes.cell(user, cluster, H(0)))
         result.it_wh.append(it_wh)
         result.total_wh.append(it_wh)
         result.kg.append(kg)

@@ -1,12 +1,14 @@
 import gc
 import tracemalloc
+from array import array
 from datetime import date
 
 import pytest
 from hypothesis import given, strategies as st
 
-from carbonledger.allocation import STAGE_MACHINE
-from carbonledger.check import run_end_to_end
+from carbonledger import allocation, tables
+from carbonledger.allocation import STAGE_MACHINE, CellIndex
+from carbonledger.check import closure_failures, run_end_to_end
 from carbonledger.model import (
     Bundle,
     NetCostRecord,
@@ -39,7 +41,7 @@ def usage_row(consumer, provider, gcu=0.0, ssd=0.0, hdd=0.0, colossus=False, clu
 
 def major_shares(provider, rows, dynamic_wh=1.0):
     """Each consumer's fraction of the provider's dynamic energy after the major stage."""
-    ledger = ledger_of({(provider, "c0", H(0)): (0.0, dynamic_wh)})
+    ledger = ledger_of({(provider, "c0", H(0)): (0.0, dynamic_wh)}, users=(r.consumer for r in rows))
     result = apply_major_realloc(ledger, ServiceUsageTable(rows))
     return {user: dynamic / dynamic_wh for (user, _, _), _, dynamic in result.rows()}
 
@@ -91,7 +93,7 @@ def test_apply_major_moves_dynamic_only():
     ledger = ledger_of({
         ("svc", "c0", H(0)): (4.0, 10.0),
         ("a", "c0", H(0)): (1.0, 0.0),
-    })
+    }, users=["b"])
     rows = [usage_row("a", "svc", gcu=6.0), usage_row("b", "svc", gcu=4.0)]
     cells = cells_of(apply_major_realloc(ledger, ServiceUsageTable(rows)))
     assert cells[("svc", "c0", H(0))] == (4.0, 0.0)
@@ -104,7 +106,7 @@ def test_apply_major_acts_per_cluster():
     ledger = ledger_of({
         ("svc", "c0", H(0)): (0.0, 10.0),
         ("svc", "c1", H(0)): (0.0, 30.0),
-    })
+    }, users=["gmailish"])
     rows = [
         usage_row("gmailish", "svc", gcu=1.0, cluster="c0"),
         usage_row("gmailish", "svc", gcu=1.0, cluster="c1"),
@@ -284,7 +286,7 @@ def test_minor_round_without_net_costs_is_identity():
 
 
 def test_minor_round_moves_components_proportionally():
-    ledger = ledger_of({("k", "c0", H(0)): (40.0, 60.0)})
+    ledger = ledger_of({("k", "c0", H(0)): (40.0, 60.0)}, users=["a"])
     net = [
         NetCostRecord("k", "s", DAY, -1000.0),
         NetCostRecord("a", "s", DAY, 250.0),
@@ -383,13 +385,23 @@ def test_an_earlier_stage_cannot_start_a_new_one():
         apply_major_realloc(machine, bundle.service_usage)
     with pytest.raises(ValueError, match="not the latest stage"):
         machine.credit(("nobody", "c0", H(0)), 1.0, 0.0)
+    # A credit to a cell the stage already holds would rewrite its snapshot.
+    (key, idle_wh, dynamic_wh), *_ = machine.rows()
+    with pytest.raises(ValueError, match="not the latest stage"):
+        machine.credit(key, 5.0, 0.0)
+    assert next(machine.rows()) == (key, idle_wh, dynamic_wh)
+
+
+def cli_1k_bundle():
+    """The benchmark's cli-1k shape: seed 7, 1k machines, 50 users, 20 clusters, 12 h."""
+    return generate(ScenarioSpec(seed=7, machine_count=1000, user_count=50, cluster_count=20, hours=12))
 
 
 def test_run_artifacts_stay_small():
-    # The benchmark's cli-1k shape: 1k machines, 50 users, 20 clusters, 12 h.
     # Four stages of per-cell objects plus a transfer dict per round once
     # retained 11.8 MiB here, and one emission object per cell 4.45 MiB.
-    bundle = generate(ScenarioSpec(seed=7, machine_count=1000, user_count=50, cluster_count=20, hours=12))
+    # Tuple-keyed cells then retained 3.00 MiB; int cell ids, 1.57 MiB.
+    bundle = cli_1k_bundle()
     gc.collect()
     tracemalloc.start()
     try:
@@ -399,7 +411,23 @@ def test_run_artifacts_stay_small():
     finally:
         tracemalloc.stop()
     assert artifacts.allocation.final.total_wh() > 0.0
-    assert retained < 4 * 2**20
+    assert retained < 1.8 * 2**20
+
+
+def test_run_and_closure_peak_stays_small():
+    # Tuple-keyed cells and the tuple-keyed gains each stage built before
+    # crediting the ledger peaked at 5.46 MiB above the bundle here; int
+    # cell ids credited in place peak at 1.88 MiB.
+    bundle = cli_1k_bundle()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        failures = closure_failures(bundle, run_end_to_end(bundle))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert failures == []
+    assert peak <= 4.0 * 2**20
 
 
 def test_generated_bundle_stays_small():
@@ -421,7 +449,31 @@ def test_generated_bundle_stays_small():
 
 def test_pipeline_empty_fleet():
     result = run_allocation_pipeline(Bundle())
-    assert result.final.cells == {}
+    assert len(result.final.cells) == 0
+
+
+def test_sparse_cell_index_gives_the_same_run(monkeypatch, tmp_path):
+    # The generated fleets fill most of their axes, so a run picks the dense
+    # index; the dict index must give the same stages, reports and closure.
+    bundle = generate(ScenarioSpec(seed=5, machine_count=300, cyclic_economy=True, include_unbilled_usage=True))
+
+    def run_and_write(out):
+        artifacts = run_end_to_end(bundle)
+        out.mkdir()
+        tables.write_user_energy(artifacts.allocation.stages, out / "user_energy.csv", 0.0)
+        tables.write_emissions(artifacts.emissions, out / "emissions.csv", 0.0, 0.0)
+        tables.write_flow_summary(artifacts.allocation.stages, out / "flow_summary.csv", 0.0)
+        return artifacts
+
+    dense = run_and_write(tmp_path / "dense")
+    monkeypatch.setattr(allocation, "CellIndex", lambda axes, dense: CellIndex(axes, dense=False))
+    sparse = run_and_write(tmp_path / "sparse")
+    assert isinstance(dense.allocation.final.cells.rows, array)
+    assert not isinstance(sparse.allocation.final.cells.rows, array)
+    for name in ("user_energy.csv", "emissions.csv", "flow_summary.csv"):
+        assert (tmp_path / "sparse" / name).read_bytes() == (tmp_path / "dense" / name).read_bytes()
+    assert sparse.footprints.reports == dense.footprints.reports
+    assert closure_failures(bundle, sparse) == []
 
 
 def test_pipeline_conserves_energy_at_every_stage():
