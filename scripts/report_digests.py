@@ -6,7 +6,9 @@ machines, cyclic economy, unbilled usage), the same fleet over 48 h run
 on its first day only (`--start/--end`) and on its second day only
 (`--start` alone), a seed-3 fleet (100 machines,
 30 users, 4 clusters, 12 h), the benchmark's cli-1k shape (seed 7,
-1000 machines, 50 users, 20 clusters, 12 h), and `sankey-small` and the
+1000 machines, 50 users, 20 clusters, 12 h), a many-user fleet (seed 7,
+200 machines, 500 users, 20 clusters, 12 h) whose hundreds of providers
+exercise the footprint stage's per-month grouping, and `sankey-small` and the
 seed-5 fleet again with `--round-wh 0 --round-g 0`, so that their reports
 carry every float bit rather than whole Wh and grams, and once more with
 `--rounds 3` as well, so that a third minor round is covered. One more
@@ -52,6 +54,9 @@ CASES["seed5-300-48h-first-day"] = ([*SEED5, "--hours", "48"], ["--start", "2023
 CASES["seed5-300-48h-second-day"] = ([*SEED5, "--hours", "48"], ["--start", "2023-06-06"])
 CASES["seed3-100-12h"] = (["--seed", "3", "--machines", "100", "--users", "30", "--clusters", "4", "--hours", "12"], [])
 CASES["cli-1k-seed7"] = (["--seed", "7", "--machines", "1000", "--users", "50", "--clusters", "20", "--hours", "12"], [])
+CASES["seed7-200-500-users"] = (
+    ["--seed", "7", "--machines", "200", "--users", "500", "--clusters", "20", "--hours", "12"], []
+)
 UNROUNDED = ["--round-wh", "0", "--round-g", "0"]
 CASES["sankey-small-unrounded"] = (["--preset", "sankey-small"], UNROUNDED)
 CASES["seed5-300-cyclic-unbilled-unrounded"] = (SEED5, UNROUNDED)

@@ -245,21 +245,25 @@ def allocate_idle(
     """
     axes = ledger.cells.axes
     hour_count = len(axes.hours)
-    # machine id -> (c * H, the id of the idle owner's (cluster, first hour) cell or -1 when shared)
-    placed: dict[str, tuple[int, int]] = {}
+    # machine id -> (c * H, the id of the idle owner's (cluster, first hour) cell or -1 when
+    # shared, the idle rating)
+    placed: dict[str, tuple[int, int, float]] = {}
     for m in machines:
         offset = axes.cluster_index[m.cluster_id] * hour_count
         owner = axes.user_base(m.owner_user or UNALLOCATED_USER) + offset if m.sharing is Sharing.DEDICATED else -1
-        placed[m.machine_id] = offset, owner
+        placed[m.machine_id] = offset, owner, m.idle_rating_watts
     fractions = idle_share_table(allocations)
     idle = ledger.idle
+    machine_ids, measured_watts = split.samples.machine_id, split.samples.measured_power_watts
     shared_totals: dict[int, float] = {}  # c * H + h -> shared idle Wh
     notices: list[Notice] = []
 
     for part in split:
         h = axes.hour_index[part.hour]
-        for machine_id, watts in zip(part.machine_ids, part.idle_watts):
-            offset, owner = placed[machine_id]
+        for row in part.rows:
+            offset, owner, rating = placed[machine_ids[row]]
+            measured = measured_watts[row]
+            watts = measured if measured < rating else rating  # power.idle_watts
             if owner >= 0:
                 idle[ledger.row(owner + h)] += watts
             else:
@@ -297,13 +301,15 @@ def allocate_dynamic(
     owner takes it, a shared machine falls back to the idle-allocation
     fractions (and then to the unallocated-overhead user).
 
-    Usage rows are bucketed by hour once, as ``array("q")`` row numbers
+    Usage rows are bucketed by hour once, as ``array("I")`` row numbers
     into the usage columns, and threaded by machine one hour at a time, so
     only one hour's threading is alive at any point and no row is an object.
     """
     axes = ledger.cells.axes
     hour_count = len(axes.hours)
     by_id = {m.machine_id: m for m in machines}
+    offset_of = {cluster: c * hour_count for cluster, c in axes.cluster_index.items()}  # cluster -> c * H
+    machine_ids, measured_watts = split.samples.machine_id, split.samples.measured_power_watts
     usage_users, usage_machines, gcu_used = usage.user, usage.machine_id, usage.gcu_used
     usage_by_hour: dict[datetime, array] = {}
     for row, (hour, gcu) in enumerate(zip(usage.hour, gcu_used)):
@@ -311,7 +317,7 @@ def allocate_dynamic(
             continue
         rows = usage_by_hour.get(hour)
         if rows is None:
-            rows = usage_by_hour[hour] = array("q")
+            rows = usage_by_hour[hour] = array("I")
         rows.append(row)
 
     fractions = idle_share_table(allocations)
@@ -322,7 +328,7 @@ def allocate_dynamic(
     for part in split:
         hour = part.hour
         h = axes.hour_index[hour]
-        rows = usage_by_hour.pop(hour, array("q"))
+        rows = usage_by_hour.pop(hour, array("I"))
         # first[machine] is the position in ``rows`` of the machine's first
         # row this hour, and after[i] that of the row after position i, or -1.
         first: dict[str, int] = {}
@@ -331,12 +337,15 @@ def allocate_dynamic(
             machine_id = usage_machines[rows[i]]
             after[i] = first.get(machine_id, -1)
             first[machine_id] = i
-        for machine_id, watts in zip(part.machine_ids, part.dynamic_watts):
+        for sample in part.rows:
+            machine_id = machine_ids[sample]
+            machine = by_id[machine_id]
+            measured, rating = measured_watts[sample], machine.idle_rating_watts
+            watts = measured - (measured if measured < rating else rating)  # measured - power.idle_watts
             if watts == 0.0:
                 continue
-            machine = by_id[machine_id]
             cluster = machine.cluster_id
-            ch = axes.cluster_index[cluster] * hour_count + h
+            ch = offset_of[cluster] + h
             i = first.get(machine_id, -1)
             if i >= 0:
                 total, j = 0.0, i

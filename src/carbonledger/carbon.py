@@ -5,12 +5,15 @@ hourly PUE and multiplied by the grid carbon intensity of the cluster's
 zone, falling back to the zone's annual average where hourly data is
 missing. A cluster without a zone has no intensity. Market-based
 accounting (clean-energy purchases) is out of scope.
+
+The result keeps the final ledger and one PUE and one resolved intensity
+per cluster-hour, and derives each entry's energy and emissions from
+them when a report or check reads it, so no column per cell is stored.
 """
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from typing import Iterator, Mapping
@@ -58,33 +61,50 @@ def resolve_intensity(
 
 @dataclass(slots=True)
 class EmissionsResult:
-    """Emissions of every final-ledger cell, as columns in ascending cell id.
+    """Emissions of every final-ledger cell, derived on demand in ascending cell id.
 
-    Ascending ids are (user, cluster, hour) order; ``cells`` holds the ids
-    and ``axes`` decodes them.
+    Stores nothing per cell: only the final ledger, how many of its cells
+    the result covers, and per cluster-hour ``c * H + h`` the PUE applied
+    there (the default where the feed has none) and the resolved
+    ``(intensity, source)`` (``None`` where no cell lies). A row's IT Wh
+    is the cell's idle plus dynamic Wh, its total Wh is IT Wh times the
+    PUE, and its kgCO2e is ``co2_kg(total Wh, intensity)``. Ascending ids
+    are (user, cluster, hour) order.
     """
 
-    axes: Axes
-    cells: array = field(default_factory=lambda: array("q"))
-    it_wh: array = field(default_factory=lambda: array("d"))
-    total_wh: array = field(default_factory=lambda: array("d"))
-    kg: array = field(default_factory=lambda: array("d"))
-    sources: list[IntensitySource] = field(default_factory=list)
-    notices: list[Notice] = field(default_factory=list)
+    ledger: Ledger
+    count: int
+    pue: list[float]
+    resolved: list[tuple[float, IntensitySource] | None]
+    notices: list[Notice]
+
+    @property
+    def axes(self) -> Axes:
+        return self.ledger.cells.axes
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return self.count
 
-    def keys(self) -> Iterator[LedgerKey]:
-        """The (user, cluster, hour) key of every row, in id order."""
-        return map(self.axes.key, self.cells)
+    def columns(self) -> Iterator[tuple[int, float, float, float, IntensitySource]]:
+        """(cell id, IT Wh, total Wh, kgCO2e, intensity source) of every row, in id order."""
+        idle, dynamic = self.ledger.idle, self.ledger.dynamic
+        span, pue, resolved = self.axes.span, self.pue, self.resolved
+        for cell, row in self.ledger.cells.in_id_order(self.count):
+            ch = cell % span
+            it_wh = idle[row] + dynamic[row]
+            total_wh = it_wh * pue[ch]
+            intensity, source = resolved[ch]
+            yield cell, it_wh, total_wh, co2_kg(total_wh, intensity), source
 
     def rows(self) -> Iterator[tuple[LedgerKey, float, float, float, IntensitySource]]:
         """(key, IT Wh, total Wh, kgCO2e, intensity source) of every row, in id order."""
-        return zip(self.keys(), self.it_wh, self.total_wh, self.kg, self.sources)
+        key = self.axes.key
+        return (
+            (key(cell), it_wh, total_wh, kg, source) for cell, it_wh, total_wh, kg, source in self.columns()
+        )
 
     def total_kg(self) -> float:
-        return sum(self.kg)
+        return sum(kg for _, _, _, kg, _ in self.columns())
 
 
 def compute_emissions(
@@ -95,19 +115,19 @@ def compute_emissions(
 ) -> EmissionsResult:
     """Emissions per ledger entry: IT energy x PUE x zone intensity.
 
-    Cells are walked in ascending id. PUE and intensity are looked up once
-    per cluster-hour, in the order the walk first reaches it. A missing
-    PUE falls back to the default and is flagged. A cluster-hour that no
-    feed covers aborts the run unless ``missing_intensity`` gives the
-    gCO2e/kWh to use there, which is flagged once per cluster-hour.
+    Cells are walked once in ascending id. PUE and intensity are looked up
+    once per cluster-hour, in the order the walk first reaches it. A
+    missing PUE falls back to the default and is flagged where a cell
+    holds energy. A cluster-hour that no feed covers aborts the run unless
+    ``missing_intensity`` gives the gCO2e/kWh to use there, which is
+    flagged once per cluster-hour.
     """
     pue_by_key = {(p.cluster_id, p.hour): p.pue for p in bundle.pue}
     zone_of = {r.cluster_id: r.zone_id for r in bundle.zone_map if r.zone_id}
     hourly = {(r.zone_id, r.hour): r.intensity_g_per_kwh for r in bundle.carbon_intensity}
     annual = {(r.zone_id, r.year): r.intensity_g_per_kwh for r in bundle.annual_intensity}
     axes = ledger.cells.axes
-    result = EmissionsResult(axes)
-    notices = result.notices
+    notices: list[Notice] = []
     hour_count = len(axes.hours)
     # Per cluster-hour c * H + h: PUE (None when missing), whether a missing
     # PUE was noticed, and the resolved (intensity, source).
@@ -115,37 +135,24 @@ def compute_emissions(
     pue_noticed = bytearray(axes.span)
     resolved: list[tuple[float, IntensitySource] | None] = [None] * axes.span
     idle, dynamic = ledger.idle, ledger.dynamic
+    count = len(idle)
 
-    for cell, row in ledger.cells.in_id_order(len(idle)):
+    for cell, row in ledger.cells.in_id_order(count):
         ch = cell % axes.span
-        it_wh = idle[row] + dynamic[row]
-        pue = pue_at[ch]
-        if pue is None:
-            pue = default_pue
-            if it_wh > 0.0 and not pue_noticed[ch]:
-                pue_noticed[ch] = 1
-                cluster, hour = axes.clusters[ch // hour_count], axes.hours[ch % hour_count]
-                notices.append(
-                    Notice("missing-pue", cluster, f"default {pue} used at {format_hour(hour)}")
-                )
-        found = resolved[ch]
-        if found is None:
+        if pue_at[ch] is None and not pue_noticed[ch] and idle[row] + dynamic[row] > 0.0:
+            pue_noticed[ch] = 1
+            cluster, hour = axes.clusters[ch // hour_count], axes.hours[ch % hour_count]
+            notices.append(Notice("missing-pue", cluster, f"default {default_pue} used at {format_hour(hour)}"))
+        if resolved[ch] is None:
             cluster, hour = axes.clusters[ch // hour_count], axes.hours[ch % hour_count]
             try:
-                found = resolve_intensity(cluster, hour, zone_of, hourly, annual)
+                resolved[ch] = resolve_intensity(cluster, hour, zone_of, hourly, annual)
             except MissingIntensityError:
                 if missing_intensity is None:
                     raise
-                found = (missing_intensity, IntensitySource.DEFAULT)
+                resolved[ch] = (missing_intensity, IntensitySource.DEFAULT)
                 notices.append(
                     Notice("missing-intensity", cluster, f"default {missing_intensity} g/kWh at {format_hour(hour)}")
                 )
-            resolved[ch] = found
-        intensity, source = found
-        total_wh = it_wh * pue
-        result.cells.append(cell)
-        result.it_wh.append(it_wh)
-        result.total_wh.append(total_wh)
-        result.kg.append(co2_kg(total_wh, intensity))
-        result.sources.append(source)
-    return result
+    pue = [default_pue if value is None else value for value in pue_at]
+    return EmissionsResult(ledger, count, pue, resolved, notices)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .carbon import DEFAULT_PUE, EmissionsResult, compute_emissions
-from .footprint import FootprintResult, compute_customer_footprints
+from .footprint import FootprintResult, billing_months, compute_customer_footprints
 from .model import Bundle
 from .oracle import oracle_allocate
 from .services import AllocationResult, run_allocation_pipeline
@@ -92,12 +92,11 @@ def closure_failures(bundle: Bundle, artifacts: RunArtifacts) -> list[str]:
             failures.append(f"stage {stage.stage}: total {total} Wh drifted from {grand_totals[0]} Wh")
 
     provider_of_sku = {s.sku_id: s.provider_user for s in bundle.sku_catalog if not s.is_commitment}
+    billing_by_month = billing_months(bundle.billing_usage)
     for month, allocation in artifacts.footprints.months.items():
         usage_by_sku: dict[str, float] = {}
         usage_by_sku_region: dict[tuple[str, str], float] = {}
-        for rec in bundle.billing_usage:
-            if rec.month != month:
-                continue
+        for rec in billing_by_month.get(month, ()):
             usage_by_sku[rec.sku_id] = usage_by_sku.get(rec.sku_id, 0.0) + rec.usage_units
             key = (rec.sku_id, rec.region_id)
             usage_by_sku_region[key] = usage_by_sku_region.get(key, 0.0) + rec.usage_units
@@ -207,7 +206,7 @@ def compare_with_oracle(bundle: Bundle, rounds: int = 2, default_pue: float = DE
         )
     table_max["emissions"] = _diff_table(
         "emissions",
-        {key: kg for key, kg in zip(artifacts.emissions.keys(), artifacts.emissions.kg) if kg != 0.0},
+        {key: kg for key, _, _, kg, _ in artifacts.emissions.rows() if kg != 0.0},
         reference.emissions_kg,
         diffs,
     )

@@ -11,7 +11,7 @@ billed usage. Reported monthly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .carbon import EmissionsResult, co2_kg
 from .errors import BetaUndefinedError, NoBillableUsageError
@@ -28,24 +28,30 @@ class FootprintReport:
     beta: float
 
 
+def sku_usage_sums(usage: Iterable[SkuUsageRecord]) -> dict[str, float]:
+    """Usage units per SKU id, each summed in record order."""
+    sums: dict[str, float] = {}
+    for rec in usage:
+        sums[rec.sku_id] = sums.get(rec.sku_id, 0.0) + rec.usage_units
+    return sums
+
+
 def sku_energy_rates(
     provider: str,
     total_energy_wh: float,
     skus: Sequence[SkuRecord],
-    usage: Sequence[SkuUsageRecord],
+    usage_by_sku: Mapping[str, float],
 ) -> dict[str, float]:
     """Price-proportional watt-hours per usage unit of each of a provider's SKUs.
 
-    Commitment SKUs are excluded from the catalog view entirely. The rates
-    satisfy sum(U_s * X_s) == total energy and X_s/X_s' == price ratio.
-    Keys are in SKU-id order.
+    ``usage_by_sku`` is the month's ``sku_usage_sums``. Commitment SKUs
+    and other providers' SKUs in ``skus`` are excluded from the catalog
+    view entirely. The rates satisfy sum(U_s * X_s) == total energy and
+    X_s/X_s' == price ratio. Keys are in SKU-id order.
     """
     catalog = [s for s in skus if s.provider_user == provider and not s.is_commitment]
     if not catalog:
         raise NoBillableUsageError(f"provider {provider!r} has no priced SKUs")
-    usage_by_sku: dict[str, float] = {}
-    for rec in usage:
-        usage_by_sku[rec.sku_id] = usage_by_sku.get(rec.sku_id, 0.0) + rec.usage_units
     denominator = sum(usage_by_sku.get(s.sku_id, 0.0) * s.list_price_per_unit for s in catalog)
     if denominator <= 0.0:
         raise NoBillableUsageError(f"provider {provider!r} has no priced usage")
@@ -134,6 +140,14 @@ def _add(sums: dict[str, list[float]], key: str, kg: float, wh: float) -> None:
     acc[1] += wh
 
 
+def billing_months(billing: Iterable[SkuUsageRecord]) -> dict[str, list[SkuUsageRecord]]:
+    """Billing records grouped by month, each month's in record order."""
+    by_month: dict[str, list[SkuUsageRecord]] = {}
+    for rec in billing:
+        by_month.setdefault(rec.month, []).append(rec)
+    return by_month
+
+
 def compute_customer_footprints(
     emissions: EmissionsResult,
     bundle: Bundle,
@@ -144,14 +158,15 @@ def compute_customer_footprints(
     must end up on customer reports, so overhead users inflate beta
     rather than disappearing.
     """
-    billing_by_month: dict[str, list[SkuUsageRecord]] = {}
-    for rec in bundle.billing_usage:
-        billing_by_month.setdefault(rec.month, []).append(rec)
+    billing_by_month = billing_months(bundle.billing_usage)
     skus = bundle.sku_catalog
     region_of = {r.cluster_id: r.region_id for r in bundle.zone_map}
-    catalog = [s for s in skus if not s.is_commitment]
-    providers = sorted({s.provider_user for s in catalog})
-    provider_of_sku = {s.sku_id: s.provider_user for s in catalog}
+    catalog_of: dict[str, list[SkuRecord]] = {}
+    for s in skus:
+        if not s.is_commitment:
+            catalog_of.setdefault(s.provider_user, []).append(s)
+    providers = sorted(catalog_of)
+    provider_of_sku = {s.sku_id: s.provider_user for s in skus if not s.is_commitment}
     product_of_sku = {s.sku_id: s.product_id for s in skus}
 
     # One pass in row order: [kg, Wh] per month and user, and per month, provider and region.
@@ -161,7 +176,7 @@ def compute_customer_footprints(
     is_provider = set(providers)
     user_sums: dict[str, dict[str, list[float]]] = {}
     region_sums: dict[str, dict[str, dict[str, list[float]]]] = {}
-    for cell, wh, kg in zip(emissions.cells, emissions.it_wh, emissions.kg):
+    for cell, wh, _, kg, _ in emissions.columns():
         u, ch = divmod(cell, axes.span)
         user, month = axes.users[u], months_at[ch % hour_count]
         _add(user_sums.setdefault(month, {}), user, kg, wh)
@@ -181,6 +196,7 @@ def compute_customer_footprints(
             notices.append(Notice("empty-month", month, "no emissions in scope; month skipped"))
             continue
 
+        usage_by_sku = sku_usage_sums(month_billing)
         usage_by_provider: dict[str, dict[tuple[str, str], float]] = {}
         for rec in month_billing:
             provider = provider_of_sku.get(rec.sku_id)
@@ -193,7 +209,7 @@ def compute_customer_footprints(
         for provider in providers:
             provider_usage = usage_by_provider.get(provider, {})
             try:
-                rates = sku_energy_rates(provider, provider_wh.get(provider, 0.0), skus, month_billing)
+                rates = sku_energy_rates(provider, provider_wh.get(provider, 0.0), catalog_of[provider], usage_by_sku)
                 intensity_by_region = regional_intensity(provider, region_sums.get(month, {}))
                 alpha = alpha_balance(
                     provider, provider_kg.get(provider, 0.0), rates, intensity_by_region, provider_usage

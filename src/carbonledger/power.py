@@ -1,9 +1,15 @@
 """Split measured machine power into clamped idle and dynamic components.
 
-The split is columnar and bucketed by hour: each hour holds the sampled
-machines in sample order plus one idle and one dynamic column of watts.
-Every ledger key contains its hour, so walking the split hour by hour
-sums each ledger cell in the same order as walking the samples would.
+The split buckets the power samples by hour: each hour holds the 4-byte
+row numbers of its samples, in sample order, into the sample table the
+split was made from. It copies no machine id and no watts. Where the
+allocation stages walk it, they read a row's machine id and measured
+watts through the row and split them there: idle is the machine's
+recorded rating clamped to measured power, ``idle_watts(rating,
+measured)``, and dynamic is measured minus idle, so ``0 <= idle <=
+measured`` and ``dynamic >= 0``. Every ledger key contains its hour, so
+walking the split hour by hour sums each ledger cell in the same order as
+walking the samples would.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import logging
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterator, Sequence
 
@@ -21,33 +27,42 @@ from .model import MachineRecord, PowerSampleTable
 log = logging.getLogger(__name__)
 
 
+def idle_watts(rating: float, measured: float) -> float:
+    """Idle watts of a machine-hour: the rating clamped to measured power.
+
+    The clamp absorbs mis-configured idle ratings. It is
+    ``min(rating, measured)`` for every float, NaN and signed zeros
+    included; the allocation stages inline this expression on their hot
+    walks, so a change here is a change there.
+    """
+    return measured if measured < rating else rating
+
+
 @dataclass(slots=True)
 class HourSplit:
-    """Idle/dynamic decomposition of every sampled machine in one hour.
+    """The sampled machines of one hour, as row numbers in sample order.
 
-    Row ``i`` belongs to ``machine_ids[i]``. Idle is the recorded rating
-    clamped to measured power, and dynamic is measured minus idle, so
-    ``0 <= idle <= measured`` and ``dynamic >= 0``.
+    ``rows`` is an ``array("I")`` of rows of the split's sample table;
+    past 2**32 rows it raises ``OverflowError`` rather than wrap.
     """
 
     hour: datetime
-    machine_ids: list[str] = field(default_factory=list)
-    idle_watts: array = field(default_factory=lambda: array("d"))
-    dynamic_watts: array = field(default_factory=lambda: array("d"))
+    rows: array
 
     def __len__(self) -> int:
-        return len(self.machine_ids)
+        return len(self.rows)
 
 
 @dataclass(slots=True)
 class FleetSplit:
-    """Every sampled machine-hour, one ``HourSplit`` per hour.
+    """Every sampled machine-hour of ``samples``, one ``HourSplit`` per hour.
 
     Hours come in the order they first appear in the samples; ``len()``
     is the number of machine-hours.
     """
 
-    hours: list[HourSplit] = field(default_factory=list)
+    samples: PowerSampleTable
+    hours: list[HourSplit]
 
     def __iter__(self) -> Iterator[HourSplit]:
         return iter(self.hours)
@@ -57,33 +72,32 @@ class FleetSplit:
 
 
 def split_fleet(machines: Sequence[MachineRecord], samples: PowerSampleTable) -> FleetSplit:
-    """Split every sampled machine-hour, walking the sample columns.
+    """Bucket every sampled machine-hour by hour, walking the sample columns.
 
+    Every sample must name a known machine and carry non-negative power.
     A machine with no sample for some hour simply contributes no row
     (treated as powered off); at DEBUG level the gap is logged once per
     machine.
     """
-    by_id = {m.machine_id: m for m in machines}
-    buckets: dict[datetime, HourSplit] = {}
-    for machine_id, hour, measured in zip(samples.machine_id, samples.hour, samples.measured_power_watts):
-        machine = by_id.get(machine_id)
-        if machine is None:
+    known = dict.fromkeys(m.machine_id for m in machines)
+    buckets: dict[datetime, array] = {}
+    for row, (machine_id, hour, measured) in enumerate(
+        zip(samples.machine_id, samples.hour, samples.measured_power_watts)
+    ):
+        if machine_id not in known:
             raise InputError(f"power sample references unknown machine {machine_id!r}")
         if measured < 0:
             raise InputError(f"negative measured power {measured} on {machine_id!r}")
-        part = buckets.get(hour)
-        if part is None:
-            part = buckets[hour] = HourSplit(hour)
-        # The clamp absorbs mis-configured idle ratings.
-        idle = min(machine.idle_rating_watts, measured)
-        part.machine_ids.append(machine_id)
-        part.idle_watts.append(idle)
-        part.dynamic_watts.append(measured - idle)
+        rows = buckets.get(hour)
+        if rows is None:
+            rows = buckets[hour] = array("I")
+        rows.append(row)
 
     if buckets and log.isEnabledFor(logging.DEBUG):
-        sampled = Counter(machine_id for part in buckets.values() for machine_id in part.machine_ids)
-        for machine_id in by_id:
+        machine_ids = samples.machine_id
+        sampled = Counter(machine_ids[row] for rows in buckets.values() for row in rows)
+        for machine_id in known:
             missing = len(buckets) - sampled[machine_id]
             if missing > 0:
                 log.debug("machine %s has no sample for %d hour(s); treated as powered off", machine_id, missing)
-    return FleetSplit(list(buckets.values()))
+    return FleetSplit(samples, [HourSplit(hour, rows) for hour, rows in buckets.items()])

@@ -28,9 +28,12 @@ every column and record that holds it.
 each distinct hour once. The two large report writers,
 ``write_user_energy`` and ``write_emissions``, stream their rows to the
 file in ascending cell id, which is (user, cluster, hour) order, so
-neither sorts; each decodes a row's id through the run's axes and
-formats each distinct hour once. Report rounding happens here at
-serialization time only.
+neither sorts: the first walks the final ledger's cells and reads every
+stage's columns at each cell's row, and the second writes the emission
+rows as ``EmissionsResult.rows`` derives them from the final ledger and
+the per-cluster-hour PUE and intensity. Each decodes a row's id through
+the run's axes and formats each distinct hour once. Report rounding
+happens here at serialization time only.
 """
 
 from __future__ import annotations
@@ -486,7 +489,7 @@ def write_user_energy(stages, path: Path, energy_step: float = 1.0) -> None:
 
 
 def write_emissions(emissions, path: Path, energy_step: float = 1.0, carbon_step_g: float = 1.0) -> None:
-    """Every emission row, in the (user, cluster, hour) order the columns already hold."""
+    """Every emission row, in the ascending-id, (user, cluster, hour) order the result derives them in."""
     hour = functools.cache(format_hour)
     rows = (
         (

@@ -7,7 +7,7 @@ import time
 
 from carbonledger.check import closure_failures, compare_with_oracle, run_end_to_end
 from carbonledger.cli import main
-from carbonledger.footprint import sku_energy_rates
+from carbonledger.footprint import sku_energy_rates, sku_usage_sums
 from carbonledger.model import SkuRecord, SkuUsageRecord
 from carbonledger.services import run_allocation_pipeline
 from carbonledger.simulate import ScenarioSpec, generate, preset_spec
@@ -90,7 +90,7 @@ def test_criterion_4_sku_proportionality():
             SkuUsageRecord("sku-A", "r", "acct", "2023-06", quantity_a),
             SkuUsageRecord("sku-B", "r", "acct", "2023-06", quantity_b),
         ]
-        return sku_energy_rates("svc", 30.0, catalog, usage)
+        return sku_energy_rates("svc", 30.0, catalog, sku_usage_sums(usage))
 
     table = rates_for(15.0, 10.0)
     ratio_exact = table["sku-A"] / table["sku-B"] == 1.75

@@ -25,6 +25,16 @@ from carbonledger.tables import write_emissions
 from conftest import H, ledger_of
 
 
+def sources(result):
+    """The intensity source of every emission row, in id order."""
+    return [source for *_, source in result.rows()]
+
+
+def kgs(result):
+    """The kgCO2e of every emission row, in id order."""
+    return [kg for _, _, _, kg, _ in result.rows()]
+
+
 def feeds(pue=(), hourly=(), annual=(), zone_map=(ZoneMapRow("c0", "z0", "r0"),)) -> Bundle:
     """A bundle holding only the tables the carbon stage reads."""
     return Bundle(pue=list(pue), carbon_intensity=list(hourly), annual_intensity=list(annual), zone_map=list(zone_map))
@@ -53,8 +63,8 @@ def test_resolve_unzoned_cluster_has_no_intensity():
     ledger = ledger_of({("u", "c9", H(0)): (10.0, 0.0)})
     bundle = feeds(pue=[PueRecord("c9", H(0), 1.0)], annual=annual, zone_map=[ZoneMapRow("c9", None, "r0")])
     result = compute_emissions(ledger, bundle, missing_intensity=0.0)
-    assert result.sources == [IntensitySource.DEFAULT]
-    assert result.kg[0] == 0.0
+    assert sources(result) == [IntensitySource.DEFAULT]
+    assert kgs(result)[0] == 0.0
     assert [n.code for n in result.notices] == ["missing-intensity"]
 
 
@@ -77,7 +87,7 @@ def test_zero_energy_yields_zero_emissions():
     result = compute_emissions(
         ledger, feeds(pue=[PueRecord("c0", H(0), 1.5)], hourly=[CarbonIntensityRecord("z0", H(0), 500.0)])
     )
-    assert result.kg[0] == 0.0
+    assert kgs(result)[0] == 0.0
 
 
 def test_carbon_free_hour_yields_zero_emissions():
@@ -85,13 +95,14 @@ def test_carbon_free_hour_yields_zero_emissions():
     result = compute_emissions(
         ledger, feeds(pue=[PueRecord("c0", H(0), 1.2)], hourly=[CarbonIntensityRecord("z0", H(0), 0.0)])
     )
-    assert result.kg[0] == 0.0
+    assert kgs(result)[0] == 0.0
 
 
 def test_missing_pue_uses_default_and_notices():
     ledger = ledger_of({("u", "c0", H(0)): (1000.0, 0.0)})
     result = compute_emissions(ledger, feeds(hourly=[CarbonIntensityRecord("z0", H(0), 100.0)]))
-    assert result.total_wh[0] == pytest.approx(1100.0)
+    [(_, _, total_wh, _, _)] = result.rows()
+    assert total_wh == pytest.approx(1100.0)
     assert [n.code for n in result.notices] == ["missing-pue"]
 
 
@@ -101,8 +112,8 @@ def test_missing_intensity_aborts_unless_allowed():
     with pytest.raises(MissingIntensityError):
         compute_emissions(ledger, bundle)
     result = compute_emissions(ledger, bundle, missing_intensity=50.0)
-    assert result.sources == [IntensitySource.DEFAULT]
-    assert result.kg[0] == pytest.approx(co2_kg(10.0, 50.0))
+    assert sources(result) == [IntensitySource.DEFAULT]
+    assert kgs(result)[0] == pytest.approx(co2_kg(10.0, 50.0))
     assert "missing-intensity" in {n.code for n in result.notices}
 
 
@@ -110,7 +121,7 @@ def test_missing_intensity_noticed_once_per_cluster_hour():
     # Once one notice per user cell: two here.
     cells = {(user, "c0", H(0)): (10.0, 0.0) for user in ("u1", "u2")}
     result = compute_emissions(ledger_of(cells), feeds(pue=[PueRecord("c0", H(0), 1.0)]), missing_intensity=7.0)
-    assert result.sources == [IntensitySource.DEFAULT] * 2
+    assert sources(result) == [IntensitySource.DEFAULT] * 2
     assert [(n.code, n.subject) for n in result.notices] == [("missing-intensity", "c0")]
 
 
@@ -121,9 +132,10 @@ energy = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 def test_emissions_double_when_energy_doubles(idle, dynamic, pue, ci):
     def run(scale):
         ledger = ledger_of({("u", "c0", H(0)): (idle * scale, dynamic * scale)})
-        return compute_emissions(
+        [kg] = kgs(compute_emissions(
             ledger, feeds(pue=[PueRecord("c0", H(0), pue)], hourly=[CarbonIntensityRecord("z0", H(0), ci)])
-        ).kg[0]
+        ))
+        return kg
 
     assert run(2.0) == pytest.approx(2.0 * run(1.0), abs=1e-12 * max(1.0, run(1.0)))
 
@@ -152,9 +164,10 @@ def test_emissions_monotone_in_pue_and_intensity(pue_low, pue_hi, ci_low, ci_hi)
     ledger = ledger_of({("u", "c0", H(0)): (1234.0, 0.0)})
 
     def run(pue, ci):
-        return compute_emissions(
+        [kg] = kgs(compute_emissions(
             ledger, feeds(pue=[PueRecord("c0", H(0), pue)], hourly=[CarbonIntensityRecord("z0", H(0), ci)])
-        ).kg[0]
+        ))
+        return kg
 
     assert run(pue_hi, ci_hi) >= run(pue_low, ci_low)
 
@@ -167,13 +180,14 @@ def test_emissions_monotone_in_pue_and_intensity(pue_low, pue_hi, ci_low, ci_hi)
 def test_emission_rows_are_the_final_ledger_in_report_order(spec, tmp_path):
     artifacts = run_end_to_end(generate(spec))
     final, emissions = artifacts.allocation.final, artifacts.emissions
-    assert list(emissions.keys()) == sorted(key for key, _, _ in final.rows())
-    assert list(emissions.cells) == sorted(final.cells.ids)
+    keys = [key for key, *_ in emissions.rows()]
+    assert keys == sorted(key for key, _, _ in final.rows())
+    assert [cell for cell, *_ in emissions.columns()] == sorted(final.cells.ids)
     assert len(emissions) == len(final.idle)
-    for cell, it_wh in zip(emissions.cells, emissions.it_wh):
+    for cell, it_wh, *_ in emissions.columns():
         row = final.cells.rows[cell]
         assert it_wh == final.idle[row] + final.dynamic[row]
     write_emissions(emissions, tmp_path / "emissions.csv", energy_step=0.0, carbon_step_g=0.0)
     with (tmp_path / "emissions.csv").open(newline="") as handle:
         written = [(r["user"], r["cluster_id"], r["hour_utc"]) for r in csv.DictReader(handle)]
-    assert written == [(user, cluster, format_hour(hour)) for user, cluster, hour in emissions.keys()]
+    assert written == [(user, cluster, format_hour(hour)) for user, cluster, hour in keys]

@@ -1,9 +1,11 @@
+from collections import Counter
+from dataclasses import astuple
+
 import pytest
 from hypothesis import given, strategies as st
 
-from carbonledger.allocation import Axes
-from carbonledger.carbon import EmissionsResult, IntensitySource
-from carbonledger.check import run_end_to_end
+from carbonledger.carbon import compute_emissions
+from carbonledger.check import closure_failures, run_end_to_end
 from carbonledger.errors import NoBillableUsageError
 from carbonledger.footprint import (
     alpha_balance,
@@ -11,26 +13,41 @@ from carbonledger.footprint import (
     compute_customer_footprints,
     regional_intensity,
     sku_energy_rates,
+    sku_usage_sums,
 )
-from carbonledger.model import Bundle, SkuRecord, SkuUsageRecord, ZoneMapRow
-from carbonledger.simulate import generate, preset_spec
+from carbonledger.model import (
+    Bundle,
+    CarbonIntensityRecord,
+    PueRecord,
+    SkuRecord,
+    SkuUsageRecord,
+    ZoneMapRow,
+)
+from carbonledger.simulate import ScenarioSpec, generate, preset_spec
 
-from conftest import H
+from conftest import H, ledger_of
 
 MONTH = "2023-06"
 ZONE_MAP = [ZoneMapRow("c0", "z0", "r-low"), ZoneMapRow("c1", "z1", "r-high")]
 
 
 def emissions(*rows):
-    """Emission columns from ``(user, cluster, kg, it_wh)`` rows at hour 0, in key order."""
-    result = EmissionsResult(Axes((u for u, *_ in rows), (c for _, c, *_ in rows), [H(0)]))
-    for user, cluster, kg, it_wh in sorted(rows):
-        result.cells.append(result.axes.cell(user, cluster, H(0)))
-        result.it_wh.append(it_wh)
-        result.total_wh.append(it_wh)
-        result.kg.append(kg)
-        result.sources.append(IntensitySource.HOURLY)
-    return result
+    """Emissions of ``(user, cluster, kg, it_wh)`` rows at hour 0, one cluster each.
+
+    Each cluster runs at PUE 1 under the zone intensity that turns the
+    row's IT Wh into its kg.
+    """
+    assert len({cluster for _, cluster, *_ in rows}) == len(rows)
+    zone_of = {r.cluster_id: r.zone_id for r in ZONE_MAP}
+    feeds = Bundle(
+        zone_map=ZONE_MAP,
+        pue=[PueRecord(cluster, H(0), 1.0) for _, cluster, *_ in rows],
+        carbon_intensity=[
+            CarbonIntensityRecord(zone_of[cluster], H(0), kg * 1e6 / it_wh) for _, cluster, kg, it_wh in rows
+        ],
+    )
+    ledger = ledger_of({(user, cluster, H(0)): (it_wh, 0.0) for user, cluster, _, it_wh in rows})
+    return compute_emissions(ledger, feeds)
 
 
 def catalog_two_skus(provider="svc"):
@@ -46,7 +63,7 @@ def test_sku_rates_price_proportional_and_closed():
         SkuUsageRecord("sku-A", "r-low", "acct", MONTH, 15.0),
         SkuUsageRecord("sku-B", "r-low", "acct", MONTH, 10.0),
     ]
-    rates = sku_energy_rates("svc", 30.0, catalog_two_skus(), usage)
+    rates = sku_energy_rates("svc", 30.0, catalog_two_skus(), sku_usage_sums(usage))
     assert rates["sku-A"] / rates["sku-B"] == pytest.approx(1.75, rel=1e-12)
     allocated = 15.0 * rates["sku-A"] + 10.0 * rates["sku-B"]
     assert allocated == pytest.approx(30.0, rel=1e-9)
@@ -62,7 +79,7 @@ def test_sku_rates_under_swapped_quantity_assignment():
         SkuUsageRecord("sku-A", "r-low", "acct", MONTH, 10.0),
         SkuUsageRecord("sku-B", "r-low", "acct", MONTH, 15.0),
     ]
-    rates = sku_energy_rates("svc", 30.0, catalog_two_skus(), usage)
+    rates = sku_energy_rates("svc", 30.0, catalog_two_skus(), sku_usage_sums(usage))
     assert rates["sku-B"] == pytest.approx(30.0 / 32.5, rel=1e-12)
     assert abs(rates["sku-A"] - 1.62) / 1.62 < 0.005
     assert abs(rates["sku-B"] - 0.92) / 0.92 < 0.005
@@ -71,7 +88,7 @@ def test_sku_rates_under_swapped_quantity_assignment():
 def test_sku_rates_single_sku_degenerate():
     catalog = [SkuRecord("only", "product", "svc", 2.0, "unit")]
     usage = [SkuUsageRecord("only", "r-low", "acct", MONTH, 8.0)]
-    rates = sku_energy_rates("svc", 56.0, catalog, usage)
+    rates = sku_energy_rates("svc", 56.0, catalog, sku_usage_sums(usage))
     assert rates == {"only": pytest.approx(56.0 / 8.0, rel=1e-12)}
 
 
@@ -81,12 +98,12 @@ def test_sku_rates_commitment_skus_excluded():
         SkuUsageRecord("sku-A", "r-low", "acct", MONTH, 1.0),
         SkuUsageRecord("sku-C", "r-low", "acct", MONTH, 100.0),
     ]
-    assert list(sku_energy_rates("svc", 10.0, catalog, usage)) == ["sku-A", "sku-B"]
+    assert list(sku_energy_rates("svc", 10.0, catalog, sku_usage_sums(usage))) == ["sku-A", "sku-B"]
 
 
 def test_sku_rates_no_priced_usage_raises():
     with pytest.raises(NoBillableUsageError):
-        sku_energy_rates("svc", 10.0, catalog_two_skus(), [])
+        sku_energy_rates("svc", 10.0, catalog_two_skus(), {})
 
 
 def test_regional_intensity_constant_grid():
@@ -112,7 +129,7 @@ def test_alpha_is_one_when_balance_already_holds():
     rates = sku_energy_rates(
         "svc", 1000.0,
         [SkuRecord("s", "product", "svc", 1.0, "unit")],
-        [SkuUsageRecord("s", "r-low", "acct", MONTH, 10.0)],
+        sku_usage_sums([SkuUsageRecord("s", "r-low", "acct", MONTH, 10.0)]),
     )
     intensity = {"r-low": 500.0}
     total_kg = 1000.0 * 500.0 / 1e6
@@ -126,7 +143,7 @@ def test_alpha_exceeds_one_when_usage_sits_in_low_carbon_region():
     intensities = regional_intensity("svc", sums)
     catalog = [SkuRecord("s", "product", "svc", 1.0, "unit")]
     usage = [SkuUsageRecord("s", "r-low", "acct", MONTH, 4.0)]
-    rates = sku_energy_rates("svc", 1000.0, catalog, usage)
+    rates = sku_energy_rates("svc", 1000.0, catalog, sku_usage_sums(usage))
     total_kg = sum(kg for kg, _ in sums["svc"].values())
     alpha = alpha_balance("svc", total_kg, rates, intensities, {("s", "r-low"): 4.0})
     assert alpha > 1.0
@@ -251,3 +268,33 @@ def test_footprint_notices_keep_their_order():
     [report] = result.reports
     assert (report.billing_account, report.region_id, report.month) == ("acct", "r-low", MONTH)
     assert report.kg_co2e == pytest.approx(0.75, rel=1e-12)
+
+
+def test_billing_rows_are_read_a_fixed_number_of_times():
+    # Rates once re-summed a month's billing per provider, and closure scanned every month's rows per month,
+    # so the most reads of one row's field grew with the providers (7 and 46 here) and with the months (two
+    # in the last fleet).
+    reads = Counter()
+
+    class Counted(SkuUsageRecord):
+        __slots__ = ()
+
+        def __getattribute__(self, name):
+            reads[id(self), name] += 1
+            return object.__getattribute__(self, name)
+
+    most = []
+    for spec in (
+        ScenarioSpec(seed=7, machine_count=30, user_count=10, cluster_count=2, hours=6),
+        ScenarioSpec(seed=7, machine_count=30, user_count=60, cluster_count=2, hours=6),
+        ScenarioSpec(seed=5, machine_count=20, hours=720),
+    ):
+        bundle = generate(spec)
+        bundle.billing_usage = [Counted(*astuple(rec)) for rec in bundle.billing_usage]
+        reads.clear()
+        assert closure_failures(bundle, run_end_to_end(bundle)) == []
+        per_field: dict[str, int] = {}
+        for (_, name), count in reads.items():
+            per_field[name] = max(per_field.get(name, 0), count)
+        most.append(per_field)
+    assert most == [most[0]] * 3

@@ -229,7 +229,7 @@ def test_bundle_topology_partial_zone_map():
     )
     cells = {("svc", cluster, H(0)): (1000.0, 0.0) for cluster in ("c0", "c1")}
     emissions = compute_emissions(ledger_of(cells), bundle, missing_intensity=50.0)
-    assert [(cluster, source) for (_, cluster, _), source in zip(emissions.keys(), emissions.sources)] == [
+    assert [(cluster, source) for (_, cluster, _), *_, source in emissions.rows()] == [
         ("c0", IntensitySource.HOURLY), ("c1", IntensitySource.DEFAULT),
     ]
     reports = compute_customer_footprints(emissions, bundle).reports

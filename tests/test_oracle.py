@@ -77,8 +77,7 @@ def test_oracle_equivalence_with_emission_fallbacks():
     artifacts = run_end_to_end(bundle)
     assert closure_failures(bundle, artifacts) == []
     assert ("missing-pue", "cluster-01") in {(n.code, n.subject) for n in artifacts.emissions.notices}
-    fallback = [source for (_, cluster, _), source in zip(artifacts.emissions.keys(), artifacts.emissions.sources)
-                if cluster == "cluster-02"]
+    fallback = [source for (_, cluster, _), *_, source in artifacts.emissions.rows() if cluster == "cluster-02"]
     assert fallback and set(fallback) == {IntensitySource.ANNUAL_FALLBACK}
 
 
