@@ -94,39 +94,30 @@ def machine_axes(split: FleetSplit, machines: Sequence[MachineRecord], *users: I
     )
 
 
-class _SparseRows(dict):
-    """Cell id -> row, reading -1 for a cell the index does not hold."""
-
-    def __missing__(self, cell: int) -> int:
-        return -1
-
-
 class CellIndex:
     """Row of every cell id of a run, and id of every row, in first-credited order.
 
-    ``rows[cell]`` is the cell's row or -1, and ``rows[cell] = row`` sets
-    it. A dense index holds one 8-byte ``array("q")`` slot per id the axes
-    span; a sparse one holds a dict entry per cell, 90-110 bytes with its
-    int key and row, so it is the layout for axes whose span dwarfs the
-    cells.
+    ``rows[cell]`` is the cell's row or -1 for a cell the index does not
+    hold, and ``rows[cell] = row`` sets it. ``rows`` is one 4-byte
+    ``array("i")`` slot per id the axes span, so a cell's row is found by
+    one subscript however full the ledger is. ``ids`` is an
+    ``array("q")``, since ids can pass 2**31 on wide axes; past 2**31 - 1
+    rows a slot write raises ``OverflowError`` and the run fails.
     """
 
     __slots__ = ("axes", "ids", "rows")
 
-    def __init__(self, axes: Axes, dense: bool = True) -> None:
+    def __init__(self, axes: Axes) -> None:
         self.axes = axes
         self.ids = array("q")
-        self.rows = array("q", [-1]) * axes.size if dense else _SparseRows()
+        self.rows = array("i", [-1]) * axes.size
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def in_id_order(self, count: int) -> Iterator[tuple[int, int]]:
         """(cell id, row) of the first ``count`` rows, in ascending id."""
-        if isinstance(self.rows, array):
-            return ((cell, row) for cell, row in enumerate(self.rows) if 0 <= row < count)
-        rows = self.rows
-        return ((cell, rows[cell]) for cell in sorted(self.ids[:count]))
+        return ((cell, row) for cell, row in enumerate(self.rows) if 0 <= row < count)
 
 
 @dataclass(slots=True)
@@ -169,17 +160,6 @@ class Ledger:
         """Row of a cell, appending it as a zero row of this stage if it is new."""
         row = self.cells.rows[cell]
         return row if row >= 0 else self.add(cell)
-
-    def credit(self, key: LedgerKey, idle_wh: float, dynamic_wh: float) -> None:
-        """Add to the cell of a (user, cluster, hour) key, appending it to the index if it is new.
-
-        The stages credit their columns by cell id; this is the edge for
-        ledgers built from keys.
-        """
-        self._require_latest()
-        row = self.row(self.cells.axes.cell(*key))
-        self.idle[row] += idle_wh
-        self.dynamic[row] += dynamic_wh
 
     def _require_latest(self) -> None:
         if self.superseded or len(self.idle) != len(self.cells):
@@ -386,15 +366,11 @@ def build_machine_ledger(
     """Machine-stage ledger: idle plus dynamic, before any reallocation.
 
     ``axes`` defaults to the machine stage's own users (owners, allocation
-    and usage users, the overhead user). The index is dense unless the
-    axes span more ids than the stage has input rows (machine-hours,
-    allocation and usage rows), so a dense index never outweighs one
-    float column of those inputs.
+    and usage users, the overhead user).
     """
     if axes is None:
         axes = machine_axes(split, machines, allocations.user, usage.user)
-    dense = axes.size <= len(split) + len(allocations) + len(usage)
-    ledger = Ledger(STAGE_MACHINE, CellIndex(axes, dense))
+    ledger = Ledger(STAGE_MACHINE, CellIndex(axes))
     notices = allocate_idle(ledger, split, machines, allocations)
     notices += allocate_dynamic(ledger, split, machines, usage, allocations)
     return ledger, notices

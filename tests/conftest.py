@@ -17,17 +17,24 @@ def H(index: int) -> datetime:
     return HOUR0 + timedelta(hours=index)
 
 
-def ledger_of(cells: dict, stage: str = STAGE_MACHINE, users=(), dense: bool = True) -> Ledger:
+def ledger_of(cells: dict, stage: str = STAGE_MACHINE, users=()) -> Ledger:
     """A ledger holding ``{(user, cluster, hour): (idle_wh, dynamic_wh)}``.
 
     Its axes span the cells' keys plus ``users``, the users a later stage
     may credit.
     """
     axes = Axes([*users, *(u for u, _, _ in cells)], (c for _, c, _ in cells), (h for _, _, h in cells))
-    ledger = Ledger(stage, CellIndex(axes, dense))
-    for key, (idle_wh, dynamic_wh) in cells.items():
-        ledger.credit(key, idle_wh, dynamic_wh)
+    ledger = Ledger(stage, CellIndex(axes))
+    credit(ledger, cells)
     return ledger
+
+
+def credit(ledger: Ledger, cells: dict) -> None:
+    """Add ``{(user, cluster, hour): (idle_wh, dynamic_wh)}`` to the ledger's cells, appending new ones."""
+    for key, (idle_wh, dynamic_wh) in cells.items():
+        row = ledger.row(ledger.cells.axes.cell(*key))
+        ledger.idle[row] += idle_wh
+        ledger.dynamic[row] += dynamic_wh
 
 
 def cells_of(ledger: Ledger) -> dict:

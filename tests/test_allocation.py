@@ -27,7 +27,7 @@ from carbonledger.model import (
 from carbonledger.power import split_fleet
 from carbonledger.simulate import ScenarioSpec, generate
 
-from conftest import H, alloc, cells_of, dedicated_machine, sample, shared_machine
+from conftest import H, alloc, cells_of, credit, dedicated_machine, ledger_of, sample, shared_machine
 
 
 def idle_of(split, machines, allocations):
@@ -302,25 +302,22 @@ def test_cell_ids_ascend_in_key_order():
         axes.cell("nobody", "c0", H(0))
 
 
-@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
-def test_cell_index_walks_a_stage_in_id_order(dense):
-    axes = Axes(["a", "b"], ["c0"], [H(0), H(1)])
-    first = Ledger(STAGE_MACHINE, CellIndex(axes, dense))
-    for key in [("b", "c0", H(1)), ("a", "c0", H(1)), ("b", "c0", H(0))]:
-        first.credit(key, 1.0, 0.0)
+def test_cell_index_walks_a_stage_in_id_order():
+    first = ledger_of({("b", "c0", H(1)): (1.0, 0.0), ("a", "c0", H(1)): (1.0, 0.0), ("b", "c0", H(0)): (1.0, 0.0)})
     second = first.copy("next")
-    second.credit(("a", "c0", H(0)), 1.0, 0.0)
+    credit(second, {("a", "c0", H(0)): (1.0, 0.0)})
     assert list(first.cells.in_id_order(len(first.idle))) == [(1, 1), (2, 2), (3, 0)]
     assert list(second.cells.in_id_order(len(second.idle))) == [(0, 3), (1, 1), (2, 2), (3, 0)]
     assert second.cells.rows[0] == 3 and first.cells.rows[0] == 3
 
 
-def test_machine_ledger_index_is_sparse_when_the_axes_dwarf_its_inputs():
+def test_machine_ledger_on_wide_axes_holds_the_same_cells():
     machines = [shared_machine("m0", idle=10.0)]
     split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 30.0)]))
     allocations = ResourceAllocationTable([alloc("a", gcu=1.0)])
     own, _ = build_machine_ledger(split, machines, allocations, GcuUsageTable())
     wide_axes = Axes(["a", UNALLOCATED_USER, *(f"u{i}" for i in range(10))], ["c0"], [H(0)])
     wide, _ = build_machine_ledger(split, machines, allocations, GcuUsageTable(), wide_axes)
-    assert isinstance(own.cells.rows, array) and not isinstance(wide.cells.rows, array)
+    assert isinstance(wide.cells.rows, array) and wide.cells.rows.typecode == "i"
+    assert len(wide.cells.rows) == wide_axes.size
     assert cells_of(own) == cells_of(wide) == {("a", "c0", H(0)): (10.0, 20.0)}
