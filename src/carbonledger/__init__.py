@@ -11,7 +11,7 @@ from .allocation import Ledger, weighted_allocation
 from .carbon import IntensitySource, compute_emissions
 from .check import closure_failures, compare_with_oracle, run_end_to_end
 from .footprint import FootprintReport, compute_customer_footprints
-from .model import Bundle, MachineRecord, PowerSample, ResourceVector, Sharing
+from .model import Bundle, MachineRecord, PowerSample, Sharing
 from .oracle import oracle_allocate
 from .power import FleetSplit, split_fleet
 from .services import AllocationResult, run_allocation_pipeline
@@ -28,7 +28,6 @@ __all__ = [
     "MachineRecord",
     "PRESETS",
     "PowerSample",
-    "ResourceVector",
     "ScenarioSpec",
     "Sharing",
     "closure_failures",

@@ -171,8 +171,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.output is not None:
         args.output.mkdir(parents=True, exist_ok=True)
         tables.write_oracle_diff(report.worst, args.output / "oracle_diff.csv")
-    if report.within(args.tolerance):
-        print(f"oracle agreement: max deviation {report.max_deviation:.3e} < {args.tolerance:.0e}")
+    if report.within():
+        print(f"oracle agreement: max deviation {report.max_deviation:.3e} < {check.REL_TOL:.0e}")
         return EXIT_OK
     print(f"oracle disagreement: max deviation {report.max_deviation:.3e}", file=sys.stderr)
     return EXIT_DATA
@@ -206,17 +206,16 @@ def _parse_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
-def _finite(low: float, strict: bool = False) -> Callable[[str], float]:
-    """An argparse type: a finite float at least ``low`` (above it when ``strict``)."""
-    bound = f"{'>' if strict else '>='} {low:g}"
+def _finite(low: float) -> Callable[[str], float]:
+    """An argparse type: a finite float at least ``low``."""
 
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             value = math.nan
-        if not math.isfinite(value) or value < low or (strict and value == low):
-            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number {bound}")
+        if not math.isfinite(value) or value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= {low:g}")
         return value
 
     return parse
@@ -268,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle-check", help="compare pipeline output against the brute-force oracle")
     add_bundle_flags(p_oracle, need_output=False)
-    p_oracle.add_argument("--tolerance", type=_finite(0.0, strict=True), default=check.REL_TOL)
 
     p_report = sub.add_parser("report", help="summarize a completed run directory")
     p_report.add_argument("--input", type=Path, required=True, help="directory written by run")

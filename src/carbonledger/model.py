@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
-from itertools import chain, compress, islice
+from itertools import compress
 from operator import attrgetter, index
 from typing import Any, Callable, ClassVar, Iterable, Iterator
 
@@ -84,18 +84,8 @@ class PowerSample:
 
 
 @dataclass(frozen=True, slots=True)
-class ResourceVector:
-    """Quantities of the four allocatable resource types."""
-
-    gcu: float = 0.0
-    ram_gib: float = 0.0
-    ssd_tib: float = 0.0
-    hdd_tib: float = 0.0
-
-
-@dataclass(frozen=True, slots=True)
 class ResourceAllocationRecord:
-    """Resources reserved by a user in a cluster-hour.
+    """Resources reserved by a user in a cluster-hour, one field per resource type.
 
     Major shared-service allocations are assumed to be already attributed
     to end users in this input, so idle allocation needs no reallocation
@@ -105,7 +95,10 @@ class ResourceAllocationRecord:
     user: str
     cluster_id: str
     hour: datetime
-    allocation: ResourceVector
+    gcu: float = 0.0
+    ram_gib: float = 0.0
+    ssd_tib: float = 0.0
+    hdd_tib: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,13 +142,16 @@ class ZoneMapRow:
 
 @dataclass(frozen=True, slots=True)
 class ServiceUsageRecord:
-    """A consumer's resource usage on a provider's shared service."""
+    """A consumer's resource usage on a provider's shared service, one field per resource type."""
 
     consumer: str
     provider: str
     cluster_id: str
     hour: datetime
-    usage: ResourceVector
+    gcu: float = 0.0
+    ram_gib: float = 0.0
+    ssd_tib: float = 0.0
+    hdd_tib: float = 0.0
     colossus_style: bool = False
 
 
@@ -228,41 +224,20 @@ class SkuUsageRecord:
     usage_units: float
 
 
-#: The columns a ``ResourceVector`` field is stored in: one ``array("d")`` per vector field, named after it.
-VECTOR_COLUMNS = tuple(f.name for f in fields(ResourceVector))
-
-
-def _is_vector(f: Field) -> bool:
-    return f.type in ("ResourceVector", ResourceVector)
-
-
-def column_paths(record: type) -> tuple[str, ...]:
-    """The record attribute each column of a table of ``record`` holds, in order.
-
-    A field is one column; a ``ResourceVector`` field is ``VECTOR_COLUMNS``,
-    each spelled ``field.column`` (``allocation.gcu``).
-    """
-    return tuple(chain.from_iterable(
-        (f"{f.name}.{name}" for name in VECTOR_COLUMNS) if _is_vector(f) else (f.name,)
-        for f in fields(record)
-    ))
-
-
 def column_names(record: type) -> tuple[str, ...]:
-    """A column table's slots: the last part of each of ``column_paths(record)``."""
-    return tuple(path.rpartition(".")[2] for path in column_paths(record))
+    """A column table's slots: the record's field names, in order."""
+    return tuple(f.name for f in fields(record))
 
 
 class ColumnTable(Sequence):
     """Records of one type, stored one column per record field.
 
     A subclass names its ``record`` type and takes ``column_names(record)``
-    as its slots, so each column is an attribute: an ``array("d")`` for a
-    ``float`` field and a list otherwise. A ``ResourceVector`` field is
-    four ``array("d")`` columns, ``VECTOR_COLUMNS``. A row then costs a few
-    pointers and doubles instead of an object or two. The table reads as a
-    sequence of records, each built on access, its vector included; hot
-    paths zip the columns instead. It grows by ``append`` (a record) or
+    as its slots, so each column is an attribute named after its field:
+    an ``array("d")`` for a ``float`` field and a list otherwise. A row
+    then costs a few pointers and doubles instead of an object. The table
+    reads as a sequence of records, each built on access; hot paths zip
+    the columns instead. It grows by ``append`` (a record) or
     ``extend`` (rows of cells) and narrows by ``where``, which copies the
     kept rows into a new table. It equals only a table of its own type.
     """
@@ -274,10 +249,10 @@ class ColumnTable(Sequence):
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        cls.cells = staticmethod(attrgetter(*column_paths(cls.record)))
+        cls.cells = staticmethod(attrgetter(*cls.__slots__))
 
     def __init__(self, records: Iterable = ()) -> None:
-        floats = {f.name for f in fields(self.record) if f.type in ("float", float)}.union(VECTOR_COLUMNS)
+        floats = {f.name for f in fields(self.record) if f.type in ("float", float)}
         for name in self.__slots__:
             setattr(self, name, array("d") if name in floats else [])
         self.extend(map(self.cells, records))
@@ -285,23 +260,15 @@ class ColumnTable(Sequence):
     def columns(self) -> list:
         return [getattr(self, name) for name in self.__slots__]
 
-    def _records(self, columns: Iterable[Iterable]) -> Iterator:
-        """The records made from one iterable of cells per column."""
-        columns = iter(columns)
-        return map(self.record, *[
-            map(ResourceVector, *islice(columns, len(VECTOR_COLUMNS))) if _is_vector(f) else next(columns)
-            for f in fields(self.record)
-        ])
-
     def __len__(self) -> int:
         return len(getattr(self, self.__slots__[0]))
 
     def __iter__(self) -> Iterator:
-        return self._records(self.columns())
+        return map(self.record, *self.columns())
 
     def __getitem__(self, row: int):
         row = index(row)  # a slice is no row
-        return next(self._records([column[row]] for column in self.columns()))
+        return self.record(*[column[row] for column in self.columns()])
 
     def append(self, record) -> None:
         self.extend([self.cells(record)])

@@ -115,10 +115,9 @@ def oracle_allocate(
             for a in hour_allocations:
                 if a.cluster_id != cluster:
                     continue
-                v = a.allocation
                 weight_by_user[index[a.user]] += (
-                    GCU_WEIGHT * v.gcu + RAM_GIB_WEIGHT * v.ram_gib
-                    + SSD_TIB_WEIGHT * v.ssd_tib + HDD_TIB_WEIGHT * v.hdd_tib
+                    GCU_WEIGHT * a.gcu + RAM_GIB_WEIGHT * a.ram_gib
+                    + SSD_TIB_WEIGHT * a.ssd_tib + HDD_TIB_WEIGHT * a.hdd_tib
                 )
             weight_total = sum(weight_by_user)
 
@@ -194,11 +193,11 @@ def oracle_allocate(
                 for r in provider_rows:
                     if storage:
                         blended = (
-                            GCU_WEIGHT * r.usage.gcu + SSD_TIB_WEIGHT * r.usage.ssd_tib
-                            + HDD_TIB_WEIGHT * r.usage.hdd_tib
+                            GCU_WEIGHT * r.gcu + SSD_TIB_WEIGHT * r.ssd_tib
+                            + HDD_TIB_WEIGHT * r.hdd_tib
                         )
                     else:
-                        blended = r.usage.gcu
+                        blended = r.gcu
                     if blended > 0.0:
                         amounts[r.consumer] = amounts.get(r.consumer, 0.0) + blended
                 denominator = sum(amounts.values())

@@ -26,7 +26,6 @@ from .model import (
     PowerSample,
     PueRecord,
     ResourceAllocationRecord,
-    ResourceVector,
     ServiceUsageRecord,
     Sharing,
     SkuRecord,
@@ -176,9 +175,7 @@ def _preset_figure1(spec: ScenarioSpec) -> Bundle:
             bundle.gcu_usage.append(
                 GcuUsageRecord("non-prod", mid, hour, utilization * (1.0 - prod_share) / n)
             )
-        bundle.resource_allocations.append(
-            ResourceAllocationRecord("prod", CLUSTER, hour, ResourceVector(gcu=100.0))
-        )
+        bundle.resource_allocations.append(ResourceAllocationRecord("prod", CLUSTER, hour, gcu=100.0))
         bundle.pue.append(PueRecord(CLUSTER, hour, 1.0))
 
     bundle.sku_catalog.append(SkuRecord("sku-prod", "product-prod", "prod", 1.0, "unit-hour"))
@@ -217,9 +214,7 @@ def _preset_balanced_service(spec: ScenarioSpec) -> Bundle:
     )
     for hour in hours:
         for user, gcu in (("svc", 40.0), ("user-a", 30.0), ("user-b", 30.0)):
-            bundle.resource_allocations.append(
-                ResourceAllocationRecord(user, CLUSTER, hour, ResourceVector(gcu=gcu))
-            )
+            bundle.resource_allocations.append(ResourceAllocationRecord(user, CLUSTER, hour, gcu=gcu))
         bundle.pue.append(PueRecord(CLUSTER, hour, 1.1))
     for day in sorted({day_of(h) for h in hours}):
         bundle.net_costs.append(NetCostRecord("svc", "svc-api", day, -1000.0))
@@ -268,15 +263,15 @@ def _preset_sankey_small(spec: ScenarioSpec) -> Bundle:
                 ("user-two", 20.0),
             ):
                 bundle.resource_allocations.append(
-                    ResourceAllocationRecord(user, cluster, hour, ResourceVector(gcu=gcu, ram_gib=gcu * 4))
+                    ResourceAllocationRecord(user, cluster, hour, gcu=gcu, ram_gib=gcu * 4)
                 )
             bundle.pue.append(PueRecord(cluster, hour, 1.08 + 0.02 * index))
             for consumer, usage in (
-                ("blobstore", ResourceVector(gcu=5.0, hdd_tib=60.0)),
-                ("user-one", ResourceVector(gcu=5.0, ssd_tib=10.0)),
+                ("blobstore", {"gcu": 5.0, "hdd_tib": 60.0}),
+                ("user-one", {"gcu": 5.0, "ssd_tib": 10.0}),
             ):
                 bundle.service_usage.append(
-                    ServiceUsageRecord(consumer, "colossus", cluster, hour, usage, colossus_style=True)
+                    ServiceUsageRecord(consumer, "colossus", cluster, hour, **usage, colossus_style=True)
                 )
 
     for day in sorted({day_of(h) for h in hours}):
@@ -314,9 +309,7 @@ def _preset_overhead_pool(spec: ScenarioSpec) -> Bundle:
     bundle.machines.append(pool)
     for hour in hours:
         bundle.power_samples.append(PowerSample(pool.machine_id, hour, 1.5e5))
-        bundle.resource_allocations.append(
-            ResourceAllocationRecord("svc-a", CLUSTER, hour, ResourceVector(gcu=50.0))
-        )
+        bundle.resource_allocations.append(ResourceAllocationRecord("svc-a", CLUSTER, hour, gcu=50.0))
         bundle.pue.append(PueRecord(CLUSTER, hour, 1.2))
     bundle.sku_catalog.append(SkuRecord("sku-a1", "product-a", "svc-a", 2.0, "unit"))
     bundle.sku_catalog.append(SkuRecord("sku-a2", "product-a", "svc-a", 1.0, "unit"))
@@ -333,9 +326,7 @@ def _preset_two_accounts(spec: ScenarioSpec) -> Bundle:
     )
     for hour in hours:
         for user, gcu in (("svc-a", 60.0), ("svc-b", 20.0)):
-            bundle.resource_allocations.append(
-                ResourceAllocationRecord(user, CLUSTER, hour, ResourceVector(gcu=gcu))
-            )
+            bundle.resource_allocations.append(ResourceAllocationRecord(user, CLUSTER, hour, gcu=gcu))
         bundle.pue.append(PueRecord(CLUSTER, hour, 1.15))
     for user, price in (("svc-a", 1.75), ("svc-b", 1.0)):
         bundle.sku_catalog.append(SkuRecord(f"sku-{user}", f"product-{user}", user, price, "unit"))

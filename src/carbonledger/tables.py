@@ -9,17 +9,17 @@ Writers sort rows by their key columns and format numbers with shortest
 round-trip precision, so identical data always serializes to identical
 bytes. Readers reject any cell a codec cannot parse, NaN and infinities
 included, with an ``InputError`` naming the file, line and column, and
-any file that no longer matches its SHA-256 in ``manifest.json``. Each
-entry also declares its table's checks (key, bounds, references), which
-``validate_bundle`` walks.
+any file that no longer matches its SHA-256 in ``manifest.json`` or
+that the manifest does not list. Each entry also declares its table's
+checks (key, bounds, references), which ``validate_bundle`` walks.
 
 Caches live for one call only, so their memory goes with the call or
 with the bundle it returns. ``read_bundle`` parses each file a chunk of
 rows at a time, column by column, straight into the columns of the four
 column tables (``power_samples``, ``resource_allocations``,
-``gcu_usage`` and ``service_usage``, whose resource vectors are four
-float columns each) and into records for the other tables; no row of a
-column table becomes a record on read, write or validation. One call
+``gcu_usage`` and ``service_usage``, each CSV column one column of
+its table) and into records for the other tables; no row of a column
+table becomes a record on read, write or validation. One call
 parses each distinct hour string once, so equal hours are one object,
 and stores equal ``TEXT`` and ``OPTIONAL`` cells once: a machine id
 repeated on every power sample and usage row is one string shared by
@@ -53,7 +53,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .errors import InputError
 from .model import (
-    VECTOR_COLUMNS,
     AnnualIntensityRecord,
     Bundle,
     CarbonIntensityRecord,
@@ -129,7 +128,7 @@ HOUR = Codec(format_hour, parse_hour)  # memoized per read or write call
 class Column:
     name: str
     codec: Codec = TEXT
-    attribute: str = ""  # the column name if empty; dotted for a ResourceVector field
+    attribute: str = ""  # the record field and column-table slot it holds; the column name if empty
     #: The least a number may be, and the code a value below it raises (NaN is only non-finite).
     low: float | None = None
     below: str = "negative-value"
@@ -144,8 +143,7 @@ class Column:
 class Table:
     """One bundle table: its ``Bundle`` field, record type, columns and checks.
 
-    Columns follow the record's field order; a dotted column is one field
-    of the record's ResourceVector, as in ``model.column_paths``.
+    Columns follow the record's field order, one column per field.
     ``validate_bundle`` reads the checks: no two records may share the
     ``key`` columns (a repeat raises ``repeats``), and a violation names
     its record by the ``subject`` attribute, the first column's if empty.
@@ -164,8 +162,8 @@ DAY_UTC = Column("day_utc", DAY, "day")
 G_PER_KWH = Column("g_per_kwh", FLOAT, "intensity_g_per_kwh", low=0.0)
 
 
-def _vector(attribute: str) -> tuple[Column, ...]:
-    return tuple(Column(name, FLOAT, f"{attribute}.{name}", low=0.0) for name in VECTOR_COLUMNS)
+#: A user's compute, RAM, SSD and HDD, as the resource records hold them.
+RESOURCES = tuple(Column(name, FLOAT, low=0.0) for name in ("gcu", "ram_gib", "ssd_tib", "hdd_tib"))
 
 
 TABLES: dict[str, Table] = {
@@ -178,7 +176,7 @@ TABLES: dict[str, Table] = {
         Column("measured_power_watts", FLOAT, low=0.0),
     ), key=("machine_id", "hour_utc"), repeats="duplicate-sample"),
     "resource_allocations": Table("resource_allocations", ResourceAllocationRecord, (
-        Column("user"), Column("cluster_id", refers=("zone_map", "unknown-cluster")), HOUR_UTC, *_vector("allocation"),
+        Column("user"), Column("cluster_id", refers=("zone_map", "unknown-cluster")), HOUR_UTC, *RESOURCES,
     )),
     "gcu_usage": Table("gcu_usage", GcuUsageRecord, (
         Column("user"), Column("machine_id", refers=("machines", "unknown-machine")), HOUR_UTC,
@@ -186,7 +184,7 @@ TABLES: dict[str, Table] = {
     ), subject="machine_id"),
     "service_usage": Table("service_usage", ServiceUsageRecord, (
         Column("consumer"), Column("provider"), Column("cluster_id", refers=("zone_map", "unknown-cluster")), HOUR_UTC,
-        *_vector("usage"), Column("colossus_style", BOOL),
+        *RESOURCES, Column("colossus_style", BOOL),
     )),
     "net_cost": Table("net_costs", NetCostRecord, (
         Column("user"), Column("service"), DAY_UTC, Column("net_cost", FLOAT),
@@ -223,12 +221,9 @@ REQUIRED_TABLES = ("machines", "power_samples", "zone_map")
 
 
 def _values(records: Sequence, attribute: str) -> Iterable:
-    """One column of a table in row order: a column table's own, or read off each record.
-
-    A column table names a vector field's column by its last part: ``allocation.gcu`` is ``gcu``.
-    """
+    """One column of a table in row order: a column table's own, or read off each record."""
     if isinstance(records, ColumnTable):
-        return getattr(records, attribute.rpartition(".")[2])
+        return getattr(records, attribute)
     return map(attrgetter(attribute), records)
 
 
@@ -410,7 +405,10 @@ def _raise_at_first_bad_row(path: Path, table: Table) -> None:
 
 
 def _check_manifest(directory: Path) -> None:
-    """Every file ``manifest.json`` lists must exist and match its SHA-256; a bundle without one passes."""
+    """Every file ``manifest.json`` lists must exist and match its SHA-256, and every table file must be listed.
+
+    A bundle without a manifest passes.
+    """
     path = directory / MANIFEST_NAME
     if not path.exists():
         return
@@ -423,13 +421,17 @@ def _check_manifest(directory: Path) -> None:
             raise InputError(f"{name}, listed in {MANIFEST_NAME}, is missing from {directory}")
         if _sha256(directory / name) != digest:
             raise InputError(f"{name} does not match its SHA-256 in {MANIFEST_NAME}")
+    for name in TABLES:
+        if f"{name}.csv" not in listed and (directory / f"{name}.csv").is_file():
+            raise InputError(f"{name}.csv is in {directory} but not listed in {MANIFEST_NAME}")
 
 
 def read_bundle(directory: Path) -> Bundle:
     """Load a bundle directory; non-required tables may be absent.
 
     If the directory holds a ``manifest.json``, every file it lists is
-    checked against its SHA-256 first.
+    checked against its SHA-256 first, and a table file it does not list
+    is refused, since no hash vouches for it.
     """
     directory = Path(directory)
     for name in REQUIRED_TABLES:

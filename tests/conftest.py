@@ -5,7 +5,6 @@ from carbonledger.model import (
     MachineRecord,
     PowerSample,
     ResourceAllocationRecord,
-    ResourceVector,
     Sharing,
 )
 
@@ -54,6 +53,6 @@ def sample(machine_id="m0", hour_index=0, watts=100.0) -> PowerSample:
     return PowerSample(machine_id, H(hour_index), watts)
 
 
-def alloc(user, cluster="c0", hour_index=0, **vector) -> ResourceAllocationRecord:
-    return ResourceAllocationRecord(user, cluster, H(hour_index), ResourceVector(**vector))
+def alloc(user, cluster="c0", hour_index=0, **resources) -> ResourceAllocationRecord:
+    return ResourceAllocationRecord(user, cluster, H(hour_index), **resources)
 

@@ -235,7 +235,7 @@ def test_permuting_user_labels_permutes_outputs():
 
     swap = {"a": "b", "b": "a"}
     usage_swapped = GcuUsageTable(GcuUsageRecord(swap[u.user], u.machine_id, u.hour, u.gcu_used) for u in usage)
-    allocations_swapped = ResourceAllocationTable(alloc(swap[a.user], gcu=a.allocation.gcu) for a in allocations)
+    allocations_swapped = ResourceAllocationTable(alloc(swap[a.user], gcu=a.gcu) for a in allocations)
     ledger_swapped, _ = build_machine_ledger(
         split_fleet(machines, samples), machines, allocations_swapped, usage_swapped
     )

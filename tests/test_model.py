@@ -21,7 +21,6 @@ from carbonledger.model import (
     PueRecord,
     ResourceAllocationRecord,
     ResourceAllocationTable,
-    ResourceVector,
     ServiceUsageRecord,
     ServiceUsageTable,
     Sharing,
@@ -43,8 +42,8 @@ def test_parse_and_format_hour_roundtrip():
 
 ALLOCATIONS = [alloc("bob", "c1", 1, gcu=2.0, ram_gib=40.0, hdd_tib=6.0), alloc("alice", gcu=0.5, ssd_tib=1.5)]
 SERVICE_USAGE = [
-    ServiceUsageRecord("alice", "svc", "c0", H(0), ResourceVector(gcu=1.0, ssd_tib=2.0, hdd_tib=3.0), True),
-    ServiceUsageRecord("bob", "api", "c1", H(1), ResourceVector(gcu=4.0, ram_gib=8.0)),
+    ServiceUsageRecord("alice", "svc", "c0", H(0), gcu=1.0, ssd_tib=2.0, hdd_tib=3.0, colossus_style=True),
+    ServiceUsageRecord("bob", "api", "c1", H(1), gcu=4.0, ram_gib=8.0),
 ]
 
 
@@ -63,7 +62,7 @@ def test_column_table_gives_back_its_records_in_order():
             table[1:]  # a slice is no row
     assert PowerSampleTable(samples).measured_power_watts == array("d", [80.0, 50.5, 0.0])
     assert GcuUsageTable(usage).user == ["bob", "alice"]
-    # A resource vector is four float columns named after its fields; the flag stays a list.
+    # Each resource field is a float column named after it; the flag stays a list.
     allocations, services = ResourceAllocationTable(ALLOCATIONS), ServiceUsageTable(SERVICE_USAGE)
     assert allocations.__slots__ == ("user", "cluster_id", "hour", "gcu", "ram_gib", "ssd_tib", "hdd_tib")
     assert [allocations.gcu, allocations.ram_gib, allocations.ssd_tib, allocations.hdd_tib] == [
@@ -73,8 +72,8 @@ def test_column_table_gives_back_its_records_in_order():
     for table in (allocations, services):
         for name in ("gcu", "ram_gib", "ssd_tib", "hdd_tib"):
             assert type(getattr(table, name)) is array and getattr(table, name).typecode == "d"
-    assert allocations[1].allocation == ResourceVector(gcu=0.5, ssd_tib=1.5)
-    assert services[-1].usage == ResourceVector(gcu=4.0, ram_gib=8.0)
+    assert allocations[1] == ResourceAllocationRecord("alice", "c0", H(0), gcu=0.5, ssd_tib=1.5)
+    assert services[-1] == ServiceUsageRecord("bob", "api", "c1", H(1), gcu=4.0, ram_gib=8.0)
 
 
 def test_column_table_edits_like_a_list_of_records():
@@ -242,11 +241,11 @@ def test_non_finite_numbers_flagged():
     bundle.zone_map.append(ZoneMapRow("c0", "z0", "r0"))
     bundle.machines.append(shared_machine("m0"))
     bundle.power_samples.append(sample("m0", 0, math.nan))
-    bundle.resource_allocations.append(ResourceAllocationRecord("alice", "c0", H(0), ResourceVector(ssd_tib=math.inf)))
+    bundle.resource_allocations.append(ResourceAllocationRecord("alice", "c0", H(0), ssd_tib=math.inf))
     bundle.pue.append(PueRecord("c0", H(0), 1.2))
     found = [(v.subject, v.detail) for v in validate_bundle(bundle) if v.code == "non-finite-value"]
     assert found == [
-        ("alice", "resource_allocations allocation.ssd_tib is inf"),
+        ("alice", "resource_allocations ssd_tib is inf"),
         ("m0", "power_samples measured_power_watts is nan"),
     ]
 
@@ -273,7 +272,7 @@ def _clean_bundle() -> Bundle:
         power_samples=[sample("m0", 0, 50.0), sample("m1", 0, 80.0)],
         resource_allocations=[alloc("alice", gcu=1.0)],
         gcu_usage=[GcuUsageRecord("alice", "m1", H(0), 1.0)],
-        service_usage=[ServiceUsageRecord("alice", "svc", "c0", H(0), ResourceVector(gcu=1.0))],
+        service_usage=[ServiceUsageRecord("alice", "svc", "c0", H(0), gcu=1.0)],
         net_costs=[NetCostRecord("alice", "svc", H(0).date(), 1.0)],
         non_service_costs=[NonServiceCostRecord("alice", H(0).date(), 2.0)],
         pue=[PueRecord("c0", H(0), 1.2)],
@@ -305,7 +304,7 @@ RULE_CASES = {
     "negative-gcu-usage": ("gcu_usage", GcuUsageRecord("bob", "m0", H(1), -1.0), [("negative-value", "m0")]),
     "negative-allocation": ("resource_allocations", alloc("bob", ram_gib=-2.0), [("negative-value", "bob")]),
     "negative-service-usage": (
-        "service_usage", ServiceUsageRecord("bob", "svc", "c0", H(0), ResourceVector(hdd_tib=-1.0)),
+        "service_usage", ServiceUsageRecord("bob", "svc", "c0", H(0), hdd_tib=-1.0),
         [("negative-value", "bob")],
     ),
     "negative-hourly-intensity": (
@@ -345,7 +344,7 @@ RULE_CASES = {
         "resource_allocations", alloc("frank", cluster="ghost", gcu=1.0), [("unknown-cluster", "frank")],
     ),
     "unknown-cluster-service-usage": (
-        "service_usage", ServiceUsageRecord("bob", "svc", "ghost", H(0), ResourceVector(gcu=1.0)),
+        "service_usage", ServiceUsageRecord("bob", "svc", "ghost", H(0), gcu=1.0),
         [("unknown-cluster", "bob")],
     ),
     "unknown-machine-sample": ("power_samples", sample("m9", 0, 1.0), [("unknown-machine", "m9")]),
@@ -363,11 +362,11 @@ RULE_CASES = {
     "conflicting-region": ("zone_map", ZoneMapRow("c0", "z0", "r1"), [("conflicting-region", "c0")]),
     "conflicting-zone": ("zone_map", ZoneMapRow("c0", "z1", "r0"), [("conflicting-zone", "c0")]),
     "self-service-usage": (
-        "service_usage", ServiceUsageRecord("svc", "svc", "c0", H(1), ResourceVector(gcu=1.0)),
+        "service_usage", ServiceUsageRecord("svc", "svc", "c0", H(1), gcu=1.0),
         [("self-service-usage", "svc")],
     ),
     "mixed-service-style": (
-        "service_usage", ServiceUsageRecord("bob", "svc", "c0", H(1), ResourceVector(gcu=1.0), True),
+        "service_usage", ServiceUsageRecord("bob", "svc", "c0", H(1), gcu=1.0, colossus_style=True),
         [("mixed-service-style", "svc")],
     ),
 }

@@ -19,7 +19,6 @@ from carbonledger.model import (
     PowerSampleTable,
     ResourceAllocationRecord,
     ResourceAllocationTable,
-    ResourceVector,
     ServiceUsageTable,
 )
 from carbonledger.oracle import oracle_allocate
@@ -139,7 +138,7 @@ def test_oracle_refuses_too_many_users():
     bundle = Bundle(
         machines=[shared_machine("m0")],
         resource_allocations=[
-            ResourceAllocationRecord(f"u{i}", "c0", H(0), ResourceVector(gcu=1.0)) for i in range(21)
+            ResourceAllocationRecord(f"u{i}", "c0", H(0), gcu=1.0) for i in range(21)
         ],
     )
     with pytest.raises(OracleSizeError):
@@ -184,8 +183,8 @@ def test_oracle_usage_fallbacks_match_pipeline():
         machines=[shared_machine("m0", idle=10.0), shared_machine("m1", idle=5.0)],
         power_samples=[sample("m0", 0, 30.0), sample("m1", 0, 25.0)],
         resource_allocations=[
-            ResourceAllocationRecord("a", "c0", H(0), ResourceVector(gcu=3.0)),
-            ResourceAllocationRecord("b", "c0", H(0), ResourceVector(gcu=1.0)),
+            ResourceAllocationRecord("a", "c0", H(0), gcu=3.0),
+            ResourceAllocationRecord("b", "c0", H(0), gcu=1.0),
         ],
         gcu_usage=[GcuUsageRecord("b", "m1", H(0), 2.0)],
     )

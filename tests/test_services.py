@@ -11,7 +11,6 @@ from carbonledger.model import (
     Bundle,
     NetCostRecord,
     NonServiceCostRecord,
-    ResourceVector,
     ServiceUsageRecord,
     ServiceUsageTable,
 )
@@ -30,8 +29,7 @@ DAY = date(2023, 6, 5)
 
 def usage_row(consumer, provider, gcu=0.0, ssd=0.0, hdd=0.0, colossus=False, cluster="c0", hour=0):
     return ServiceUsageRecord(
-        consumer, provider, cluster, H(hour),
-        ResourceVector(gcu=gcu, ssd_tib=ssd, hdd_tib=hdd), colossus,
+        consumer, provider, cluster, H(hour), gcu=gcu, ssd_tib=ssd, hdd_tib=hdd, colossus_style=colossus,
     )
 
 

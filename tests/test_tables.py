@@ -15,6 +15,7 @@ from carbonledger.model import GcuUsageTable, PowerSampleTable, ResourceAllocati
 from carbonledger.simulate import PRESETS, ScenarioSpec, generate, preset_spec
 from carbonledger.tables import (
     SCHEMAS,
+    TABLES,
     quantize,
     read_bundle,
     write_bundle,
@@ -123,6 +124,14 @@ def test_written_headers_match_declared_schemas(tmp_path):
         assert tuple(header) == columns
 
 
+def test_each_record_field_is_one_column_and_one_slot():
+    for name, table in TABLES.items():
+        field_names = tuple(f.name for f in fields(table.record))
+        assert tuple(column.attribute for column in table.columns) == field_names, name
+        if name in COLUMN_TABLES:
+            assert COLUMN_TABLES[name].__slots__ == field_names, name
+
+
 def test_timestamps_use_hour_precision_utc(tmp_path):
     write_bundle(generate(preset_spec("figure1")), tmp_path)
     with (tmp_path / "power_samples.csv").open(newline="") as handle:
@@ -173,6 +182,23 @@ def test_listed_optional_table_missing_raises(tmp_path):
     (tmp_path / "net_cost.csv").unlink()
     with pytest.raises(InputError, match="net_cost.csv, listed in manifest.json, is missing"):
         read_bundle(tmp_path)
+
+
+def test_table_missing_from_manifest_raises(tmp_path):
+    # Unlisted, an edited pue.csv would be read unchecked: a PUE of 9.0 went into the run.
+    write_bundle(generate(preset_spec("two-accounts")), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    del manifest["files"]["pue.csv"]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    path = tmp_path / "pue.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",9.0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match="pue.csv is in .* but not listed in manifest.json"):
+        read_bundle(tmp_path)
+    assert main(["validate", "--input", str(tmp_path)]) == 2
+    assert main(["run", "--input", str(tmp_path), "--output", str(tmp_path / "reports")]) == 2
+    assert not (tmp_path / "reports").exists()
 
 
 def test_unreadable_manifest_raises(tmp_path):
