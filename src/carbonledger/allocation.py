@@ -4,6 +4,10 @@ Idle energy of dedicated machines goes to the machine owner. Idle energy
 of shared machines is split within each cluster-hour proportional to each
 user's busy-power-weighted resource allocation. Dynamic energy is split
 per machine-hour proportional to compute-unit usage.
+
+The idle and the dynamic walk read the idle shares as flat arrays per
+cluster-hour of the run's axes, and nothing the machine stage builds
+keeps a Python object per allocation or usage row.
 """
 
 from __future__ import annotations
@@ -189,24 +193,47 @@ def weighted_allocation(gcu: float, ram_gib: float, ssd_tib: float, hdd_tib: flo
     )
 
 
-def idle_share_table(allocations: ResourceAllocationTable) -> dict[tuple[str, datetime], dict[str, float]]:
-    """Per cluster-hour, each user's fraction of the weighted allocation.
+def idle_share_table(allocations: ResourceAllocationTable, axes: Axes) -> list[tuple[array, array] | None]:
+    """Per cluster-hour ``c * H + h`` of ``axes``, its sharing users and their fractions.
 
-    Cluster-hours whose weighted total is zero are absent from the result.
-    Fractions over the present users sum to 1.
+    Entry ``ch`` is ``None`` when no allocation row there has a non-zero
+    weight. Otherwise it is two flat sequences: an ``array("i")`` of the
+    axis positions ``u`` of the users with a non-zero weight there, in the
+    order of each user's first such row, and an ``array("d")`` of their
+    fractions of the weighted allocation, which sum to 1; user ``u``'s
+    cell is ``u * span + ch``. Weights are summed per user in row order.
+    Rows whose cluster or hour is off the axes are skipped; a weighted row
+    whose user is off them raises ``ValueError``.
     """
+    hour_count, span = len(axes.hours), axes.span
+    cluster_index, hour_index = axes.cluster_index, axes.hour_index
+    shares: list[tuple[array, array] | None] = [None] * span
+    at = array("i", [-1]) * axes.size  # cell -> the user's position in its cluster-hour's entry, or -1
     weights = map(weighted_allocation, allocations.gcu, allocations.ram_gib, allocations.ssd_tib, allocations.hdd_tib)
-    sums: dict[tuple[str, datetime], dict[str, float]] = {}
-    for key, user, w in zip(zip(allocations.cluster_id, allocations.hour), allocations.user, weights):
+    for user, cluster, hour, w in zip(allocations.user, allocations.cluster_id, allocations.hour, weights):
         if w == 0.0:
             continue
-        per_user = sums.setdefault(key, {})
-        per_user[user] = per_user.get(user, 0.0) + w
-    fractions: dict[tuple[str, datetime], dict[str, float]] = {}
-    for key, per_user in sums.items():
-        denom = sum(per_user.values())
-        fractions[key] = {user: w / denom for user, w in per_user.items()}
-    return fractions
+        c, h = cluster_index.get(cluster), hour_index.get(hour)
+        if c is None or h is None:
+            continue
+        ch = c * hour_count + h
+        cell = axes.user_base(user) + ch
+        entry = shares[ch]
+        if entry is None:
+            entry = shares[ch] = array("i"), array("d")
+        i = at[cell]
+        if i >= 0:
+            entry[1][i] += w
+        else:
+            at[cell] = len(entry[0])
+            entry[0].append(cell // span)
+            entry[1].append(w)
+    for ch, entry in enumerate(shares):
+        if entry is not None:
+            users, sums = entry
+            denom = sum(sums)
+            shares[ch] = users, array("d", map(denom.__rtruediv__, sums))  # w / denom
+    return shares
 
 
 def allocate_idle(
@@ -224,7 +251,7 @@ def allocate_idle(
     would break conservation.
     """
     axes = ledger.cells.axes
-    hour_count = len(axes.hours)
+    hour_count, span = len(axes.hours), axes.span
     # machine id -> (c * H, the id of the idle owner's (cluster, first hour) cell or -1 when
     # shared, the idle rating)
     placed: dict[str, tuple[int, int, float]] = {}
@@ -232,7 +259,7 @@ def allocate_idle(
         offset = axes.cluster_index[m.cluster_id] * hour_count
         owner = axes.user_base(m.owner_user or UNALLOCATED_USER) + offset if m.sharing is Sharing.DEDICATED else -1
         placed[m.machine_id] = offset, owner, m.idle_rating_watts
-    fractions = idle_share_table(allocations)
+    shares = idle_share_table(allocations, axes)
     idle = ledger.idle
     machine_ids, measured_watts = split.samples.machine_id, split.samples.measured_power_watts
     shared_totals: dict[int, float] = {}  # c * H + h -> shared idle Wh
@@ -253,16 +280,16 @@ def allocate_idle(
     for ch, total in shared_totals.items():
         if total == 0.0:
             continue
-        c, h = divmod(ch, hour_count)
-        cluster, hour = axes.clusters[c], axes.hours[h]
-        per_user = fractions.get((cluster, hour))
-        if not per_user:
+        entry = shares[ch]
+        if entry is None:
+            c, h = divmod(ch, hour_count)
             notices.append(
-                Notice("unallocated-idle", cluster, f"no weighted allocations at {format_hour(hour)}")
+                Notice("unallocated-idle", axes.clusters[c], f"no weighted allocations at {format_hour(axes.hours[h])}")
             )
-            per_user = {UNALLOCATED_USER: 1.0}
-        for user, fraction in per_user.items():
-            idle[ledger.row(axes.user_base(user) + ch)] += fraction * total
+            idle[ledger.row(axes.user_base(UNALLOCATED_USER) + ch)] += total
+            continue
+        for u, fraction in zip(*entry):
+            idle[ledger.row(u * span + ch)] += fraction * total
     return notices
 
 
@@ -282,12 +309,14 @@ def allocate_dynamic(
     fractions (and then to the unallocated-overhead user).
 
     Usage rows are bucketed by hour once, as ``array("I")`` row numbers
-    into the usage columns, and threaded by machine one hour at a time, so
-    only one hour's threading is alive at any point and no row is an object.
+    into the usage columns, and threaded by machine position one hour at a
+    time through two 4-byte ``array("i")`` chains, so only one hour's
+    threading is alive at any point and no row is an object. Usage rows
+    naming a machine not in ``machines`` are never threaded.
     """
     axes = ledger.cells.axes
     hour_count = len(axes.hours)
-    by_id = {m.machine_id: m for m in machines}
+    position = {m.machine_id: p for p, m in enumerate(machines)}  # the last record of an id wins
     offset_of = {cluster: c * hour_count for cluster, c in axes.cluster_index.items()}  # cluster -> c * H
     machine_ids, measured_watts = split.samples.machine_id, split.samples.measured_power_watts
     usage_users, usage_machines, gcu_used = usage.user, usage.machine_id, usage.gcu_used
@@ -300,8 +329,9 @@ def allocate_dynamic(
             rows = usage_by_hour[hour] = array("I")
         rows.append(row)
 
-    fractions = idle_share_table(allocations)
-    base_of = {user: u * axes.span for user, u in axes.user_index.items()}
+    shares = idle_share_table(allocations, axes)
+    span = axes.span
+    base_of = {user: u * span for user, u in axes.user_index.items()}
     rows_of, dynamic = ledger.cells.rows, ledger.dynamic
     notices: list[Notice] = []
 
@@ -309,24 +339,24 @@ def allocate_dynamic(
         hour = part.hour
         h = axes.hour_index[hour]
         rows = usage_by_hour.pop(hour, array("I"))
-        # first[machine] is the position in ``rows`` of the machine's first
-        # row this hour, and after[i] that of the row after position i, or -1.
-        first: dict[str, int] = {}
-        after = array("q", rows)
+        # first[p] is the position in ``rows`` of machine p's first row this
+        # hour, and after[i] that of the row after position i, or -1.
+        first = array("i", [-1]) * len(machines)
+        after = array("i", [-1]) * len(rows)
         for i in reversed(range(len(rows))):
-            machine_id = usage_machines[rows[i]]
-            after[i] = first.get(machine_id, -1)
-            first[machine_id] = i
+            p = position.get(usage_machines[rows[i]])
+            if p is not None:
+                after[i] = first[p]
+                first[p] = i
         for sample in part.rows:
-            machine_id = machine_ids[sample]
-            machine = by_id[machine_id]
+            p = position[machine_ids[sample]]
+            machine = machines[p]
             measured, rating = measured_watts[sample], machine.idle_rating_watts
             watts = measured - (measured if measured < rating else rating)  # measured - power.idle_watts
             if watts == 0.0:
                 continue
-            cluster = machine.cluster_id
-            ch = offset_of[cluster] + h
-            i = first.get(machine_id, -1)
+            ch = offset_of[machine.cluster_id] + h
+            i = first[p]
             if i >= 0:
                 total, j = 0.0, i
                 while j >= 0:
@@ -344,13 +374,13 @@ def allocate_dynamic(
             if machine.sharing is Sharing.DEDICATED and machine.owner_user:
                 dynamic[ledger.row(base_of[machine.owner_user] + ch)] += watts
                 continue
-            per_user = fractions.get((cluster, hour))
-            if per_user:
-                for user, fraction in per_user.items():
-                    dynamic[ledger.row(base_of[user] + ch)] += fraction * watts
+            entry = shares[ch]
+            if entry is not None:
+                for u, fraction in zip(*entry):
+                    dynamic[ledger.row(u * span + ch)] += fraction * watts
             else:
                 notices.append(
-                    Notice("unallocated-dynamic", machine_id, f"no usage or allocations at {format_hour(hour)}")
+                    Notice("unallocated-dynamic", machine.machine_id, f"no usage or allocations at {format_hour(hour)}")
                 )
                 dynamic[ledger.row(base_of[UNALLOCATED_USER] + ch)] += watts
     return notices

@@ -274,9 +274,21 @@ class ColumnTable(Sequence):
         self.extend([self.cells(record)])
 
     def extend(self, rows: Iterable[tuple]) -> None:
-        """Append rows, each given as its cells in column order; no record is built."""
-        for column, cells in zip(self.columns(), zip(*rows)):
+        """Append rows, each given as its cells in column order; no record is built.
+
+        A batch whose shortest row has fewer cells than the table has
+        columns raises ``ValueError`` and leaves the table unchanged.
+        """
+        rows = tuple(rows)  # what ``zip(*rows)`` would build anyway
+        columns, before = self.columns(), len(self)
+        filled = 0
+        for column, cells in zip(columns, zip(*rows)):
             column.extend(cells)
+            filled += 1
+        if rows and filled < len(columns):
+            for column in columns[:filled]:
+                del column[before:]
+            raise ValueError(f"{type(self).__name__} rows need {len(columns)} cells; one has {filled}")
 
     def where(self, keep: Sequence[bool]) -> ColumnTable:
         """The rows whose ``keep`` entry is true, in order, in a new table of this type."""

@@ -1,4 +1,6 @@
+import gc
 import logging
+import tracemalloc
 from array import array
 
 import pytest
@@ -21,6 +23,7 @@ from carbonledger.model import (
     UNALLOCATED_USER,
     GcuUsageRecord,
     GcuUsageTable,
+    Notice,
     PowerSampleTable,
     ResourceAllocationTable,
 )
@@ -58,14 +61,37 @@ def test_weighted_allocation_zero_vector():
     assert weighted_allocation(0.0, 0.0, 0.0, 0.0) == 0.0
 
 
+def shares_of(allocations):
+    """``idle_share_table`` on the allocations' own axes, as ``{(cluster, hour): {user: fraction}}``.
+
+    Also holds the table to its shape: one entry per cluster-hour, each
+    ``None`` or an ``array("i")`` of distinct user positions beside an
+    ``array("d")`` of as many fractions.
+    """
+    axes = Axes(allocations.user, allocations.cluster_id, allocations.hour)
+    table = idle_share_table(allocations, axes)
+    assert len(table) == axes.span
+    decoded = {}
+    for ch, entry in enumerate(table):
+        if entry is None:
+            continue
+        users, fractions = entry
+        assert (users.typecode, fractions.typecode) == ("i", "d") and len(set(users)) == len(fractions) > 0
+        c, h = divmod(ch, len(axes.hours))
+        decoded[axes.clusters[c], axes.hours[h]] = {axes.users[u]: f for u, f in zip(users, fractions)}
+    return decoded
+
+
 def test_idle_fraction_sole_claimant():
     allocations = ResourceAllocationTable([alloc("alice", gcu=3.0)])
-    assert idle_share_table(allocations) == {("c0", H(0)): {"alice": 1.0}}
+    axes = Axes(["alice"], ["c0"], [H(0)])
+    assert idle_share_table(allocations, axes) == [(array("i", [0]), array("d", [1.0]))]
+    assert shares_of(allocations) == {("c0", H(0)): {"alice": 1.0}}
 
 
 def test_idle_fraction_two_users():
     allocations = ResourceAllocationTable([alloc("a", gcu=10, ram_gib=200), alloc("b", ssd_tib=1, hdd_tib=6)])
-    shares = idle_share_table(allocations)[("c0", H(0))]
+    shares = shares_of(allocations)[("c0", H(0))]
     assert shares["a"] == pytest.approx(20.0 / 22.0, abs=1e-12)
     assert shares["b"] == pytest.approx(2.0 / 22.0, abs=1e-12)
 
@@ -73,7 +99,8 @@ def test_idle_fraction_two_users():
 def test_idle_share_all_zero_cluster_hour_is_absent():
     # No weighted allocation: no fractions, so shared idle goes to the overhead user.
     allocations = ResourceAllocationTable([alloc("a", gcu=0.0)])
-    assert idle_share_table(allocations) == {}
+    assert idle_share_table(allocations, Axes(["a"], ["c0"], [H(0)])) == [None]
+    assert shares_of(allocations) == {}
     machines = [shared_machine("m0", idle=40.0)]
     split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 100.0)]))
     idle, notices = idle_of(split, machines, allocations)
@@ -83,9 +110,26 @@ def test_idle_share_all_zero_cluster_hour_is_absent():
 
 def test_idle_fractions_sum_to_one():
     allocations = ResourceAllocationTable(alloc(f"u{i}", gcu=float(i + 1)) for i in range(7))
-    shares = idle_share_table(allocations)[("c0", H(0))]
+    shares = shares_of(allocations)[("c0", H(0))]
     assert sorted(shares) == [f"u{i}" for i in range(7)]
     assert sum(shares.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_idle_shares_sum_per_user_in_row_order_and_skip_rows_off_the_axes():
+    allocations = ResourceAllocationTable([
+        alloc("b", gcu=0.1), alloc("a", gcu=0.2), alloc("x", cluster="c9", gcu=5.0),
+        alloc("y", hour_index=3, gcu=5.0), alloc("b", gcu=0.0), alloc("a", "c1", gcu=1.0), alloc("b", gcu=0.3),
+    ])
+    axes = Axes(["a", "b", "x", "y"], ["c0", "c1"], [H(0), H(1)])
+    b, a = 0.1 + 0.3, 0.2
+    assert idle_share_table(allocations, axes) == [
+        (array("i", [1, 0]), array("d", [b / (b + a), a / (b + a)])),  # users b, a
+        None,
+        (array("i", [0]), array("d", [1.0])),
+        None,
+    ]
+    with pytest.raises(ValueError, match="user 'b' is not on the ledger's users axis"):
+        idle_share_table(allocations, Axes(["a"], ["c0"], [H(0)]))
 
 
 def test_allocate_idle_prod_user_holds_everything():
@@ -194,8 +238,8 @@ def test_fractions_are_scale_invariant(vectors, scale):
         alloc(u, gcu=v[0] * scale, ram_gib=v[1] * scale, ssd_tib=v[2] * scale, hdd_tib=v[3] * scale)
         for u, v in zip(users, vectors)
     )
-    original = idle_share_table(base)[("c0", H(0))]
-    rescaled = idle_share_table(scaled)[("c0", H(0))]
+    original = shares_of(base)[("c0", H(0))]
+    rescaled = shares_of(scaled)[("c0", H(0))]
     for user in users:
         assert rescaled[user] == pytest.approx(original[user], abs=1e-12)
 
@@ -321,3 +365,114 @@ def test_machine_ledger_on_wide_axes_holds_the_same_cells():
     assert isinstance(wide.cells.rows, array) and wide.cells.rows.typecode == "i"
     assert len(wide.cells.rows) == wide_axes.size
     assert cells_of(own) == cells_of(wide) == {("a", "c0", H(0)): (10.0, 20.0)}
+
+
+def machine_rows(machines, samples, allocations, usage, axes=None):
+    """The machine-stage ledger's rows, in row order, and its notices."""
+    split = split_fleet(machines, PowerSampleTable(samples))
+    ledger, notices = build_machine_ledger(
+        split, machines, ResourceAllocationTable(allocations), GcuUsageTable(usage), axes
+    )
+    return list(ledger.rows()), notices
+
+
+def test_usage_on_an_unknown_machine_is_skipped():
+    rows, notices = machine_rows(
+        [shared_machine("m0", idle=10.0)],
+        [sample("m0", 0, 30.0)],
+        [alloc("a", gcu=1.0)],
+        [
+            GcuUsageRecord("a", "ghost", H(0), 5.0),
+            GcuUsageRecord("b", "m0", H(0), 1.0),
+            GcuUsageRecord("a", "m0", H(0), 3.0),
+        ],
+    )
+    assert rows == [(("a", "c0", H(0)), 10.0, 15.0), (("b", "c0", H(0)), 0.0, 5.0)]
+    assert notices == []
+
+
+def test_machine_sampled_twice_in_an_hour_splits_both_samples_by_its_usage():
+    rows, notices = machine_rows(
+        [shared_machine("m0", idle=10.0), shared_machine("m1", idle=5.0)],
+        [sample("m0", 0, 30.0), sample("m1", 0, 25.0), sample("m0", 0, 50.0)],
+        [alloc("a", gcu=1.0)],
+        [
+            GcuUsageRecord("b", "m0", H(0), 1.0),
+            GcuUsageRecord("c", "m1", H(0), 2.0),
+            GcuUsageRecord("a", "m0", H(0), 3.0),
+        ],
+    )
+    assert rows == [
+        (("a", "c0", H(0)), 25.0, 45.0),
+        (("b", "c0", H(0)), 0.0, 15.0),
+        (("c", "c0", H(0)), 0.0, 20.0),
+    ]
+    assert notices == []
+
+
+def test_allocations_off_the_machines_clusters_and_sampled_hours_are_ignored():
+    machines = [shared_machine("m0", idle=10.0), shared_machine("m1", idle=10.0)]
+    off_axes = [alloc("x", cluster="c9", gcu=5.0), alloc("y", hour_index=3, gcu=5.0)]
+    rows, notices = machine_rows(
+        machines, [sample("m0", 0, 30.0), sample("m1", 0, 16.0)], [*off_axes, alloc("b", gcu=1.0), alloc("a", gcu=3.0)], []
+    )
+    assert rows == [(("b", "c0", H(0)), 5.0, 6.5), (("a", "c0", H(0)), 15.0, 19.5)]
+    assert notices == []
+    rows, notices = machine_rows(machines[:1], [sample("m0", 0, 30.0)], off_axes, [])
+    assert rows == [((UNALLOCATED_USER, "c0", H(0)), 10.0, 20.0)]
+    assert notices == [
+        Notice("unallocated-idle", "c0", "no weighted allocations at 2023-06-05T00:00Z"),
+        Notice("unallocated-dynamic", "m0", "no usage or allocations at 2023-06-05T00:00Z"),
+    ]
+
+
+def test_axes_without_an_allocation_user_raise():
+    axes = Axes(["a", UNALLOCATED_USER], ["c0"], [H(0)])
+    with pytest.raises(ValueError, match="user 'b' is not on the ledger's users axis"):
+        machine_rows(
+            [shared_machine("m0", idle=10.0)], [sample("m0", 0, 30.0)], [alloc("a", gcu=1.0), alloc("b", gcu=1.0)], [], axes
+        )
+
+
+def traced(call):
+    """``call()``'s result, and the bytes it holds after a collection and at its peak, under ``tracemalloc``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+@pytest.fixture(scope="module")
+def fleet_1k():
+    """The 1k-machine, 12-hour fleet at seed 7, split, with its machine-stage axes."""
+    bundle = generate(ScenarioSpec(seed=7, machine_count=1000, user_count=50, cluster_count=20, hours=12))
+    split = split_fleet(bundle.machines, bundle.power_samples)
+    axes = machine_axes(split, bundle.machines, bundle.resource_allocations.user, bundle.gcu_usage.user)
+    return bundle, split, axes
+
+
+def test_idle_share_table_holds_at_most_32_bytes_per_allocation_row(fleet_1k):
+    # A {(cluster, hour): {user: fraction}} dict held 55.6 bytes a row here
+    # and peaked at 109.5; flat per-cluster-hour arrays hold 21.4 and peak at 28.6.
+    bundle, _, axes = fleet_1k
+    allocations = bundle.resource_allocations
+    table, held, peak = traced(lambda: idle_share_table(allocations, axes))
+    assert sum(len(entry[0]) for entry in table if entry) > 5_000
+    assert held <= 32 * len(allocations)
+    assert peak <= 64 * len(allocations)
+
+
+def test_machine_ledger_peaks_under_0_85_mib(fleet_1k):
+    # A per-hour machine-id dict, 8-byte chains and nested share dicts
+    # peaked at 1.16 MiB here; position-indexed 4-byte chains at 0.63.
+    bundle, split, _ = fleet_1k
+    (ledger, _), _, peak = traced(
+        lambda: build_machine_ledger(split, bundle.machines, bundle.resource_allocations, bundle.gcu_usage)
+    )
+    assert len(ledger.idle) > 10_000
+    assert peak <= 0.85 * 2**20

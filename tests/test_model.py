@@ -113,6 +113,23 @@ def test_column_table_edits_like_a_list_of_records():
     assert ResourceAllocationTable() != ServiceUsageTable() and ResourceAllocationTable() != GcuUsageTable()
 
 
+def test_column_table_refuses_a_narrow_row_and_stays_unchanged():
+    table = ResourceAllocationTable()
+    with pytest.raises(ValueError, match="rows need 7 cells; one has 4"):
+        table.extend([("u", "c", H(0), 1.0)])
+    assert [len(column) for column in table.columns()] == [0] * 7 and table == ResourceAllocationTable()
+    table = ResourceAllocationTable(ALLOCATIONS)
+    wide = ResourceAllocationTable.cells(ALLOCATIONS[0])
+    with pytest.raises(ValueError, match="one has 3"):
+        table.extend([wide, wide[:3], wide])
+    with pytest.raises(ValueError, match="one has 0"):
+        table.extend([()])
+    assert [len(column) for column in table.columns()] == [2] * 7 and list(table) == ALLOCATIONS
+    table.extend([])
+    table.extend([wide])
+    assert list(table) == [*ALLOCATIONS, ALLOCATIONS[0]]
+
+
 def test_bundle_stores_sample_and_usage_records_as_columns():
     bundle = Bundle(power_samples=[sample("m0", 0, 5.0)], gcu_usage=[GcuUsageRecord("a", "m0", H(0), 1.0)])
     assert type(bundle.power_samples) is PowerSampleTable and type(bundle.gcu_usage) is GcuUsageTable
