@@ -13,7 +13,10 @@ seed-5 fleet again with `--round-wh 0 --round-g 0`, so that their reports
 carry every float bit rather than whole Wh and grams, and once more with
 `--rounds 3` as well, so that a third minor round is covered. One more
 unrounded seed-5 fleet (40 machines, 720 h) runs from June into July, so
-that footprints are grouped over two billing months. For each case and
+that footprints are grouped over two billing months, and a deeper
+economy (seed 5, 300 machines, 12 users, `--economy-depth 4`, cyclic,
+unbilled usage) runs unrounded over three minor rounds, so that more
+providers pay out each day and more chains of them resolve. For each case and
 each hash seed, `simulate` and then `run` execute in child processes
 under that `PYTHONHASHSEED`, against the package sources under `--src`
 (default: this checkout's `src`). Run it against two source trees and diff
@@ -64,6 +67,9 @@ CASES["sankey-small-3-rounds"] = (["--preset", "sankey-small"], ["--rounds", "3"
 CASES["seed5-300-cyclic-unbilled-3-rounds"] = (SEED5, ["--rounds", "3", *UNROUNDED])
 CASES["seed5-40-720h-two-months"] = (
     ["--seed", "5", "--machines", "40", "--hours", "720", "--cyclic-economy", "--unbilled-usage"], UNROUNDED
+)
+CASES["seed5-300-12-users-depth-4-3-rounds"] = (
+    [*SEED5, "--users", "12", "--economy-depth", "4"], ["--rounds", "3", *UNROUNDED]
 )
 MANIFEST = "manifest.json"
 

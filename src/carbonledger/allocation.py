@@ -132,7 +132,8 @@ class Ledger:
     cells are its first ``len(idle)`` rows, and row ``r`` of the ``idle``
     and ``dynamic`` columns belongs to cell ``cells.ids[r]``. Stages credit
     the columns in place. Only the latest stage, the one no ``copy`` has
-    ``superseded``, may be credited or append cells.
+    ``superseded`` and whose rows end where the index does, may be credited
+    or append cells.
     """
 
     stage: str
@@ -152,10 +153,16 @@ class Ledger:
         return Ledger(stage, self.cells, array("d", self.idle), array("d", self.dynamic))
 
     def add(self, cell: int) -> int:
-        """Append a cell new to the index as a zero row of this stage; returns its row."""
-        self._require_latest()
-        row = self.cells.rows[cell] = len(self.idle)
-        self.cells.ids.append(cell)
+        """Append a cell new to the index as a zero row of this stage; returns its row.
+
+        Tests what ``_require_latest`` tests without calling it, since the
+        stages call this once for every cell they append.
+        """
+        cells, row = self.cells, len(self.idle)
+        if self.superseded or row != len(cells.ids):
+            raise ValueError(f"{self.stage!r} is not the latest stage of its run")
+        cells.rows[cell] = row
+        cells.ids.append(cell)
         self.idle.append(0.0)
         self.dynamic.append(0.0)
         return row
@@ -248,7 +255,8 @@ def allocate_idle(
     summed per cluster-hour and then credited by the idle-share fractions.
     Shared idle in a cluster-hour with no weighted allocations anywhere
     falls back to the reserved unallocated-overhead user; dropping it
-    would break conservation.
+    would break conservation. Both credit loops look their cells up in the
+    index themselves and call ``Ledger.add`` only for a cell new to it.
     """
     axes = ledger.cells.axes
     hour_count, span = len(axes.hours), axes.span
@@ -260,7 +268,7 @@ def allocate_idle(
         owner = axes.user_base(m.owner_user or UNALLOCATED_USER) + offset if m.sharing is Sharing.DEDICATED else -1
         placed[m.machine_id] = offset, owner, m.idle_rating_watts
     shares = idle_share_table(allocations, axes)
-    idle = ledger.idle
+    rows_of, idle = ledger.cells.rows, ledger.idle
     machine_ids, measured_watts = split.samples.machine_id, split.samples.measured_power_watts
     shared_totals: dict[int, float] = {}  # c * H + h -> shared idle Wh
     notices: list[Notice] = []
@@ -272,7 +280,11 @@ def allocate_idle(
             measured = measured_watts[row]
             watts = measured if measured < rating else rating  # power.idle_watts
             if owner >= 0:
-                idle[ledger.row(owner + h)] += watts
+                cell = owner + h
+                at = rows_of[cell]
+                if at < 0:
+                    at = ledger.add(cell)
+                idle[at] += watts
             else:
                 ch = offset + h
                 shared_totals[ch] = shared_totals.get(ch, 0.0) + watts
@@ -289,7 +301,11 @@ def allocate_idle(
             idle[ledger.row(axes.user_base(UNALLOCATED_USER) + ch)] += total
             continue
         for u, fraction in zip(*entry):
-            idle[ledger.row(u * span + ch)] += fraction * total
+            cell = u * span + ch
+            at = rows_of[cell]
+            if at < 0:
+                at = ledger.add(cell)
+            idle[at] += fraction * total
     return notices
 
 

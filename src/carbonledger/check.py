@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add
 from typing import Mapping
 
 from .carbon import DEFAULT_PUE, EmissionsResult, compute_emissions
@@ -55,15 +56,37 @@ def _relative_gap(a: float, b: float) -> float:
 
 
 def closure_failures(bundle: Bundle, artifacts: RunArtifacts) -> list[str]:
-    """Every accounting identity that must hold after a run."""
+    """Every accounting identity that must hold after a run.
+
+    Measured watts are summed per (cluster, hour) in sample order, into a
+    slot per pair numbered by the positions of its cluster and hour among
+    the samples' own, so no key is built per sample. Each stage is read in
+    one pass that sums its Wh per cluster-hour and in total, the total
+    from 0 in row order like ``Ledger.total_wh``.
+    """
     failures: list[str] = []
 
-    measured: dict[tuple[str, object], float] = {}
-    cluster_of = {m.machine_id: m.cluster_id for m in bundle.machines}
     samples = bundle.power_samples
+    hours = list(dict.fromkeys(samples.hour))
+    hour_pos = {hour: h for h, hour in enumerate(hours)}
+    clusters: dict[str, int] = {}  # cluster -> its position
+    offset_of = {  # machine id -> its cluster's position times the hour count
+        m.machine_id: clusters.setdefault(m.cluster_id, len(clusters)) * len(hours) for m in bundle.machines
+    }
+
+    measured_at = [0.0] * (len(clusters) * len(hours))
+    seen = [False] * len(measured_at)
+    reached: list[int] = []  # slots in the order the samples first reach them
     for machine_id, hour, watts in zip(samples.machine_id, samples.hour, samples.measured_power_watts):
-        key = (cluster_of[machine_id], hour)
-        measured[key] = measured.get(key, 0.0) + watts
+        slot = offset_of[machine_id] + hour_pos[hour]
+        measured_at[slot] += watts
+        if not seen[slot]:
+            seen[slot] = True
+            reached.append(slot)
+    cluster_names = list(clusters)
+    measured = {  # (cluster, hour) -> measured Wh
+        (cluster_names[slot // len(hours)], hours[slot % len(hours)]): measured_at[slot] for slot in reached
+    }
 
     # Each measured cluster-hour's position c * H + h on the ledger's axes; one off them holds nothing.
     axes = artifacts.allocation.final.cells.axes
@@ -72,10 +95,14 @@ def closure_failures(bundle: Bundle, artifacts: RunArtifacts) -> list[str]:
     for cluster, hour in measured:
         c, h = axes.cluster_index.get(cluster), axes.hour_index.get(hour)
         at[cluster, hour] = span if c is None or h is None else c * len(axes.hours) + h
+    grand_totals: list[float] = []
     for ledger in artifacts.allocation.stages:
         totals = [0.0] * (span + 1)
-        for cell, idle, dynamic in zip(ledger.cells.ids, ledger.idle, ledger.dynamic):
-            totals[cell % span] += idle + dynamic
+        total = 0.0
+        for cell, wh in zip(ledger.cells.ids, map(add, ledger.idle, ledger.dynamic)):
+            totals[cell % span] += wh
+            total += wh
+        grand_totals.append(total)
         for key, expected in measured.items():
             got = totals[at[key]]
             if expected == 0.0:
@@ -86,7 +113,6 @@ def closure_failures(bundle: Bundle, artifacts: RunArtifacts) -> list[str]:
                     f"{ledger.stage}: cluster-hour {key} holds {got} Wh, measured {expected} Wh"
                 )
 
-    grand_totals = [ledger.total_wh() for ledger in artifacts.allocation.stages]
     for stage, total in zip(artifacts.allocation.stages, grand_totals):
         if _relative_gap(total, grand_totals[0]) > REL_TOL:
             failures.append(f"stage {stage.stage}: total {total} Wh drifted from {grand_totals[0]} Wh")

@@ -11,7 +11,7 @@ billed usage. Reported monthly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .carbon import EmissionsResult, co2_kg
 from .errors import BetaUndefinedError, NoBillableUsageError
@@ -67,7 +67,7 @@ def regional_intensity(
 ) -> dict[str, float]:
     """Carbon per energy (gCO2e/kWh) of a provider's load in each region.
 
-    ``region_sums`` maps each provider to its ``region -> [kgCO2e, IT Wh]``
+    ``region_sums`` maps each provider to its ``region -> (kgCO2e, IT Wh)``
     sums. PUE and grid differences are folded in because the numerator is
     the already-grossed-up footprint. Regions with zero energy are absent.
     """
@@ -132,12 +132,15 @@ def beta_overhead(total_scope_kg: float, billed_allocated_kg: float) -> float:
     return total_scope_kg / billed_allocated_kg
 
 
-def _add(sums: dict[str, list[float]], key: str, kg: float, wh: float) -> None:
-    acc = sums.get(key)
-    if acc is None:
-        acc = sums[key] = [0.0, 0.0]
-    acc[0] += kg
-    acc[1] += wh
+def _billed_kg(
+    month_billing: Iterable[SkuUsageRecord], allocation: MonthAllocation
+) -> Iterator[tuple[SkuUsageRecord, float]]:
+    """Each billed record of the month that a SKU rate and intensity cover, with its kgCO2e before beta."""
+    for rec in month_billing:
+        rate = allocation.rates.get(rec.sku_id)
+        intensity = allocation.adjusted.get((rec.sku_id, rec.region_id))
+        if rec.billing_account and rate is not None and intensity is not None:
+            yield rec, co2_kg(rate * rec.usage_units, intensity)
 
 
 def billing_months(billing: Iterable[SkuUsageRecord]) -> dict[str, list[SkuUsageRecord]]:
@@ -157,6 +160,12 @@ def compute_customer_footprints(
     Every user carrying energy in the month is in scope: its emissions
     must end up on customer reports, so overhead users inflate beta
     rather than disappearing.
+
+    Emission rows are read once, in ascending cell id, and summed into
+    flat lists indexed by position: kg and Wh per (month, user) and per
+    (provider, month, region), each sum in row order. A month's users
+    therefore come in axis order, the order the walk first meets them, and
+    each provider's regions in first-met order.
     """
     billing_by_month = billing_months(bundle.billing_usage)
     skus = bundle.sku_catalog
@@ -169,28 +178,74 @@ def compute_customer_footprints(
     provider_of_sku = {s.sku_id: s.provider_user for s in skus if not s.is_commitment}
     product_of_sku = {s.sku_id: s.product_id for s in skus}
 
-    # One pass in row order: [kg, Wh] per month and user, and per month, provider and region.
+    # One pass in ascending cell id sums kg and Wh per (month, user) at slot m * U + u, and per
+    # (provider, month, region) at slot (p * M + m) * R + r: m is a position among the axes'
+    # months, u on the users axis, p among the providers on it, r among its clusters' regions.
     axes = emissions.axes
-    hour_count = len(axes.hours)
-    months_at = [month_of(hour) for hour in axes.hours]
-    is_provider = set(providers)
-    user_sums: dict[str, dict[str, list[float]]] = {}
-    region_sums: dict[str, dict[str, dict[str, list[float]]]] = {}
+    span, hour_count, user_count = axes.span, len(axes.hours), len(axes.users)
+    month_pos: dict[str, int] = {}
+    month_at = [month_pos.setdefault(month_of(hour), len(month_pos)) for hour in axes.hours]  # h -> m
+    month_names = list(month_pos)
+    region_pos: dict[str, int] = {}
+    cluster_region = [  # c -> r, or -1 for a cluster off the zone map
+        region_pos.setdefault(region_of[cluster], len(region_pos)) if cluster in region_of else -1
+        for cluster in axes.clusters
+    ]
+    regions = list(region_pos)
+    on_axes = [provider for provider in providers if provider in axes.user_index]
+    month_count, region_count = len(month_names), len(regions)
+    user_slot = [m * user_count for _ in axes.clusters for m in month_at]  # ch -> m * U
+    region_slot = [-1 if r < 0 else m * region_count + r for r in cluster_region for m in month_at]  # ch -> m * R + r
+    provider_slot = [-1] * user_count  # u -> p * M * R, or -1 for a user that is not a provider
+    for p, provider in enumerate(on_axes):
+        provider_slot[axes.user_index[provider]] = p * month_count * region_count
+    # Lists rather than arrays: CPython specializes list subscripts, which halves the cost of each sum.
+    user_kg = [0.0] * (month_count * user_count)
+    user_wh = user_kg.copy()
+    user_seen = [False] * len(user_kg)
+    region_kg = [0.0] * (len(on_axes) * month_count * region_count)
+    region_wh = region_kg.copy()
+    region_seen = [False] * len(region_kg)
+    region_order: list[int] = []  # region slots in the order the walk first reached them
     for cell, wh, _, kg, _ in emissions.columns():
-        u, ch = divmod(cell, axes.span)
-        user, month = axes.users[u], months_at[ch % hour_count]
-        _add(user_sums.setdefault(month, {}), user, kg, wh)
-        if user in is_provider:
-            region = region_of[axes.clusters[ch // hour_count]]
-            _add(region_sums.setdefault(month, {}).setdefault(user, {}), region, kg, wh)
+        u, ch = divmod(cell, span)
+        i = user_slot[ch] + u
+        user_kg[i] += kg
+        user_wh[i] += wh
+        user_seen[i] = True
+        j = provider_slot[u]
+        if j >= 0:
+            r = region_slot[ch]
+            if r < 0:
+                raise KeyError(axes.clusters[ch // hour_count])
+            j += r
+            region_kg[j] += kg
+            region_wh[j] += wh
+            if not region_seen[j]:
+                region_seen[j] = True
+                region_order.append(j)
+
+    # month -> provider -> region -> (kg, Wh), each month's providers and each provider's
+    # regions in first-seen order.
+    region_sums: dict[str, dict[str, dict[str, tuple[float, float]]]] = {}
+    for j in region_order:
+        p, mr = divmod(j, month_count * region_count)
+        m, r = divmod(mr, region_count)
+        region_sums.setdefault(month_names[m], {}).setdefault(on_axes[p], {})[regions[r]] = region_kg[j], region_wh[j]
 
     notices: list[Notice] = []
     reports: list[FootprintReport] = []
     months: dict[str, MonthAllocation] = {}
     for month, month_billing in sorted(billing_by_month.items()):
-        sums_by_user = user_sums.get(month, {})
-        provider_kg = {user: kg for user, (kg, _) in sums_by_user.items()}
-        provider_wh = {user: wh for user, (_, wh) in sums_by_user.items()}
+        # Cells were walked in ascending id, so each month's users were first seen in axis order.
+        m = month_pos.get(month)
+        sums = [] if m is None else [
+            (user, user_kg[i], user_wh[i])
+            for user, i in zip(axes.users, range(m * user_count, (m + 1) * user_count))
+            if user_seen[i]
+        ]
+        provider_kg = {user: kg for user, kg, _ in sums}
+        provider_wh = {user: wh for user, _, wh in sums}
         total_scope_kg = sum(sorted(provider_kg.values()))
         if total_scope_kg <= 0.0:
             notices.append(Notice("empty-month", month, "no emissions in scope; month skipped"))
@@ -228,20 +283,16 @@ def compute_customer_footprints(
                     Notice("region-mismatch", provider, f"usage in {sorted(uncovered)} carries no energy in {month}")
                 )
 
+        # Two walks of the month's billed rows, one for beta's denominator and one for the
+        # account totals, hold nothing per row between them.
         billed_allocated_kg = 0.0
-        account_kg: list[tuple[tuple[str, str, str], float]] = []
-        for rec in month_billing:
-            rate = allocation.rates.get(rec.sku_id)
-            intensity = allocation.adjusted.get((rec.sku_id, rec.region_id))
-            if not rec.billing_account or rate is None or intensity is None:
-                continue
-            kg = co2_kg(rate * rec.usage_units, intensity)
+        for _, kg in _billed_kg(month_billing, allocation):
             billed_allocated_kg += kg
-            account_kg.append(((rec.billing_account, product_of_sku[rec.sku_id], rec.region_id), kg))
         allocation.beta = beta = beta_overhead(total_scope_kg, billed_allocated_kg)
         months[month] = allocation
         totals: dict[tuple[str, str, str], float] = {}
-        for key, kg in account_kg:
+        for rec, kg in _billed_kg(month_billing, allocation):
+            key = (rec.billing_account, product_of_sku[rec.sku_id], rec.region_id)
             totals[key] = totals.get(key, 0.0) + beta * kg
         reports.extend(
             FootprintReport(account, product, region, month, kg, beta)

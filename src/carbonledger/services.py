@@ -190,14 +190,22 @@ def apply_minor_realloc_round(
     Idle and dynamic components move in proportion, so component sums are
     conserved as exactly as the totals. Returns the new ledger, the total
     energy moved, and the energy moved per (provider, consumer, day).
-    Gains go into an idle and a dynamic gain column with a row per cell,
-    new cells appended as first reached, and are added after the walk,
-    which covers only the rows the round copied.
+
+    Only providers move energy, so the walk visits only the rows of users
+    some plan names as a provider: each one's rows are the slots of its
+    id range in the cell index, and those the round copied are walked in
+    ascending row order. Gains go into an idle and a dynamic gain column
+    with a row per cell, new cells appended as first reached, and are
+    added after the walk. Each plan sums what it moves to each target in a
+    float slot of its own; ``flows`` is built from those slots after the
+    walk, plans in the order the walk first reaches them, then targets in
+    plan order.
     """
     out = ledger.copy(stage)
     axes = ledger.cells.axes
     span, hour_count = axes.span, len(axes.hours)
-    # day -> provider's user index -> (provider, day, total fraction, [(consumer's first cell, consumer, fraction)])
+    # day -> provider's user index -> (provider, day, total fraction, outflows, [(slot, consumer's first
+    # cell, fraction)], moved per target slot); the moved slots are made when the walk first reaches the plan.
     compiled: dict[date, dict[int, tuple]] = {}
     for day, plan in plans.items():
         compiled[day] = providers = {}
@@ -206,26 +214,39 @@ def apply_minor_realloc_round(
             total_fraction = sum(f for _, f in outflows)
             if u is None or not outflows or total_fraction <= 0.0:
                 continue
-            targets = [(axes.user_base(consumer), consumer, fraction) for consumer, fraction in outflows]
-            providers[u] = (provider, day, total_fraction, targets)
+            targets = [
+                (slot, axes.user_base(consumer), fraction) for slot, (consumer, fraction) in enumerate(outflows)
+            ]
+            providers[u] = (provider, day, total_fraction, outflows, targets, [])
     providers_at = [compiled.get(day_of(hour)) for hour in axes.hours]  # per hour on the axis
 
-    rows_of, copied = ledger.cells.rows, len(ledger.idle)
+    rows_of, ids, copied = ledger.cells.rows, ledger.cells.ids, len(ledger.idle)
+    idle, dynamic = ledger.idle, ledger.dynamic
+    walked = sorted(
+        row
+        for u in {u for providers in compiled.values() for u in providers}
+        for row in rows_of[u * span:(u + 1) * span]
+        if 0 <= row < copied
+    )
     gain_idle = array("d", bytes(8 * copied))
     gain_dyn = array("d", gain_idle)
-    flows: dict[FlowKey, float] = {}
+    reached: list[tuple] = []
     moved_total = 0.0
 
-    for row, (cell, idle_wh, dynamic_wh) in enumerate(zip(ledger.cells.ids, ledger.idle, ledger.dynamic)):
-        u, ch = divmod(cell, span)
+    for row in walked:
+        u, ch = divmod(ids[row], span)
         providers = providers_at[ch % hour_count]
         if providers is None:
             continue
         plan = providers.get(u)
         if plan is None:
             continue
-        provider, day, total_fraction, targets = plan
-        for base, consumer, fraction in targets:
+        _, _, total_fraction, _, targets, moved = plan
+        if not moved:
+            moved += [0.0] * len(targets)
+            reached.append(plan)
+        idle_wh, dynamic_wh = idle[row], dynamic[row]
+        for slot, base, fraction in targets:
             idle_part = idle_wh * fraction
             dyn_part = dynamic_wh * fraction
             target = base + ch
@@ -237,7 +258,7 @@ def apply_minor_realloc_round(
             gain_idle[at] += idle_part
             gain_dyn[at] += dyn_part
             amount = idle_part + dyn_part
-            flows[(provider, consumer, day)] = flows.get((provider, consumer, day), 0.0) + amount
+            moved[slot] += amount
             moved_total += amount
         keep = 1.0 - total_fraction
         if keep < 0.0:  # guarded by the plan's rescale; float dust only
@@ -247,6 +268,11 @@ def apply_minor_realloc_round(
 
     _add_gains(out.idle, gain_idle, copied)
     _add_gains(out.dynamic, gain_dyn, copied)
+    flows: dict[FlowKey, float] = {
+        (provider, consumer, day): amount
+        for provider, day, _, outflows, _, moved in reached
+        for (consumer, _), amount in zip(outflows, moved)
+    }
     return out, moved_total, flows
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from dataclasses import astuple
 
@@ -298,3 +299,22 @@ def test_billing_rows_are_read_a_fixed_number_of_times():
             per_field[name] = max(per_field.get(name, 0), count)
         most.append(per_field)
     assert most == [most[0]] * 3
+
+
+@pytest.mark.parametrize("spec, digest", [
+    pytest.param(
+        ScenarioSpec(seed=5, machine_count=40, hours=720, cyclic_economy=True, include_unbilled_usage=True),
+        "a72786f0943cfb561a40fca085aca44e937a169b490ef6fb02c3fed72e6d5f58",
+        id="two-months",
+    ),
+    pytest.param(  # hundreds of the users are providers
+        ScenarioSpec(seed=7, machine_count=200, user_count=500, cluster_count=20, hours=12),
+        "757a2f3e385aa662a1e7021aba65de0d309f03547ec4b4e4dbf4b8dadb693d1a",
+        id="500-users",
+    ),
+])
+def test_month_allocations_keep_their_order_and_bits(spec, digest):
+    # Reports show neither the per-user sums nor their order; the SHA-256 of
+    # every month's ``repr`` pins provider_kg and provider_wh as ordered items.
+    months = run_end_to_end(generate(spec)).footprints.months
+    assert hashlib.sha256(repr(list(months.items())).encode()).hexdigest() == digest

@@ -1,11 +1,14 @@
 import gc
+import hashlib
 import tracemalloc
+from array import array
+from dataclasses import replace
 from datetime import date
 
 import pytest
 from hypothesis import given, strategies as st
 
-from carbonledger.allocation import STAGE_MACHINE
+from carbonledger.allocation import STAGE_MACHINE, Ledger
 from carbonledger.check import closure_failures, compare_with_oracle, run_end_to_end
 from carbonledger.model import (
     Bundle,
@@ -296,6 +299,53 @@ def test_minor_round_moves_components_proportionally():
     assert sum(cells[("k", "c0", H(0))]) == pytest.approx(75.0, rel=1e-12)
 
 
+def test_three_providers_paying_one_cell_add_in_row_order():
+    # Three providers pay "c" in one cluster-hour. Their rows are not in id
+    # order, and these sums change bits in other orders (id order gives 0.6
+    # idle Wh): gains and the moved total add in row order, and flows come
+    # in the order rows first reach each plan, then in target order.
+    ledger = ledger_of({
+        ("p3", "c0", H(0)): (0.2, 2.0),
+        ("p1", "c0", H(0)): (0.4, 2e16),
+        ("c", "c0", H(1)): (2.0, 3.0),
+        ("p2", "c0", H(0)): (0.6, 2.0),
+    }, users=["d"])
+    plans = {DAY: {"p2": [("c", 0.5), ("d", 0.25)], "p3": [("c", 0.5)], "p1": [("c", 0.5)]}}
+    result, moved, flows = apply_minor_realloc_round(ledger, plans, "after_minor_round_1")
+    assert repr(cells_of(result)[("c", "c0", H(0))]) == "(0.6000000000000001, 1e+16)"
+    assert repr(list(flows.items())) == (
+        "[(('p3', 'c', datetime.date(2023, 6, 5)), 1.1), (('p1', 'c', datetime.date(2023, 6, 5)), 1e+16), "
+        "(('p2', 'c', datetime.date(2023, 6, 5)), 1.3), (('p2', 'd', datetime.date(2023, 6, 5)), 0.65)]"
+    )
+    assert repr(moved) == "1.0000000000000004e+16"
+
+
+def flows_digest(result) -> str:
+    """SHA-256 of the ``repr`` of every round's flows, as ordered items, and of the moved totals."""
+    flows = [list(f.items()) for f in result.round_flows]
+    return hashlib.sha256(repr((flows, result.round_moved_wh)).encode()).hexdigest()
+
+
+def test_round_flows_keep_their_order_and_bits():
+    result = run_allocation_pipeline(generate(preset_spec("sankey-small")))
+    day = "datetime.date(2023, 6, 5)"
+    assert repr([list(f.items()) for f in result.round_flows]) == (
+        f"[[(('blobstore', 'ads', {day}), 1296000.0), (('blobstore', 'cloud-storage', {day}), 11664000.0), "
+        f"(('cloud-storage', 'user-one', {day}), 1080000.0), (('cloud-storage', 'user-two', {day}), 1080000.0)], "
+        f"[(('blobstore', 'ads', {day}), 0.0), (('blobstore', 'cloud-storage', {day}), 0.0), "
+        f"(('cloud-storage', 'user-one', {day}), 5832000.0), (('cloud-storage', 'user-two', {day}), 5832000.0)]]"
+    )
+    assert repr(result.round_moved_wh) == "[15120000.0, 11664000.0]"
+    seeded = ScenarioSpec(seed=5, machine_count=300, cyclic_economy=True, include_unbilled_usage=True)
+    assert flows_digest(run_allocation_pipeline(generate(seeded))) == (
+        "e727055774cef451a927c874c8c9260c21da7c06d444704b2a7a6243ee56a7a8"
+    )
+    deeper = replace(seeded, user_count=12, economy_depth=4)
+    assert flows_digest(run_allocation_pipeline(generate(deeper), rounds=3)) == (
+        "1c0c22b7ffea3d3624f53ea7d9686c5fe1919d2c8a8cd9fb92c23c6bb42c5415"
+    )
+
+
 def test_two_rounds_resolve_service_chain():
     # Upstream storage -> intermediate service -> end users, as in the
     # sankey-small preset; after two rounds both providers hold nothing.
@@ -384,6 +434,18 @@ def test_an_earlier_stage_cannot_start_a_new_one():
     with pytest.raises(ValueError, match="not the latest stage"):
         machine.add(new_cell)
     assert cells_of(machine) == before and machine.cells.rows[new_cell] == -1
+
+
+def test_a_stage_behind_its_shared_index_cannot_append():
+    # A second ledger on the same index appends a cell, so the first one's
+    # rows no longer end where the index does.
+    ledger = ledger_of({("a", "c0", H(0)): (1.0, 2.0), ("a", "c0", H(1)): (3.0, 4.0)}, users=["b"])
+    axes = ledger.cells.axes
+    other = Ledger("other", ledger.cells, array("d", ledger.idle), array("d", ledger.dynamic))
+    assert other.add(axes.cell("b", "c0", H(0))) == 2
+    with pytest.raises(ValueError, match="not the latest stage"):
+        ledger.add(axes.cell("b", "c0", H(1)))
+    assert len(ledger.cells) == 3 and ledger.cells.rows[axes.cell("b", "c0", H(1))] == -1
 
 
 def cli_1k_bundle():
