@@ -78,10 +78,15 @@ class Axes:
     def cell(self, user: str, cluster: str, hour: datetime) -> int:
         return self.user_base(user) + self.cluster_index[cluster] * len(self.hours) + self.hour_index[hour]
 
+    def cluster_hour(self, ch: int) -> tuple[str, datetime]:
+        """The (cluster, hour) of cluster-hour ``c * H + h``."""
+        c, h = divmod(ch, len(self.hours))
+        return self.clusters[c], self.hours[h]
+
     def key(self, cell: int) -> LedgerKey:
         u, ch = divmod(cell, self.span)
-        c, h = divmod(ch, len(self.hours))
-        return self.users[u], self.clusters[c], self.hours[h]
+        cluster, hour = self.cluster_hour(ch)
+        return self.users[u], cluster, hour
 
 
 def machine_axes(split: FleetSplit, machines: Sequence[MachineRecord], *users: Iterable[str]) -> Axes:
@@ -294,10 +299,8 @@ def allocate_idle(
             continue
         entry = shares[ch]
         if entry is None:
-            c, h = divmod(ch, hour_count)
-            notices.append(
-                Notice("unallocated-idle", axes.clusters[c], f"no weighted allocations at {format_hour(axes.hours[h])}")
-            )
+            cluster, hour = axes.cluster_hour(ch)
+            notices.append(Notice("unallocated-idle", cluster, f"no weighted allocations at {format_hour(hour)}"))
             idle[ledger.row(axes.user_base(UNALLOCATED_USER) + ch)] += total
             continue
         for u, fraction in zip(*entry):
@@ -407,15 +410,9 @@ def build_machine_ledger(
     machines: Sequence[MachineRecord],
     allocations: ResourceAllocationTable,
     usage: GcuUsageTable,
-    axes: Axes | None = None,
+    axes: Axes,
 ) -> tuple[Ledger, list[Notice]]:
-    """Machine-stage ledger: idle plus dynamic, before any reallocation.
-
-    ``axes`` defaults to the machine stage's own users (owners, allocation
-    and usage users, the overhead user).
-    """
-    if axes is None:
-        axes = machine_axes(split, machines, allocations.user, usage.user)
+    """Machine-stage ledger on the run's axes: idle plus dynamic, before any reallocation."""
     ledger = Ledger(STAGE_MACHINE, CellIndex(axes))
     notices = allocate_idle(ledger, split, machines, allocations)
     notices += allocate_dynamic(ledger, split, machines, usage, allocations)

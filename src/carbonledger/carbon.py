@@ -128,7 +128,6 @@ def compute_emissions(
     annual = {(r.zone_id, r.year): r.intensity_g_per_kwh for r in bundle.annual_intensity}
     axes = ledger.cells.axes
     notices: list[Notice] = []
-    hour_count = len(axes.hours)
     # Per cluster-hour c * H + h: PUE (None when missing), whether a missing
     # PUE was noticed, and the resolved (intensity, source).
     pue_at: list[float | None] = [pue_by_key.get((c, h)) for c in axes.clusters for h in axes.hours]
@@ -141,10 +140,10 @@ def compute_emissions(
         ch = cell % axes.span
         if pue_at[ch] is None and not pue_noticed[ch] and idle[row] + dynamic[row] > 0.0:
             pue_noticed[ch] = 1
-            cluster, hour = axes.clusters[ch // hour_count], axes.hours[ch % hour_count]
+            cluster, hour = axes.cluster_hour(ch)
             notices.append(Notice("missing-pue", cluster, f"default {default_pue} used at {format_hour(hour)}"))
         if resolved[ch] is None:
-            cluster, hour = axes.clusters[ch // hour_count], axes.hours[ch % hour_count]
+            cluster, hour = axes.cluster_hour(ch)
             try:
                 resolved[ch] = resolve_intensity(cluster, hour, zone_of, hourly, annual)
             except MissingIntensityError:

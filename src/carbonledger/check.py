@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from operator import add
 from typing import Mapping
 
-from .carbon import DEFAULT_PUE, EmissionsResult, compute_emissions
+from .carbon import DEFAULT_PUE, EmissionsResult, co2_kg, compute_emissions
 from .footprint import FootprintResult, billing_months, compute_customer_footprints
 from .model import Bundle
 from .oracle import oracle_allocate
@@ -58,59 +58,47 @@ def _relative_gap(a: float, b: float) -> float:
 def closure_failures(bundle: Bundle, artifacts: RunArtifacts) -> list[str]:
     """Every accounting identity that must hold after a run.
 
-    Measured watts are summed per (cluster, hour) in sample order, into a
-    slot per pair numbered by the positions of its cluster and hour among
-    the samples' own, so no key is built per sample. Each stage is read in
-    one pass that sums its Wh per cluster-hour and in total, the total
-    from 0 in row order like ``Ledger.total_wh``.
+    Cluster-hours are numbered ``c * H + h`` on the run's axes, the only
+    numbering used. Measured watts are summed per cluster-hour in sample
+    order, and each stage is read in one pass that sums its Wh per
+    cluster-hour and in total, the total from 0 in row order like
+    ``Ledger.total_wh``. Every cluster-hour of the axes is compared, so
+    energy in one that no sample reached is a failure. A sample whose
+    cluster or hour is off the axes (the artifacts come from another
+    bundle) gives one failure naming it and ends the check. Emitted
+    carbon is derived from the final stage's Wh per cluster-hour and the
+    PUE and intensity the emissions applied there.
     """
-    failures: list[str] = []
-
-    samples = bundle.power_samples
-    hours = list(dict.fromkeys(samples.hour))
-    hour_pos = {hour: h for h, hour in enumerate(hours)}
-    clusters: dict[str, int] = {}  # cluster -> its position
-    offset_of = {  # machine id -> its cluster's position times the hour count
-        m.machine_id: clusters.setdefault(m.cluster_id, len(clusters)) * len(hours) for m in bundle.machines
-    }
-
-    measured_at = [0.0] * (len(clusters) * len(hours))
-    seen = [False] * len(measured_at)
-    reached: list[int] = []  # slots in the order the samples first reach them
-    for machine_id, hour, watts in zip(samples.machine_id, samples.hour, samples.measured_power_watts):
-        slot = offset_of[machine_id] + hour_pos[hour]
-        measured_at[slot] += watts
-        if not seen[slot]:
-            seen[slot] = True
-            reached.append(slot)
-    cluster_names = list(clusters)
-    measured = {  # (cluster, hour) -> measured Wh
-        (cluster_names[slot // len(hours)], hours[slot % len(hours)]): measured_at[slot] for slot in reached
-    }
-
-    # Each measured cluster-hour's position c * H + h on the ledger's axes; one off them holds nothing.
     axes = artifacts.allocation.final.cells.axes
-    span = axes.span
-    at: dict[tuple[str, object], int] = {}
-    for cluster, hour in measured:
-        c, h = axes.cluster_index.get(cluster), axes.hour_index.get(hour)
-        at[cluster, hour] = span if c is None or h is None else c * len(axes.hours) + h
+    span, hour_index = axes.span, axes.hour_index
+    offset_of = {  # machine id -> c * H; a cluster off the axes takes c = C, so its samples' slots are span or more
+        m.machine_id: axes.cluster_index.get(m.cluster_id, len(axes.clusters)) * len(axes.hours) for m in bundle.machines
+    }
+    samples = bundle.power_samples
+    measured = [0.0] * span  # c * H + h -> measured Wh
+    try:
+        for machine_id, hour, watts in zip(samples.machine_id, samples.hour, samples.measured_power_watts):
+            measured[offset_of[machine_id] + hour_index[hour]] += watts
+    except (IndexError, KeyError):  # an index of span or more, or an hour off the axes
+        cluster = next((m.cluster_id for m in bundle.machines if m.machine_id == machine_id), None)
+        return [f"power sample of {machine_id} at {(cluster, hour)} is off the run's cluster-hours"]
+
+    failures: list[str] = []
     grand_totals: list[float] = []
     for ledger in artifacts.allocation.stages:
-        totals = [0.0] * (span + 1)
+        totals = [0.0] * span
         total = 0.0
         for cell, wh in zip(ledger.cells.ids, map(add, ledger.idle, ledger.dynamic)):
             totals[cell % span] += wh
             total += wh
         grand_totals.append(total)
-        for key, expected in measured.items():
-            got = totals[at[key]]
+        for ch, (got, expected) in enumerate(zip(totals, measured)):
             if expected == 0.0:
                 if not abs(got) <= 1e-6:
-                    failures.append(f"{ledger.stage}: energy {got} appeared in powerless {key}")
+                    failures.append(f"{ledger.stage}: energy {got} appeared in powerless {axes.cluster_hour(ch)}")
             elif _relative_gap(got, expected) > REL_TOL:
                 failures.append(
-                    f"{ledger.stage}: cluster-hour {key} holds {got} Wh, measured {expected} Wh"
+                    f"{ledger.stage}: cluster-hour {axes.cluster_hour(ch)} holds {got} Wh, measured {expected} Wh"
                 )
 
     for stage, total in zip(artifacts.allocation.stages, grand_totals):
@@ -120,47 +108,39 @@ def closure_failures(bundle: Bundle, artifacts: RunArtifacts) -> list[str]:
     provider_of_sku = {s.sku_id: s.provider_user for s in bundle.sku_catalog if not s.is_commitment}
     billing_by_month = billing_months(bundle.billing_usage)
     for month, allocation in artifacts.footprints.months.items():
-        usage_by_sku: dict[str, float] = {}
-        usage_by_sku_region: dict[tuple[str, str], float] = {}
+        sku_sums: dict[str, list[float]] = {}  # provider -> [SKU Wh, SKU kg]
         for rec in billing_by_month.get(month, ()):
-            usage_by_sku[rec.sku_id] = usage_by_sku.get(rec.sku_id, 0.0) + rec.usage_units
-            key = (rec.sku_id, rec.region_id)
-            usage_by_sku_region[key] = usage_by_sku_region.get(key, 0.0) + rec.usage_units
-
-        allocated_wh: dict[str, float] = {}
-        for sku_id, rate in allocation.rates.items():
-            provider = provider_of_sku[sku_id]
-            allocated_wh[provider] = allocated_wh.get(provider, 0.0) + rate * usage_by_sku.get(sku_id, 0.0)
-        for provider, wh in allocated_wh.items():
+            rate = allocation.rates.get(rec.sku_id)
+            if rate is None:
+                continue
+            wh = rate * rec.usage_units
+            sums = sku_sums.setdefault(provider_of_sku[rec.sku_id], [0.0, 0.0])
+            sums[0] += wh
+            intensity = allocation.adjusted.get((rec.sku_id, rec.region_id))
+            if intensity is not None:
+                sums[1] += co2_kg(wh, intensity)
+        for provider in allocation.alpha:
+            wh, kg = sku_sums.get(provider, (0.0, 0.0))
             expected = allocation.provider_wh.get(provider, 0.0)
             if _relative_gap(wh, expected) > REL_TOL:
                 failures.append(
                     f"{month}: provider {provider} SKU energy {wh} Wh != ledger energy {expected} Wh"
                 )
-
-        allocated_kg: dict[str, float] = {}
-        for (sku_id, region), units in usage_by_sku_region.items():
-            intensity = allocation.adjusted.get((sku_id, region))
-            if intensity is None:
-                continue
-            provider = provider_of_sku[sku_id]
-            allocated_kg[provider] = allocated_kg.get(provider, 0.0) + (
-                allocation.rates[sku_id] * units * intensity / 1e6
-            )
-        for provider in allocation.alpha:
             expected = allocation.provider_kg.get(provider, 0.0)
-            if _relative_gap(allocated_kg.get(provider, 0.0), expected) > REL_TOL:
-                failures.append(
-                    f"{month}: provider {provider} SKU carbon {allocated_kg.get(provider, 0.0)} kg "
-                    f"!= footprint {expected} kg"
-                )
+            if _relative_gap(kg, expected) > REL_TOL:
+                failures.append(f"{month}: provider {provider} SKU carbon {kg} kg != footprint {expected} kg")
 
         scope_kg = sum(allocation.provider_kg.values())
         reported_kg = sum(r.kg_co2e for r in artifacts.footprints.reports if r.month == month)
         if _relative_gap(reported_kg, scope_kg) > REL_TOL:
             failures.append(f"{month}: customer reports total {reported_kg} kg != scope {scope_kg} kg")
 
-    emitted_kg = artifacts.emissions.total_kg()
+    # ``totals`` holds the final stage's Wh per cluster-hour, the ledger the emissions were derived
+    # from; a cluster-hour with no cell holds 0 and has no intensity resolved.
+    emissions = artifacts.emissions
+    emitted_kg = sum(
+        co2_kg(wh * emissions.pue[ch], emissions.resolved[ch][0]) for ch, wh in enumerate(totals) if wh != 0.0
+    )
     reported_kg = artifacts.footprints.total_kg()
     if _relative_gap(reported_kg, emitted_kg) > REL_TOL:
         failures.append(f"customer reports total {reported_kg} kg != emitted {emitted_kg} kg")

@@ -182,7 +182,7 @@ def compute_customer_footprints(
     # (provider, month, region) at slot (p * M + m) * R + r: m is a position among the axes'
     # months, u on the users axis, p among the providers on it, r among its clusters' regions.
     axes = emissions.axes
-    span, hour_count, user_count = axes.span, len(axes.hours), len(axes.users)
+    span, user_count = axes.span, len(axes.users)
     month_pos: dict[str, int] = {}
     month_at = [month_pos.setdefault(month_of(hour), len(month_pos)) for hour in axes.hours]  # h -> m
     month_names = list(month_pos)
@@ -217,7 +217,7 @@ def compute_customer_footprints(
         if j >= 0:
             r = region_slot[ch]
             if r < 0:
-                raise KeyError(axes.clusters[ch // hour_count])
+                raise KeyError(axes.cluster_hour(ch)[0])
             j += r
             region_kg[j] += kg
             region_wh[j] += wh

@@ -1,6 +1,6 @@
 from datetime import datetime, timedelta, timezone
 
-from carbonledger.allocation import STAGE_MACHINE, Axes, CellIndex, Ledger
+from carbonledger.allocation import STAGE_MACHINE, Axes, CellIndex, Ledger, build_machine_ledger, machine_axes
 from carbonledger.model import (
     MachineRecord,
     PowerSample,
@@ -26,6 +26,17 @@ def ledger_of(cells: dict, stage: str = STAGE_MACHINE, users=()) -> Ledger:
     ledger = Ledger(stage, CellIndex(axes))
     credit(ledger, cells)
     return ledger
+
+
+def machine_ledger(split, machines, allocations, usage, axes=None):
+    """``build_machine_ledger`` on ``axes``, by default the machine stage's own.
+
+    Those hold the split's hours, the machines' clusters, and the owners,
+    the allocation and usage users and the overhead user.
+    """
+    if axes is None:
+        axes = machine_axes(split, machines, allocations.user, usage.user)
+    return build_machine_ledger(split, machines, allocations, usage, axes)
 
 
 def credit(ledger: Ledger, cells: dict) -> None:

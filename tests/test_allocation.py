@@ -30,7 +30,7 @@ from carbonledger.model import (
 from carbonledger.power import split_fleet
 from carbonledger.simulate import ScenarioSpec, generate
 
-from conftest import H, alloc, cells_of, credit, dedicated_machine, ledger_of, sample, shared_machine
+from conftest import H, alloc, cells_of, credit, dedicated_machine, ledger_of, machine_ledger, sample, shared_machine
 
 
 def idle_of(split, machines, allocations):
@@ -176,7 +176,7 @@ def test_allocate_dynamic_night_split_with_idle_totals():
     machines = [shared_machine("m0", idle=6e6)]
     split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 12e6)]))
     usage = GcuUsageTable([GcuUsageRecord("prod", "m0", H(0), 30.0), GcuUsageRecord("non-prod", "m0", H(0), 30.0)])
-    ledger, _ = build_machine_ledger(split, machines, ResourceAllocationTable([alloc("prod", gcu=100.0)]), usage)
+    ledger, _ = machine_ledger(split, machines, ResourceAllocationTable([alloc("prod", gcu=100.0)]), usage)
     cells = cells_of(ledger)
     assert sum(cells[("prod", "c0", H(0))]) == pytest.approx(9e6, rel=1e-12)
     assert sum(cells[("non-prod", "c0", H(0))]) == pytest.approx(3e6, rel=1e-12)
@@ -265,7 +265,7 @@ def test_machine_ledger_conserves_measured_power(data):
                 usage.append(GcuUsageRecord(user, f"m{i}", H(0), data.draw(positive, label=f"g{i}{user}")))
     allocations = ResourceAllocationTable(alloc(u, gcu=data.draw(positive, label=f"alloc-{u}")) for u in users)
     split = split_fleet(machines, samples)
-    ledger, _ = build_machine_ledger(split, machines, allocations, usage)
+    ledger, _ = machine_ledger(split, machines, allocations, usage)
     measured_total = sum(s.measured_power_watts for s in samples)
     assert ledger.total_wh() == pytest.approx(measured_total, rel=1e-9)
 
@@ -275,12 +275,12 @@ def test_permuting_user_labels_permutes_outputs():
     samples = PowerSampleTable([sample("m0", 0, 120.0)])
     usage = GcuUsageTable([GcuUsageRecord("a", "m0", H(0), 3.0), GcuUsageRecord("b", "m0", H(0), 1.0)])
     allocations = ResourceAllocationTable([alloc("a", gcu=1.0), alloc("b", gcu=3.0)])
-    ledger, _ = build_machine_ledger(split_fleet(machines, samples), machines, allocations, usage)
+    ledger, _ = machine_ledger(split_fleet(machines, samples), machines, allocations, usage)
 
     swap = {"a": "b", "b": "a"}
     usage_swapped = GcuUsageTable(GcuUsageRecord(swap[u.user], u.machine_id, u.hour, u.gcu_used) for u in usage)
     allocations_swapped = ResourceAllocationTable(alloc(swap[a.user], gcu=a.gcu) for a in allocations)
-    ledger_swapped, _ = build_machine_ledger(
+    ledger_swapped, _ = machine_ledger(
         split_fleet(machines, samples), machines, allocations_swapped, usage_swapped
     )
     swapped = cells_of(ledger_swapped)
@@ -293,7 +293,7 @@ def machine_stage(bundle, samples, usage):
     allocations = bundle.resource_allocations
     idle, _ = idle_of(split, bundle.machines, allocations)
     dynamic, _ = dynamic_of(split, bundle.machines, usage, allocations)
-    ledger, _ = build_machine_ledger(split, bundle.machines, allocations, usage)
+    ledger, _ = machine_ledger(split, bundle.machines, allocations, usage)
     return idle, dynamic, cells_of(ledger)
 
 
@@ -359,7 +359,7 @@ def test_machine_ledger_on_wide_axes_holds_the_same_cells():
     machines = [shared_machine("m0", idle=10.0)]
     split = split_fleet(machines, PowerSampleTable([sample("m0", 0, 30.0)]))
     allocations = ResourceAllocationTable([alloc("a", gcu=1.0)])
-    own, _ = build_machine_ledger(split, machines, allocations, GcuUsageTable())
+    own, _ = machine_ledger(split, machines, allocations, GcuUsageTable())
     wide_axes = Axes(["a", UNALLOCATED_USER, *(f"u{i}" for i in range(10))], ["c0"], [H(0)])
     wide, _ = build_machine_ledger(split, machines, allocations, GcuUsageTable(), wide_axes)
     assert isinstance(wide.cells.rows, array) and wide.cells.rows.typecode == "i"
@@ -370,7 +370,7 @@ def test_machine_ledger_on_wide_axes_holds_the_same_cells():
 def machine_rows(machines, samples, allocations, usage, axes=None):
     """The machine-stage ledger's rows, in row order, and its notices."""
     split = split_fleet(machines, PowerSampleTable(samples))
-    ledger, notices = build_machine_ledger(
+    ledger, notices = machine_ledger(
         split, machines, ResourceAllocationTable(allocations), GcuUsageTable(usage), axes
     )
     return list(ledger.rows()), notices
@@ -472,7 +472,7 @@ def test_machine_ledger_peaks_under_0_85_mib(fleet_1k):
     # peaked at 1.16 MiB here; position-indexed 4-byte chains at 0.63.
     bundle, split, _ = fleet_1k
     (ledger, _), _, peak = traced(
-        lambda: build_machine_ledger(split, bundle.machines, bundle.resource_allocations, bundle.gcu_usage)
+        lambda: machine_ledger(split, bundle.machines, bundle.resource_allocations, bundle.gcu_usage)
     )
     assert len(ledger.idle) > 10_000
     assert peak <= 0.85 * 2**20

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from carbonledger.errors import InputError
-from carbonledger.allocation import build_machine_ledger
 from carbonledger.model import Bundle, GcuUsageTable, PowerSampleTable, ResourceAllocationTable, ZoneMapRow
 from carbonledger.power import idle_watts, split_fleet
 from carbonledger.simulate import ScenarioSpec, generate
 from carbonledger.tables import validate_bundle
 
-from conftest import H, cells_of, dedicated_machine, sample, shared_machine
+from conftest import H, cells_of, dedicated_machine, machine_ledger, sample, shared_machine
 
 watts = st.floats(min_value=0.0, max_value=1e7, allow_nan=False, allow_infinity=False)
 
@@ -36,7 +35,7 @@ def split_one(rating, measured):
     machines = [dedicated_machine(idle=rating)]
     split = split_fleet(machines, samples)
     [(_, _, idle, dynamic)] = split_rows(split, machines)
-    ledger, _ = build_machine_ledger(split, machines, ResourceAllocationTable(), GcuUsageTable())
+    ledger, _ = machine_ledger(split, machines, ResourceAllocationTable(), GcuUsageTable())
     assert cells_of(ledger) == {("alice", "c0", H(0)): (idle, dynamic)}
     return idle, dynamic
 
