@@ -46,9 +46,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
+from carbonledger.cli import REPORTS  # noqa: E402
 from carbonledger.simulate import PRESETS  # noqa: E402
 
-REPORTS = ("user_energy.csv", "emissions.csv", "footprint_report.csv", "flow_summary.csv")
 SEED5 = ["--seed", "5", "--machines", "300", "--cyclic-economy", "--unbilled-usage"]
 #: case → (simulate options, run options)
 CASES = {name: (["--preset", name], []) for name in PRESETS}

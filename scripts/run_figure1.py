@@ -31,7 +31,7 @@ def main() -> None:
             + " ".join(f"{v / 1e6:>10.2f}MW" for v in values)
             + f" {sum(values) / 1e6:>10.2f}MW"
         )
-    print(f"\ntotal emissions: {artifacts.emissions.total_kg():,.1f} kgCO2e")
+    print(f"\ntotal emissions: {artifacts.footprints.total_kg():,.1f} kgCO2e")
 
 
 if __name__ == "__main__":

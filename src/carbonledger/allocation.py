@@ -48,20 +48,22 @@ class Axes:
     where ``u``, ``c`` and ``h`` are positions on the axes and ``C`` and
     ``H`` their lengths. Ascending ids are therefore ascending
     ``(user, cluster, hour)`` keys, and ``cell % (C * H)`` is the cell's
-    cluster-hour, ``c * H + h``.
+    cluster-hour, ``c * H + h``. ``cluster_offset`` maps each cluster to
+    its ``c * H``.
     """
 
-    __slots__ = ("users", "clusters", "hours", "user_index", "cluster_index", "hour_index", "span")
+    __slots__ = ("users", "clusters", "hours", "user_index", "cluster_offset", "hour_index", "span")
 
     def __init__(self, users: Iterable[str], clusters: Iterable[str], hours: Iterable[datetime]) -> None:
         self.users = sorted(set(users))
         self.clusters = sorted(set(clusters))
         self.hours = sorted(set(hours))
         self.user_index = {user: u for u, user in enumerate(self.users)}
-        self.cluster_index = {cluster: c for c, cluster in enumerate(self.clusters)}
+        hour_count = len(self.hours)
+        self.cluster_offset = {cluster: c * hour_count for c, cluster in enumerate(self.clusters)}
         self.hour_index = {hour: h for h, hour in enumerate(self.hours)}
         #: Cells per user: every cluster-hour.
-        self.span = len(self.clusters) * len(self.hours)
+        self.span = len(self.clusters) * hour_count
 
     @property
     def size(self) -> int:
@@ -76,7 +78,7 @@ class Axes:
         return u * self.span
 
     def cell(self, user: str, cluster: str, hour: datetime) -> int:
-        return self.user_base(user) + self.cluster_index[cluster] * len(self.hours) + self.hour_index[hour]
+        return self.user_base(user) + self.cluster_offset[cluster] + self.hour_index[hour]
 
     def cluster_hour(self, ch: int) -> tuple[str, datetime]:
         """The (cluster, hour) of cluster-hour ``c * H + h``."""
@@ -217,18 +219,17 @@ def idle_share_table(allocations: ResourceAllocationTable, axes: Axes) -> list[t
     Rows whose cluster or hour is off the axes are skipped; a weighted row
     whose user is off them raises ``ValueError``.
     """
-    hour_count, span = len(axes.hours), axes.span
-    cluster_index, hour_index = axes.cluster_index, axes.hour_index
+    span, cluster_offset, hour_index = axes.span, axes.cluster_offset, axes.hour_index
     shares: list[tuple[array, array] | None] = [None] * span
     at = array("i", [-1]) * axes.size  # cell -> the user's position in its cluster-hour's entry, or -1
     weights = map(weighted_allocation, allocations.gcu, allocations.ram_gib, allocations.ssd_tib, allocations.hdd_tib)
     for user, cluster, hour, w in zip(allocations.user, allocations.cluster_id, allocations.hour, weights):
         if w == 0.0:
             continue
-        c, h = cluster_index.get(cluster), hour_index.get(hour)
-        if c is None or h is None:
+        offset, h = cluster_offset.get(cluster), hour_index.get(hour)
+        if offset is None or h is None:
             continue
-        ch = c * hour_count + h
+        ch = offset + h
         cell = axes.user_base(user) + ch
         entry = shares[ch]
         if entry is None:
@@ -264,12 +265,12 @@ def allocate_idle(
     index themselves and call ``Ledger.add`` only for a cell new to it.
     """
     axes = ledger.cells.axes
-    hour_count, span = len(axes.hours), axes.span
+    span = axes.span
     # machine id -> (c * H, the id of the idle owner's (cluster, first hour) cell or -1 when
     # shared, the idle rating)
     placed: dict[str, tuple[int, int, float]] = {}
     for m in machines:
-        offset = axes.cluster_index[m.cluster_id] * hour_count
+        offset = axes.cluster_offset[m.cluster_id]
         owner = axes.user_base(m.owner_user or UNALLOCATED_USER) + offset if m.sharing is Sharing.DEDICATED else -1
         placed[m.machine_id] = offset, owner, m.idle_rating_watts
     shares = idle_share_table(allocations, axes)
@@ -334,9 +335,7 @@ def allocate_dynamic(
     naming a machine not in ``machines`` are never threaded.
     """
     axes = ledger.cells.axes
-    hour_count = len(axes.hours)
     position = {m.machine_id: p for p, m in enumerate(machines)}  # the last record of an id wins
-    offset_of = {cluster: c * hour_count for cluster, c in axes.cluster_index.items()}  # cluster -> c * H
     machine_ids, measured_watts = split.samples.machine_id, split.samples.measured_power_watts
     usage_users, usage_machines, gcu_used = usage.user, usage.machine_id, usage.gcu_used
     usage_by_hour: dict[datetime, array] = {}
@@ -349,7 +348,7 @@ def allocate_dynamic(
         rows.append(row)
 
     shares = idle_share_table(allocations, axes)
-    span = axes.span
+    span, cluster_offset = axes.span, axes.cluster_offset
     base_of = {user: u * span for user, u in axes.user_index.items()}
     rows_of, dynamic = ledger.cells.rows, ledger.dynamic
     notices: list[Notice] = []
@@ -374,7 +373,7 @@ def allocate_dynamic(
             watts = measured - (measured if measured < rating else rating)  # measured - power.idle_watts
             if watts == 0.0:
                 continue
-            ch = offset_of[machine.cluster_id] + h
+            ch = cluster_offset[machine.cluster_id] + h
             i = first[p]
             if i >= 0:
                 total, j = 0.0, i

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from itertools import product
 from typing import Iterator, Mapping
 
 from .allocation import Axes, Ledger, LedgerKey
@@ -63,17 +64,17 @@ def resolve_intensity(
 class EmissionsResult:
     """Emissions of every final-ledger cell, derived on demand in ascending cell id.
 
-    Stores nothing per cell: only the final ledger, how many of its cells
-    the result covers, and per cluster-hour ``c * H + h`` the PUE applied
-    there (the default where the feed has none) and the resolved
-    ``(intensity, source)`` (``None`` where no cell lies). A row's IT Wh
-    is the cell's idle plus dynamic Wh, its total Wh is IT Wh times the
-    PUE, and its kgCO2e is ``co2_kg(total Wh, intensity)``. Ascending ids
-    are (user, cluster, hour) order.
+    Stores nothing per cell: only the final ledger, whose every cell is a
+    row (no stage appends to it once emissions are computed), and per
+    cluster-hour ``c * H + h`` the PUE applied there (the default where
+    the feed has none) and the resolved ``(intensity, source)`` (``None``
+    where no cell lies). A row's IT Wh is the cell's idle plus dynamic Wh,
+    its total Wh is IT Wh times the PUE, and its kgCO2e is
+    ``co2_kg(total Wh, intensity)``. Ascending ids are (user, cluster,
+    hour) order.
     """
 
     ledger: Ledger
-    count: int
     pue: list[float]
     resolved: list[tuple[float, IntensitySource] | None]
     notices: list[Notice]
@@ -83,13 +84,13 @@ class EmissionsResult:
         return self.ledger.cells.axes
 
     def __len__(self) -> int:
-        return self.count
+        return len(self.ledger.idle)
 
     def columns(self) -> Iterator[tuple[int, float, float, float, IntensitySource]]:
         """(cell id, IT Wh, total Wh, kgCO2e, intensity source) of every row, in id order."""
         idle, dynamic = self.ledger.idle, self.ledger.dynamic
         span, pue, resolved = self.axes.span, self.pue, self.resolved
-        for cell, row in self.ledger.cells.in_id_order(self.count):
+        for cell, row in self.ledger.cells.in_id_order(len(idle)):
             ch = cell % span
             it_wh = idle[row] + dynamic[row]
             total_wh = it_wh * pue[ch]
@@ -103,9 +104,6 @@ class EmissionsResult:
             (key(cell), it_wh, total_wh, kg, source) for cell, it_wh, total_wh, kg, source in self.columns()
         )
 
-    def total_kg(self) -> float:
-        return sum(kg for _, _, _, kg, _ in self.columns())
-
 
 def compute_emissions(
     ledger: Ledger,
@@ -115,12 +113,13 @@ def compute_emissions(
 ) -> EmissionsResult:
     """Emissions per ledger entry: IT energy x PUE x zone intensity.
 
-    Cells are walked once in ascending id. PUE and intensity are looked up
-    once per cluster-hour, in the order the walk first reaches it. A
-    missing PUE falls back to the default and is flagged where a cell
-    holds energy. A cluster-hour that no feed covers aborts the run unless
-    ``missing_intensity`` gives the gCO2e/kWh to use there, which is
-    flagged once per cluster-hour.
+    One PUE per cluster-hour is read from the feed up front, the default
+    where the feed has none. Cells are then walked once in ascending id,
+    and intensity is resolved once per cluster-hour, in the order the walk
+    first reaches it. A default PUE is flagged once per cluster-hour, where
+    the walk first reaches a cell there holding energy. A cluster-hour
+    that no feed covers aborts the run unless ``missing_intensity`` gives
+    the gCO2e/kWh to use there, which is flagged once per cluster-hour.
     """
     pue_by_key = {(p.cluster_id, p.hour): p.pue for p in bundle.pue}
     zone_of = {r.cluster_id: r.zone_id for r in bundle.zone_map if r.zone_id}
@@ -128,17 +127,16 @@ def compute_emissions(
     annual = {(r.zone_id, r.year): r.intensity_g_per_kwh for r in bundle.annual_intensity}
     axes = ledger.cells.axes
     notices: list[Notice] = []
-    # Per cluster-hour c * H + h: PUE (None when missing), whether a missing
-    # PUE was noticed, and the resolved (intensity, source).
-    pue_at: list[float | None] = [pue_by_key.get((c, h)) for c in axes.clusters for h in axes.hours]
-    pue_noticed = bytearray(axes.span)
+    # Per cluster-hour c * H + h: the PUE, whether it needs no notice (the feed has it, or the
+    # default was noticed there), and the resolved (intensity, source).
+    pue = [pue_by_key.get(key, default_pue) for key in product(axes.clusters, axes.hours)]
+    pue_noticed = bytearray(key in pue_by_key for key in product(axes.clusters, axes.hours))
     resolved: list[tuple[float, IntensitySource] | None] = [None] * axes.span
     idle, dynamic = ledger.idle, ledger.dynamic
-    count = len(idle)
 
-    for cell, row in ledger.cells.in_id_order(count):
+    for cell, row in ledger.cells.in_id_order(len(idle)):
         ch = cell % axes.span
-        if pue_at[ch] is None and not pue_noticed[ch] and idle[row] + dynamic[row] > 0.0:
+        if not pue_noticed[ch] and idle[row] + dynamic[row] > 0.0:
             pue_noticed[ch] = 1
             cluster, hour = axes.cluster_hour(ch)
             notices.append(Notice("missing-pue", cluster, f"default {default_pue} used at {format_hour(hour)}"))
@@ -153,5 +151,4 @@ def compute_emissions(
                 notices.append(
                     Notice("missing-intensity", cluster, f"default {missing_intensity} g/kWh at {format_hour(hour)}")
                 )
-    pue = [default_pue if value is None else value for value in pue_at]
-    return EmissionsResult(ledger, count, pue, resolved, notices)
+    return EmissionsResult(ledger, pue, resolved, notices)

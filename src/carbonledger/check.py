@@ -71,9 +71,8 @@ def closure_failures(bundle: Bundle, artifacts: RunArtifacts) -> list[str]:
     """
     axes = artifacts.allocation.final.cells.axes
     span, hour_index = axes.span, axes.hour_index
-    offset_of = {  # machine id -> c * H; a cluster off the axes takes c = C, so its samples' slots are span or more
-        m.machine_id: axes.cluster_index.get(m.cluster_id, len(axes.clusters)) * len(axes.hours) for m in bundle.machines
-    }
+    # machine id -> c * H; a cluster off the axes takes span, so its samples' slots are span or more
+    offset_of = {m.machine_id: axes.cluster_offset.get(m.cluster_id, span) for m in bundle.machines}
     samples = bundle.power_samples
     measured = [0.0] * span  # c * H + h -> measured Wh
     try:

@@ -134,7 +134,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     tables.write_footprints(artifacts.footprints.reports, out / "footprint_report.csv", args.round_g)
     tables.write_flow_summary(artifacts.allocation.stages, out / "flow_summary.csv", args.round_wh)
     total_wh = artifacts.allocation.final.total_wh()
-    total_kg = artifacts.emissions.total_kg()
+    total_kg = artifacts.footprints.total_kg()  # the reported kg, which closure matched to emitted kg
     print(f"run complete: {total_wh:.0f} Wh allocated, {total_kg:.3f} kgCO2e, reports in {out}")
     return EXIT_OK
 

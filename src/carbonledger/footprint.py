@@ -164,8 +164,7 @@ def compute_customer_footprints(
     Emission rows are read once, in ascending cell id, and summed into
     flat lists indexed by position: kg and Wh per (month, user) and per
     (provider, month, region), each sum in row order. A month's users
-    therefore come in axis order, the order the walk first meets them, and
-    each provider's regions in first-met order.
+    therefore come in axis order, the order the walk first meets them.
     """
     billing_by_month = billing_months(bundle.billing_usage)
     skus = bundle.sku_catalog
@@ -205,8 +204,6 @@ def compute_customer_footprints(
     user_seen = [False] * len(user_kg)
     region_kg = [0.0] * (len(on_axes) * month_count * region_count)
     region_wh = region_kg.copy()
-    region_seen = [False] * len(region_kg)
-    region_order: list[int] = []  # region slots in the order the walk first reached them
     for cell, wh, _, kg, _ in emissions.columns():
         u, ch = divmod(cell, span)
         i = user_slot[ch] + u
@@ -221,17 +218,15 @@ def compute_customer_footprints(
             j += r
             region_kg[j] += kg
             region_wh[j] += wh
-            if not region_seen[j]:
-                region_seen[j] = True
-                region_order.append(j)
 
-    # month -> provider -> region -> (kg, Wh), each month's providers and each provider's
-    # regions in first-seen order.
+    # month -> provider -> region -> (kg, Wh) of every region slot holding energy; every reader
+    # sorts the regions or looks them up by name, so their order is not kept.
     region_sums: dict[str, dict[str, dict[str, tuple[float, float]]]] = {}
-    for j in region_order:
-        p, mr = divmod(j, month_count * region_count)
-        m, r = divmod(mr, region_count)
-        region_sums.setdefault(month_names[m], {}).setdefault(on_axes[p], {})[regions[r]] = region_kg[j], region_wh[j]
+    for j, wh in enumerate(region_wh):
+        if wh > 0.0:
+            p, mr = divmod(j, month_count * region_count)
+            m, r = divmod(mr, region_count)
+            region_sums.setdefault(month_names[m], {}).setdefault(on_axes[p], {})[regions[r]] = region_kg[j], wh
 
     notices: list[Notice] = []
     reports: list[FootprintReport] = []

@@ -67,14 +67,13 @@ def apply_major_realloc(ledger: Ledger, usages: ServiceUsageTable) -> Ledger:
     w = RESOURCE_WEIGHTS
     consumers, gcu, ssd, hdd = usages.consumer, usages.gcu, usages.ssd_tib, usages.hdd_tib
     axes = ledger.cells.axes
-    hour_count = len(axes.hours)
-    user_index, cluster_index, hour_index = axes.user_index, axes.cluster_index, axes.hour_index
+    user_index, cluster_offset, hour_index = axes.user_index, axes.cluster_offset, axes.hour_index
     groups: dict[int, array] = {}
     for row, (provider, cluster, hour) in enumerate(zip(usages.provider, usages.cluster_id, usages.hour)):
-        u, c, h = user_index.get(provider), cluster_index.get(cluster), hour_index.get(hour)
-        if u is None or c is None or h is None:
+        u, offset, h = user_index.get(provider), cluster_offset.get(cluster), hour_index.get(hour)
+        if u is None or offset is None or h is None:
             continue
-        cell = u * axes.span + c * hour_count + h
+        cell = u * axes.span + offset + h
         rows = groups.get(cell)
         if rows is None:
             rows = groups[cell] = array("q")

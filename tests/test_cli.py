@@ -18,7 +18,7 @@ from carbonledger.cli import REPORTS, _clip_bundle, main
 from carbonledger.model import GcuUsageTable, PowerSampleTable, ResourceAllocationTable, ServiceUsageTable
 from carbonledger.oracle import oracle_allocate
 from carbonledger.simulate import ScenarioSpec, generate, preset_spec
-from carbonledger.tables import validate_bundle, write_bundle
+from carbonledger.tables import read_bundle, validate_bundle, write_bundle
 
 
 @pytest.fixture
@@ -75,6 +75,16 @@ def test_run_produces_reports_with_figure_values(figure1_dir, tmp_path, capsys):
     with (out / "flow_summary.csv").open(newline="") as handle:
         totals = [float(r["energy_wh"]) for r in csv.DictReader(handle) if r["user"] == "TOTAL"]
     assert len(totals) == 4 and len(set(totals)) == 1
+
+
+def test_run_summary_prints_the_reported_kg(tmp_path, capsys):
+    bundle_dir = tmp_path / "bundle"
+    assert main(["simulate", "--output", str(bundle_dir), "--preset", "sankey-small"]) == 0
+    reported_kg = run_end_to_end(read_bundle(bundle_dir)).footprints.total_kg()
+    capsys.readouterr()
+    assert main(["run", "--input", str(bundle_dir), "--output", str(tmp_path / "reports")]) == 0
+    [summary] = [line for line in capsys.readouterr().out.splitlines() if line.startswith("run complete:")]
+    assert f" Wh allocated, {reported_kg:.3f} kgCO2e, reports in " in summary
 
 
 def test_log_level_flag_shows_debug_lines_only_when_asked(tmp_path, caplog):
@@ -284,7 +294,7 @@ def test_nan_power_sample_fails_closed(tmp_path):
 
     assert "non-finite-value" in {v.code for v in validate_bundle(bundle)}
     artifacts = run_end_to_end(bundle)
-    assert math.isnan(artifacts.emissions.total_kg())
+    assert math.isnan(sum(kg for _, _, _, kg, _ in artifacts.emissions.columns()))
     assert closure_failures(bundle, artifacts) != []
 
     bundle_dir = tmp_path / "nan"

@@ -271,6 +271,32 @@ def test_footprint_notices_keep_their_order():
     assert report.kg_co2e == pytest.approx(0.75, rel=1e-12)
 
 
+def test_an_energyless_cell_changes_no_footprint():
+    # svc's zero-Wh cell lies in r-high, where svc has no other energy, so r-high has no intensity for svc.
+    catalog = [SkuRecord("s", "product", "svc", 1.0, "unit")]
+    billing = [
+        SkuUsageRecord("s", "r-low", "acct", MONTH, 4.0),
+        SkuUsageRecord("s", "r-high", "acct", MONTH, 1.0),
+    ]
+    bundle = Bundle(
+        zone_map=ZONE_MAP,
+        sku_catalog=catalog,
+        billing_usage=billing,
+        pue=[PueRecord("c0", H(0), 1.2), PueRecord("c1", H(0), 1.5)],
+        carbon_intensity=[CarbonIntensityRecord("z0", H(0), 300.0), CarbonIntensityRecord("z1", H(0), 700.0)],
+    )
+    cells = {("svc", "c0", H(0)): (800.0, 200.0), ("overhead", "c1", H(0)): (400.0, 0.0)}
+    plain = compute_emissions(ledger_of(cells), bundle)
+    padded = compute_emissions(ledger_of({**cells, ("svc", "c1", H(0)): (0.0, 0.0)}), bundle)
+    assert len(padded) == len(plain) + 1
+
+    expected = compute_customer_footprints(plain, bundle)
+    result = compute_customer_footprints(padded, bundle)
+    assert (result.reports, result.months, result.notices) == (expected.reports, expected.months, expected.notices)
+    assert {region for _, region in result.months[MONTH].adjusted} == {"r-low"}
+    assert [n.code for n in result.notices] == ["region-mismatch"]
+
+
 def test_billing_rows_are_read_a_fixed_number_of_times():
     # Rates once re-summed a month's billing per provider, and closure scanned every month's rows per month,
     # so the most reads of one row's field grew with the providers (7 and 46 here) and with the months (two
