@@ -16,6 +16,7 @@ from array import array
 from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import chain
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .model import (
@@ -41,6 +42,15 @@ def minor_round_stage(round_number: int) -> str:
     return f"after_minor_round_{round_number}"
 
 
+class UserIndex(dict):
+    """Axis position of each user; subscripting a user off the axis raises ``ValueError``."""
+
+    __slots__ = ()
+
+    def __missing__(self, user: str) -> int:
+        raise ValueError(f"user {user!r} is not on the ledger's users axis")
+
+
 class Axes:
     """The sorted users, clusters and hours of one run, and the cell ids they span.
 
@@ -58,7 +68,7 @@ class Axes:
         self.users = sorted(set(users))
         self.clusters = sorted(set(clusters))
         self.hours = sorted(set(hours))
-        self.user_index = {user: u for u, user in enumerate(self.users)}
+        self.user_index = UserIndex((user, u) for u, user in enumerate(self.users))
         hour_count = len(self.hours)
         self.cluster_offset = {cluster: c * hour_count for c, cluster in enumerate(self.clusters)}
         self.hour_index = {hour: h for h, hour in enumerate(self.hours)}
@@ -72,10 +82,7 @@ class Axes:
 
     def user_base(self, user: str) -> int:
         """Id of the user's first cell; adding a cluster-hour gives any of its cells."""
-        u = self.user_index.get(user)
-        if u is None:
-            raise ValueError(f"user {user!r} is not on the ledger's users axis")
-        return u * self.span
+        return self.user_index[user] * self.span
 
     def cell(self, user: str, cluster: str, hour: datetime) -> int:
         return self.user_base(user) + self.cluster_offset[cluster] + self.hour_index[hour]
@@ -136,28 +143,43 @@ class Ledger:
     """Idle and dynamic watt-hours per (user, cluster, hour) cell at one pipeline stage.
 
     The stages of a run share one append-only ``CellIndex``; a stage's
-    cells are its first ``len(idle)`` rows, and row ``r`` of the ``idle``
-    and ``dynamic`` columns belongs to cell ``cells.ids[r]``. Stages credit
-    the columns in place. Only the latest stage, the one no ``copy`` has
-    ``superseded`` and whose rows end where the index does, may be credited
-    or append cells.
+    cells are its first rows, as many as its columns hold, and row ``r``
+    of its columns belongs to cell ``cells.ids[r]``. Stages credit the
+    columns in place. Only the latest stage, the one no ``successor`` has
+    ``superseded`` and whose rows end where the index does, may be
+    credited or append cells.
+
+    A superseded stage whose idle and dynamic Wh no reader needs apart may
+    ``collapse``: ``total`` then holds ``idle + dynamic`` per row,
+    ``user_totals`` what ``totals_by_user`` gave, and ``idle`` and
+    ``dynamic`` are ``None``.
     """
 
     stage: str
     cells: CellIndex
-    idle: array = field(default_factory=lambda: array("d"))
-    dynamic: array = field(default_factory=lambda: array("d"))
+    idle: array | None = field(default_factory=lambda: array("d"))
+    dynamic: array | None = field(default_factory=lambda: array("d"))
     superseded: bool = field(default=False, init=False)
+    total: array | None = field(default=None, init=False)
+    user_totals: dict[str, float] | None = field(default=None, init=False)
 
     def rows(self) -> Iterator[tuple[LedgerKey, float, float]]:
         """(key, idle Wh, dynamic Wh) of every cell of this stage, in row order."""
+        self._require_columns()
         return zip(map(self.cells.axes.key, self.cells.ids), self.idle, self.dynamic)
 
-    def copy(self, stage: str) -> Ledger:
-        """The next stage, starting from this one's cells; only the latest stage may start one."""
+    def successor(self, stage: str, keep_idle: bool = False) -> Ledger:
+        """The next stage over this one's cells; only the latest stage may start one.
+
+        Its columns hold 0.0 per row, for the stage to credit its gains
+        into, except that ``keep_idle`` starts its idle column as a copy of
+        this one's.
+        """
         self._require_latest()
         self.superseded = True
-        return Ledger(stage, self.cells, array("d", self.idle), array("d", self.dynamic))
+        rows = len(self.idle)
+        idle = array("d", self.idle) if keep_idle else array("d", [0.0]) * rows
+        return Ledger(stage, self.cells, idle, array("d", [0.0]) * rows)
 
     def add(self, cell: int) -> int:
         """Append a cell new to the index as a zero row of this stage; returns its row.
@@ -165,9 +187,10 @@ class Ledger:
         Tests what ``_require_latest`` tests without calling it, since the
         stages call this once for every cell they append.
         """
-        cells, row = self.cells, len(self.idle)
-        if self.superseded or row != len(cells.ids):
+        cells = self.cells
+        if self.superseded or len(self.idle) != len(cells.ids):
             raise ValueError(f"{self.stage!r} is not the latest stage of its run")
+        row = len(cells.ids)
         cells.rows[cell] = row
         cells.ids.append(cell)
         self.idle.append(0.0)
@@ -176,6 +199,7 @@ class Ledger:
 
     def row(self, cell: int) -> int:
         """Row of a cell, appending it as a zero row of this stage if it is new."""
+        self._require_columns()
         row = self.cells.rows[cell]
         return row if row >= 0 else self.add(cell)
 
@@ -183,18 +207,45 @@ class Ledger:
         if self.superseded or len(self.idle) != len(self.cells):
             raise ValueError(f"{self.stage!r} is not the latest stage of its run")
 
+    def _require_columns(self) -> None:
+        if self.total is not None:
+            raise ValueError(f"{self.stage!r} holds only its total Wh per cell")
+
+    def row_totals(self) -> Iterable[float]:
+        """``idle + dynamic`` Wh of every row of this stage, in row order."""
+        return self.total if self.total is not None else map(add, self.idle, self.dynamic)
+
     def total_wh(self) -> float:
-        return sum(idle + dynamic for idle, dynamic in zip(self.idle, self.dynamic))
+        return sum(self.row_totals())
 
     def totals_by_user(self) -> dict[str, float]:
-        """Each user's Wh, summed in row order; users in order of their first row."""
-        span = self.cells.axes.span
-        sums: dict[int, float] = {}
+        """Each user's Wh, summed as ``(sum + idle) + dynamic`` in row order; users in order of their first row."""
+        if self.total is not None:
+            return dict(self.user_totals)
+        span, users = self.cells.axes.span, self.cells.axes.users
+        sums: list[float | None] = [None] * len(users)
+        first: list[int] = []
         for cell, idle, dynamic in zip(self.cells.ids, self.idle, self.dynamic):
             u = cell // span
-            sums[u] = sums.get(u, 0.0) + idle + dynamic
-        users = self.cells.axes.users
-        return {users[u]: wh for u, wh in sums.items()}
+            wh = sums[u]
+            if wh is None:
+                first.append(u)
+                wh = 0.0
+            sums[u] = wh + idle + dynamic
+        return {users[u]: sums[u] for u in first}
+
+    def collapse(self) -> None:
+        """Keep one column of ``idle + dynamic`` per row instead of the two; only a superseded stage collapses.
+
+        The per-user totals are summed first, from the two columns, since
+        summing the total column would round them differently.
+        """
+        if not self.superseded:
+            raise ValueError(f"{self.stage!r} is the latest stage of its run")
+        self._require_columns()
+        self.user_totals = self.totals_by_user()
+        self.total = array("d", self.row_totals())
+        self.idle = self.dynamic = None
 
 
 def weighted_allocation(gcu: float, ram_gib: float, ssd_tib: float, hdd_tib: float) -> float:
@@ -219,7 +270,7 @@ def idle_share_table(allocations: ResourceAllocationTable, axes: Axes) -> list[t
     Rows whose cluster or hour is off the axes are skipped; a weighted row
     whose user is off them raises ``ValueError``.
     """
-    span, cluster_offset, hour_index = axes.span, axes.cluster_offset, axes.hour_index
+    span, user_index, cluster_offset, hour_index = axes.span, axes.user_index, axes.cluster_offset, axes.hour_index
     shares: list[tuple[array, array] | None] = [None] * span
     at = array("i", [-1]) * axes.size  # cell -> the user's position in its cluster-hour's entry, or -1
     weights = map(weighted_allocation, allocations.gcu, allocations.ram_gib, allocations.ssd_tib, allocations.hdd_tib)
@@ -230,7 +281,8 @@ def idle_share_table(allocations: ResourceAllocationTable, axes: Axes) -> list[t
         if offset is None or h is None:
             continue
         ch = offset + h
-        cell = axes.user_base(user) + ch
+        u = user_index[user]
+        cell = u * span + ch
         entry = shares[ch]
         if entry is None:
             entry = shares[ch] = array("i"), array("d")
@@ -239,7 +291,7 @@ def idle_share_table(allocations: ResourceAllocationTable, axes: Axes) -> list[t
             entry[1][i] += w
         else:
             at[cell] = len(entry[0])
-            entry[0].append(cell // span)
+            entry[0].append(u)
             entry[1].append(w)
     for ch, entry in enumerate(shares):
         if entry is not None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import add
 from typing import Mapping
 
 from .carbon import DEFAULT_PUE, EmissionsResult, co2_kg, compute_emissions
@@ -87,7 +86,7 @@ def closure_failures(bundle: Bundle, artifacts: RunArtifacts) -> list[str]:
     for ledger in artifacts.allocation.stages:
         totals = [0.0] * span
         total = 0.0
-        for cell, wh in zip(ledger.cells.ids, map(add, ledger.idle, ledger.dynamic)):
+        for cell, wh in zip(ledger.cells.ids, ledger.row_totals()):
             totals[cell % span] += wh
             total += wh
         grand_totals.append(total)
@@ -203,9 +202,10 @@ def compare_with_oracle(bundle: Bundle, rounds: int = 2, default_pue: float = DE
         table_max[name] = _diff_table(name, pipeline_wh, oracle_wh, diffs)
     for ledger in artifacts.allocation.stages:
         # A stage the oracle lacks compares against nothing, so its energy counts as deviation.
+        key = ledger.cells.axes.key
         table_max[ledger.stage] = _diff_table(
             ledger.stage,
-            {k: idle + dynamic for k, idle, dynamic in ledger.rows() if idle + dynamic != 0.0},
+            {key(cell): wh for cell, wh in zip(ledger.cells.ids, ledger.row_totals()) if wh != 0.0},
             reference.stage_totals.get(ledger.stage, {}),
             diffs,
         )

@@ -48,21 +48,14 @@ class OracleResult:
     footprints_kg: dict[tuple[str, str, str, str], float] = field(default_factory=dict)
 
 
-def _collect_users(bundle: Bundle, allocations: list, gcu_usage: list, service_usage: list) -> list[str]:
-    users: set[str] = set()
-    for m in bundle.machines:
-        if m.owner_user:
-            users.add(m.owner_user)
-    for a in allocations:
-        users.add(a.user)
-    for u in gcu_usage:
-        users.add(u.user)
-    for s in service_usage:
-        users.add(s.consumer)
-        users.add(s.provider)
-    for n in bundle.net_costs:
-        users.add(n.user)
-    users.add(UNALLOCATED_USER)
+def _collect_users(bundle: Bundle) -> list[str]:
+    users: set[str] = {UNALLOCATED_USER}
+    users.update(m.owner_user for m in bundle.machines if m.owner_user)
+    users.update(bundle.resource_allocations.user)
+    users.update(bundle.gcu_usage.user)
+    users.update(bundle.service_usage.consumer)
+    users.update(bundle.service_usage.provider)
+    users.update(n.user for n in bundle.net_costs)
     return sorted(users)
 
 
@@ -71,18 +64,22 @@ def oracle_allocate(
     rounds: int = 2,
     default_pue: float = DEFAULT_PUE,
 ) -> OracleResult:
-    """Recompute the whole allocation by exhaustive enumeration."""
+    """Recompute the whole allocation by exhaustive enumeration.
+
+    The size limits are checked first, on the bundle's columns, so an
+    oversized bundle is refused before any record is built.
+    """
+    if len(bundle.machines) > MAX_MACHINES:
+        raise OracleSizeError(f"{len(bundle.machines)} machines exceed the oracle limit of {MAX_MACHINES}")
+    users = _collect_users(bundle)
+    if len(users) > MAX_USERS + 1:  # the reserved user is always appended
+        raise OracleSizeError(f"{len(users)} users exceed the oracle limit of {MAX_USERS}")
+    hours = sorted(set(bundle.power_samples.hour))
+    if len(hours) > MAX_HOURS:
+        raise OracleSizeError(f"{len(hours)} hours exceed the oracle limit of {MAX_HOURS}")
     # The column tables' records, each built once: a column table builds them on every pass.
     power_samples, gcu_usage = list(bundle.power_samples), list(bundle.gcu_usage)
     allocations, service_usage = list(bundle.resource_allocations), list(bundle.service_usage)
-    hours = sorted({s.hour for s in power_samples})
-    users = _collect_users(bundle, allocations, gcu_usage, service_usage)
-    if len(bundle.machines) > MAX_MACHINES:
-        raise OracleSizeError(f"{len(bundle.machines)} machines exceed the oracle limit of {MAX_MACHINES}")
-    if len(users) > MAX_USERS + 1:  # the reserved user is always appended
-        raise OracleSizeError(f"{len(users)} users exceed the oracle limit of {MAX_USERS}")
-    if len(hours) > MAX_HOURS:
-        raise OracleSizeError(f"{len(hours)} hours exceed the oracle limit of {MAX_HOURS}")
 
     result = OracleResult()
     if not power_samples:

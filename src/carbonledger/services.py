@@ -3,7 +3,8 @@
 Major services move dynamic energy by per-cluster usage fractions; the
 long tail of minor services moves total energy by daily net-cost
 fractions, applied twice so chains of services resolve. The pipeline
-entry point runs the five stages in order and snapshots each one.
+entry point runs the five stages in order and keeps each one; a stage
+that a later round has read keeps only its total Wh per cell.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from datetime import date
-from itertools import compress
+from itertools import compress, count
 from typing import Sequence
 
 from .allocation import (
@@ -37,16 +38,24 @@ FlowKey = tuple[str, str, date]  # (provider, consumer, day)
 DayPlans = dict[date, dict[str, list[tuple[str, float]]]]  # day -> provider -> [(consumer, fraction)]
 
 
-def _add_gains(column: array, gain: array, copied: int) -> None:
-    """Add a stage's gain column to its ledger column once the stage has been walked.
+def _settle(column: array, before: array, kept_rows: Sequence[int], kept: array) -> None:
+    """Turn a stage's gain column into its ledger column, in place, once the stage has been walked.
 
-    The first ``copied`` rows came from the previous stage: each adds its
-    gain, and one that gained nothing (0.0) stays as it is. The rows past
-    them are the cells the stage appended, which hold their gain alone.
+    Row ``r`` below ``len(before)`` came from the previous stage and
+    becomes ``before[r] + gain``, or ``before[r]`` as it is when it gained
+    nothing (0.0). A provider's row ``kept_rows[i]`` starts from the share
+    ``kept[i]`` it kept instead of ``before``; ``kept`` is settled in place
+    first. The rows past ``before`` are the cells the stage appended, which
+    hold their gain alone.
     """
-    for row in compress(range(copied), gain):
-        column[row] += gain[row]
-    column[copied:] = gain[copied:]
+    for i, row in enumerate(kept_rows):
+        gained = column[row]
+        if gained:
+            kept[i] += gained
+    for row, wh, gained in zip(count(), before, column):  # each row is read before it is written
+        column[row] = wh + gained if gained else wh
+    for row, wh in zip(kept_rows, kept):
+        column[row] = wh
 
 
 def apply_major_realloc(ledger: Ledger, usages: ServiceUsageTable) -> Ledger:
@@ -59,35 +68,37 @@ def apply_major_realloc(ledger: Ledger, usages: ServiceUsageTable) -> Ledger:
     of compute and storage usage, the rest by compute usage alone. Usage
     rows are grouped by the provider's cell id as ``array("q")`` row
     numbers into the usage columns; a row naming a user, cluster or hour
-    off the ledger's axes has no cell to move. Gains go into a gain column
-    with a row per cell, new cells appended as first reached, and are
-    added once every provider has moved.
+    off the ledger's axes has no cell to move. The new stage's idle column
+    is a copy of the incoming one; its dynamic column starts as a gain
+    column, with new cells appended as first reached, and is settled once
+    every provider has moved.
     """
+    out = ledger.successor(STAGE_AFTER_MAJOR, keep_idle=True)
     storage_style = set(compress(usages.provider, usages.colossus_style))
     w = RESOURCE_WEIGHTS
     consumers, gcu, ssd, hdd = usages.consumer, usages.gcu, usages.ssd_tib, usages.hdd_tib
     axes = ledger.cells.axes
-    user_index, cluster_offset, hour_index = axes.user_index, axes.cluster_offset, axes.hour_index
+    span, user_index, cluster_offset, hour_index = axes.span, axes.user_index, axes.cluster_offset, axes.hour_index
     groups: dict[int, array] = {}
     for row, (provider, cluster, hour) in enumerate(zip(usages.provider, usages.cluster_id, usages.hour)):
         u, offset, h = user_index.get(provider), cluster_offset.get(cluster), hour_index.get(hour)
         if u is None or offset is None or h is None:
             continue
-        cell = u * axes.span + offset + h
+        cell = u * span + offset + h
         rows = groups.get(cell)
         if rows is None:
             rows = groups[cell] = array("q")
         rows.append(row)
 
-    out = ledger.copy(STAGE_AFTER_MAJOR)
-    rows_of, copied = ledger.cells.rows, len(ledger.dynamic)
-    gain = array("d", bytes(8 * copied))
+    rows_of, dynamic, gain = ledger.cells.rows, ledger.dynamic, out.dynamic
+    copied = len(dynamic)
+    kept_rows, kept = array("q"), array("d")  # each moving provider's row and the dynamic Wh it keeps
     for cell, rows in groups.items():
         at = rows_of[cell]
-        if not 0 <= at < copied or ledger.dynamic[at] == 0.0:
+        if not 0 <= at < copied or dynamic[at] == 0.0:
             continue
-        dynamic_wh = ledger.dynamic[at]
-        blend = axes.users[cell // axes.span] in storage_style
+        dynamic_wh = dynamic[at]
+        blend = axes.users[cell // span] in storage_style
         shares: dict[str, float] = {}
         for row in rows:
             share = w.gcu * gcu[row] + w.ssd_tib * ssd[row] + w.hdd_tib * hdd[row] if blend else gcu[row]
@@ -97,23 +108,23 @@ def apply_major_realloc(ledger: Ledger, usages: ServiceUsageTable) -> Ledger:
         denominator = sum(shares.values())
         if denominator <= 0.0:
             continue
-        ch = cell % axes.span
+        ch = cell % span
         moved = 0.0
         for consumer, share in shares.items():
             amount = dynamic_wh * (share / denominator)
-            target = axes.user_base(consumer) + ch
+            target = user_index[consumer] * span + ch
             row = rows_of[target]
             if row < 0:
                 row = out.add(target)
-                gain.append(0.0)
             gain[row] += amount
             moved += amount
         remainder = dynamic_wh - moved
         if remainder < 0.0:  # float dust from the share quotients
             remainder = 0.0
-        out.dynamic[at] = remainder
+        kept_rows.append(at)
+        kept.append(remainder)
 
-    _add_gains(out.dynamic, gain, copied)
+    _settle(gain, dynamic, kept_rows, kept)
     return out
 
 
@@ -193,14 +204,14 @@ def apply_minor_realloc_round(
     Only providers move energy, so the walk visits only the rows of users
     some plan names as a provider: each one's rows are the slots of its
     id range in the cell index, and those the round copied are walked in
-    ascending row order. Gains go into an idle and a dynamic gain column
-    with a row per cell, new cells appended as first reached, and are
-    added after the walk. Each plan sums what it moves to each target in a
-    float slot of its own; ``flows`` is built from those slots after the
+    ascending row order. The new stage's idle and dynamic columns start as
+    gain columns, with new cells appended as first reached, and are
+    settled after the walk. Each plan sums what it moves to each target in
+    a float slot of its own; ``flows`` is built from those slots after the
     walk, plans in the order the walk first reaches them, then targets in
     plan order.
     """
-    out = ledger.copy(stage)
+    out = ledger.successor(stage)
     axes = ledger.cells.axes
     span, hour_count = axes.span, len(axes.hours)
     # day -> provider's user index -> (provider, day, total fraction, outflows, [(slot, consumer's first
@@ -227,8 +238,9 @@ def apply_minor_realloc_round(
         for row in rows_of[u * span:(u + 1) * span]
         if 0 <= row < copied
     )
-    gain_idle = array("d", bytes(8 * copied))
-    gain_dyn = array("d", gain_idle)
+    gain_idle, gain_dyn = out.idle, out.dynamic
+    # each paying provider's row and the idle and dynamic Wh it keeps
+    kept_rows, kept_idle, kept_dyn = array("q"), array("d"), array("d")
     reached: list[tuple] = []
     moved_total = 0.0
 
@@ -252,8 +264,6 @@ def apply_minor_realloc_round(
             at = rows_of[target]
             if at < 0:
                 at = out.add(target)
-                gain_idle.append(0.0)
-                gain_dyn.append(0.0)
             gain_idle[at] += idle_part
             gain_dyn[at] += dyn_part
             amount = idle_part + dyn_part
@@ -262,11 +272,12 @@ def apply_minor_realloc_round(
         keep = 1.0 - total_fraction
         if keep < 0.0:  # guarded by the plan's rescale; float dust only
             keep = 0.0
-        out.idle[row] = idle_wh * keep
-        out.dynamic[row] = dynamic_wh * keep
+        kept_rows.append(row)
+        kept_idle.append(idle_wh * keep)
+        kept_dyn.append(dynamic_wh * keep)
 
-    _add_gains(out.idle, gain_idle, copied)
-    _add_gains(out.dynamic, gain_dyn, copied)
+    _settle(gain_idle, idle, kept_rows, kept_idle)
+    _settle(gain_dyn, dynamic, kept_rows, kept_dyn)
     flows: dict[FlowKey, float] = {
         (provider, consumer, day): amount
         for provider, day, _, outflows, _, moved in reached
@@ -322,9 +333,11 @@ def run_allocation_pipeline(bundle: Bundle, rounds: int = 2) -> AllocationResult
     notices.extend(plan_notices)
     round_moved: list[float] = []
     round_flows: list[dict[FlowKey, float]] = []
-    current = stages[-1]
     for round_number in range(1, rounds + 1):
-        current, moved, flows = apply_minor_realloc_round(current, plans, minor_round_stage(round_number))
+        previous = stages[-1]
+        current, moved, flows = apply_minor_realloc_round(previous, plans, minor_round_stage(round_number))
+        # A round's input is never the machine stage, whose idle and dynamic the oracle compares apart.
+        previous.collapse()
         stages.append(current)
         round_moved.append(moved)
         round_flows.append(flows)

@@ -468,9 +468,11 @@ def write_user_energy(stages, path: Path, energy_step: float = 1.0) -> None:
     """Final ledger with one total column per pipeline stage, in ascending cell id.
 
     The stages share one cell index and each holds a prefix of its rows,
-    so the final stage's cells are every stage's cells.
+    so the final stage's cells are every stage's cells. A stage's column
+    is its ``total``, or ``idle + dynamic`` where it keeps the two apart.
     """
     final = stages[-1]
+    columns = [(s.total, None) if s.total is not None else (s.idle, s.dynamic) for s in stages]
     key = final.cells.axes.key
     header = ["user", "cluster_id", "hour_utc", "idle_wh", "dynamic_wh"]
     header.extend(f"{ledger.stage}_wh" for ledger in stages)
@@ -484,7 +486,7 @@ def write_user_energy(stages, path: Path, energy_step: float = 1.0) -> None:
             user, cluster, at = key(cell)
             yield (
                 user, cluster, hour(at), wh(final.idle[row]), wh(final.dynamic[row]),
-                *(wh(s.idle[row] + s.dynamic[row] if row < len(s.idle) else 0.0) for s in stages),
+                *(wh(0.0 if row >= len(a) else a[row] if b is None else a[row] + b[row]) for a, b in columns),
             )
 
     _write_csv(Path(path), header, rows())

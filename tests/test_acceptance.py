@@ -46,8 +46,9 @@ def test_criterion_2_net_cost_example_exact():
     result = run_allocation_pipeline(bundle)
     after_major = result.stage("after_major_realloc")
     after_round_1 = result.stage("after_minor_round_1")
-    before = {key: idle + dynamic for key, idle, dynamic in after_major.rows()}
-    after = {key: idle + dynamic for key, idle, dynamic in after_round_1.rows()}
+    key_of = after_major.cells.axes.key
+    before = {key_of(cell): wh for cell, wh in zip(after_major.cells.ids, after_major.total)}
+    after = {key_of(cell): wh for cell, wh in zip(after_round_1.cells.ids, after_round_1.total)}
 
     checked = 0
     worst = 0.0

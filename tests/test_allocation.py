@@ -348,7 +348,7 @@ def test_cell_ids_ascend_in_key_order():
 
 def test_cell_index_walks_a_stage_in_id_order():
     first = ledger_of({("b", "c0", H(1)): (1.0, 0.0), ("a", "c0", H(1)): (1.0, 0.0), ("b", "c0", H(0)): (1.0, 0.0)})
-    second = first.copy("next")
+    second = first.successor("next")
     credit(second, {("a", "c0", H(0)): (1.0, 0.0)})
     assert list(first.cells.in_id_order(len(first.idle))) == [(1, 1), (2, 2), (3, 0)]
     assert list(second.cells.in_id_order(len(second.idle))) == [(0, 3), (1, 1), (2, 2), (3, 0)]

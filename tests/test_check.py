@@ -26,9 +26,9 @@ def test_wh_shifted_between_cluster_hours_of_a_later_stage(sankey):
     axes = stage.cells.axes
     source = stage.cells.rows[axes.cell("user-one", "cluster-01", H(3))]
     target = stage.cells.rows[axes.cell("user-one", "cluster-02", H(7))]
-    moved = stage.idle[source] / 2
-    stage.idle[source] -= moved
-    stage.idle[target] += moved
+    moved = stage.total[source] / 2
+    stage.total[source] -= moved
+    stage.total[target] += moved
     failures = closure_failures(bundle, artifacts)
     for key in (("cluster-01", H(3)), ("cluster-02", H(7))):
         assert any(f.startswith(f"{stage.stage}: cluster-hour {key} holds ") for f in failures), failures
@@ -38,7 +38,7 @@ def test_wh_shifted_between_cluster_hours_of_a_later_stage(sankey):
 def test_a_stage_total_that_drifts(sankey):
     bundle, artifacts = sankey
     stage = artifacts.allocation.stages[2]
-    stage.dynamic[0] += 1.0
+    stage.total[0] += 1.0
     failures = closure_failures(bundle, artifacts)
     assert any(f.startswith(f"stage {stage.stage}: total ") and "drifted from" in f for f in failures), failures
 

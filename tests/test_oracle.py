@@ -19,6 +19,7 @@ from carbonledger.model import (
     PowerSampleTable,
     ResourceAllocationRecord,
     ResourceAllocationTable,
+    ServiceUsageRecord,
     ServiceUsageTable,
 )
 from carbonledger.oracle import oracle_allocate
@@ -151,6 +152,37 @@ def test_oracle_refuses_too_many_hours():
         power_samples=[sample("m0", i, 1.0) for i in range(73)],
     )
     with pytest.raises(OracleSizeError):
+        oracle_allocate(bundle)
+
+
+def oversized(limit: str) -> Bundle:
+    """A bundle with a row in every column table, over the oracle's limit on ``limit`` alone."""
+    machine_count, user_count, hour_count = {"machines": (201, 2, 2), "users": (1, 21, 2), "hours": (1, 2, 73)}[limit]
+    users = [f"u{i}" for i in range(user_count)]
+    return Bundle(
+        machines=[shared_machine(f"m{i}") for i in range(machine_count)],
+        power_samples=[sample("m0", h, 1.0) for h in range(hour_count)],
+        resource_allocations=[ResourceAllocationRecord(user, "c0", H(0), gcu=1.0) for user in users],
+        gcu_usage=[GcuUsageRecord(users[0], "m0", H(0), 1.0)],
+        service_usage=[ServiceUsageRecord(users[0], users[-1], "c0", H(0), gcu=1.0)],
+    )
+
+
+@pytest.mark.parametrize("limit", ["machines", "users", "hours"])
+def test_oracle_refuses_an_oversized_bundle_before_building_records(monkeypatch, limit):
+    # A bundle of the fleet-10k shape once took 0.4-0.6 s to refuse: every
+    # sample, usage, allocation and service-usage row became a record first.
+    bundle = oversized(limit)
+
+    def refuse(table, *args):
+        raise AssertionError(f"{type(table).__name__} was read as records")
+
+    for name in ("power_samples", "resource_allocations", "gcu_usage", "service_usage"):
+        table = getattr(bundle, name)
+        assert len(table) > 0
+        monkeypatch.setattr(type(table), "__iter__", refuse)
+        monkeypatch.setattr(type(table), "__getitem__", refuse)
+    with pytest.raises(OracleSizeError, match=f"{limit} exceed the oracle limit"):
         oracle_allocate(bundle)
 
 

@@ -4,10 +4,12 @@ import tracemalloc
 from array import array
 from dataclasses import replace
 from datetime import date
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
 
+from carbonledger import services
 from carbonledger.allocation import STAGE_MACHINE, Ledger
 from carbonledger.check import closure_failures, compare_with_oracle, run_end_to_end
 from carbonledger.model import (
@@ -448,6 +450,91 @@ def test_a_stage_behind_its_shared_index_cannot_append():
     assert len(ledger.cells) == 3 and ledger.cells.rows[axes.cell("b", "c0", H(1))] == -1
 
 
+#: The seed-5 cyclic economy over three rounds, and the 500-user shape: (spec, rounds).
+COLLAPSE_CASES = {
+    "seed5-cyclic-3-rounds": (
+        ScenarioSpec(seed=5, machine_count=300, cyclic_economy=True, include_unbilled_usage=True), 3
+    ),
+    "500-users": (ScenarioSpec(seed=7, machine_count=200, user_count=500, cluster_count=20, hours=12), 2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(COLLAPSE_CASES))
+def collapsed_run(request):
+    """A pipeline run, plus what each collapsed stage held just before it collapsed and each stage's rows.
+
+    The second item maps a collapsed stage's name to its ``idle + dynamic``
+    column and its ``totals_by_user()`` then; the third lists each stage's
+    row count, the index's length once the stage was built.
+    """
+    spec, rounds = COLLAPSE_CASES[request.param]
+    before: dict[str, tuple[array, dict]] = {}
+    rows: list[int] = []
+    collapse = Ledger.collapse
+
+    def recording_collapse(ledger):
+        before[ledger.stage] = array("d", map(add, ledger.idle, ledger.dynamic)), ledger.totals_by_user()
+        collapse(ledger)
+
+    def counting(build):
+        def built(*args):
+            result = build(*args)
+            rows.append(len((result[0] if isinstance(result, tuple) else result).cells))
+            return result
+        return built
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Ledger, "collapse", recording_collapse)
+        for name in ("build_machine_ledger", "apply_major_realloc", "apply_minor_realloc_round"):
+            patch.setattr(services, name, counting(getattr(services, name)))
+        result = run_allocation_pipeline(generate(spec), rounds=rounds)
+    return result, before, rows
+
+
+def test_superseded_stages_keep_only_their_total_column(collapsed_run):
+    result, before, _ = collapsed_run
+    machine, *between, final = result.stages
+    assert [ledger.stage for ledger in between] == list(before) != []
+    for ledger in (machine, final):
+        assert ledger.total is None and len(ledger.idle) == len(ledger.dynamic) > 0
+    for ledger in between:
+        assert ledger.idle is None and ledger.dynamic is None
+        assert ledger.total.tobytes() == before[ledger.stage][0].tobytes()
+
+
+def test_a_collapsed_stage_keeps_its_per_user_totals_bit_for_bit(collapsed_run):
+    # Summing the total column instead would change the last bits of most users' sums.
+    result, before, _ = collapsed_run
+    for ledger in result.stages[1:-1]:
+        totals, expected = ledger.totals_by_user(), before[ledger.stage][1]
+        assert list(totals) == list(expected)
+        assert array("d", totals.values()).tobytes() == array("d", expected.values()).tobytes()
+
+
+def test_a_collapsed_stage_refuses_column_work(collapsed_run):
+    result, _, _ = collapsed_run
+    for ledger in result.stages[1:-1]:
+        cell = ledger.cells.ids[0]
+        works = (lambda: ledger.successor("next"), lambda: ledger.add(cell), lambda: ledger.row(cell), ledger.rows)
+        for work in works:
+            with pytest.raises(ValueError, match=repr(ledger.stage)):
+                work()
+
+
+def test_stage_columns_hold_eight_bytes_per_kept_value(collapsed_run):
+    # The machine and final stages keep idle and dynamic apart, every stage between them one total column;
+    # each stage started as a copy plus gain columns once held two or three columns for every row.
+    result, _, rows = collapsed_run
+    assert len(rows) == len(result.stages)
+    held = sum(
+        column.itemsize * len(column)
+        for ledger in result.stages
+        for column in (ledger.idle, ledger.dynamic, ledger.total)
+        if column is not None
+    )
+    assert held == 8 * (2 * rows[0] + sum(rows[1:-1]) + 2 * rows[-1])
+
+
 def cli_1k_bundle():
     """The benchmark's cli-1k shape: seed 7, 1k machines, 50 users, 20 clusters, 12 h."""
     return generate(ScenarioSpec(seed=7, machine_count=1000, user_count=50, cluster_count=20, hours=12))
@@ -458,7 +545,8 @@ def test_run_artifacts_stay_small():
     # retained 11.8 MiB here, and one emission object per cell 4.45 MiB.
     # Tuple-keyed cells then retained 3.00 MiB; int cell ids, 1.57 MiB;
     # emissions derived from the final ledger rather than five columns per
-    # cell, 1.12 MiB.
+    # cell, 1.12 MiB; one total column for each stage between the machine
+    # and final stages, 0.89 MiB.
     bundle = cli_1k_bundle()
     gc.collect()
     tracemalloc.start()
@@ -469,13 +557,14 @@ def test_run_artifacts_stay_small():
     finally:
         tracemalloc.stop()
     assert artifacts.allocation.final.total_wh() > 0.0
-    assert retained < 1.3 * 2**20
+    assert retained < 1.0 * 2**20
 
 
 def test_many_user_run_retains_a_small_cell_index():
     # 500 users: the ledger fills 96% of its 120k ids. A dict index, picked
     # when the axes outnumbered the machine stage's input rows, retained
-    # 20.06 MiB here; one 4-byte row slot per id, 8.91 MiB.
+    # 20.06 MiB here; one 4-byte row slot per id, 8.91 MiB; one total
+    # column for each stage between the machine and final stages, 7.56 MiB.
     bundle = generate(ScenarioSpec(seed=7, machine_count=200, user_count=500, cluster_count=20, hours=12))
     gc.collect()
     tracemalloc.start()
@@ -486,14 +575,16 @@ def test_many_user_run_retains_a_small_cell_index():
     finally:
         tracemalloc.stop()
     assert len(artifacts.allocation.final.idle) > 0.9 * artifacts.allocation.final.cells.axes.size
-    assert retained < 10.25 * 2**20
+    assert retained < 8.5 * 2**20
 
 
 def test_run_and_closure_peak_stays_small():
     # Tuple-keyed cells and the tuple-keyed gains each stage built before
     # crediting the ledger peaked at 5.46 MiB above the bundle here; int
     # cell ids credited in place peaked at 1.88 MiB; a split of sample row
-    # numbers and emissions without per-cell columns peak at 1.44 MiB.
+    # numbers and emissions without per-cell columns peak at 1.44 MiB; stages
+    # built in their gain columns, with those between the machine and final
+    # stages collapsed to a total column, at 1.14 MiB.
     bundle = cli_1k_bundle()
     gc.collect()
     tracemalloc.start()
@@ -503,7 +594,7 @@ def test_run_and_closure_peak_stays_small():
     finally:
         tracemalloc.stop()
     assert failures == []
-    assert peak <= 1.65 * 2**20
+    assert peak <= 1.25 * 2**20
 
 
 def test_generated_bundle_stays_small():
