@@ -112,22 +112,28 @@ def machine_axes(split: FleetSplit, machines: Sequence[MachineRecord], *users: I
     )
 
 
+#: Cell ids a run's axes may span: each id and row is a 4-byte signed int.
+MAX_CELLS = 2**31
+
+
 class CellIndex:
     """Row of every cell id of a run, and id of every row, in first-credited order.
 
     ``rows[cell]`` is the cell's row or -1 for a cell the index does not
     hold, and ``rows[cell] = row`` sets it. ``rows`` is one 4-byte
     ``array("i")`` slot per id the axes span, so a cell's row is found by
-    one subscript however full the ledger is. ``ids`` is an
-    ``array("q")``, since ids can pass 2**31 on wide axes; past 2**31 - 1
-    rows a slot write raises ``OverflowError`` and the run fails.
+    one subscript however full the ledger is. ``ids`` is an ``array("i")``
+    too: axes spanning ``MAX_CELLS`` ids or more are refused before
+    anything is allocated, so every id and every row fits in 4 bytes.
     """
 
     __slots__ = ("axes", "ids", "rows")
 
     def __init__(self, axes: Axes) -> None:
+        if axes.size >= MAX_CELLS:
+            raise ValueError(f"axes span {axes.size} cell ids; a run holds fewer than {MAX_CELLS}")
         self.axes = axes
-        self.ids = array("q")
+        self.ids = array("i")
         self.rows = array("i", [-1]) * axes.size
 
     def __len__(self) -> int:
@@ -238,14 +244,18 @@ class Ledger:
         """Keep one column of ``idle + dynamic`` per row instead of the two; only a superseded stage collapses.
 
         The per-user totals are summed first, from the two columns, since
-        summing the total column would round them differently.
+        summing the total column would round them differently. The idle
+        column then becomes the total column in place, so no third column
+        is ever alive beside the two.
         """
         if not self.superseded:
             raise ValueError(f"{self.stage!r} is the latest stage of its run")
         self._require_columns()
         self.user_totals = self.totals_by_user()
-        self.total = array("d", self.row_totals())
-        self.idle = self.dynamic = None
+        total = self.idle
+        for row, dynamic_wh in enumerate(self.dynamic):
+            total[row] += dynamic_wh
+        self.total, self.idle, self.dynamic = total, None, None
 
 
 def weighted_allocation(gcu: float, ram_gib: float, ssd_tib: float, hdd_tib: float) -> float:

@@ -129,6 +129,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         for failure in failures:
             print(f"closure failure: {failure}", file=sys.stderr)
         return EXIT_DATA
+    del bundle  # nothing below reads it, so the writers run with only the artifacts alive
     tables.write_user_energy(artifacts.allocation.stages, out / "user_energy.csv", args.round_wh)
     tables.write_emissions(artifacts.emissions, out / "emissions.csv", args.round_wh, args.round_g)
     tables.write_footprints(artifacts.footprints.reports, out / "footprint_report.csv", args.round_g)

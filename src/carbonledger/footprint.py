@@ -277,6 +277,7 @@ def compute_customer_footprints(
                 notices.append(
                     Notice("region-mismatch", provider, f"usage in {sorted(uncovered)} carries no energy in {month}")
                 )
+        del usage_by_sku, usage_by_provider  # the factors are set; the billed rows below need neither
 
         # Two walks of the month's billed rows, one for beta's denominator and one for the
         # account totals, hold nothing per row between them.
@@ -289,9 +290,8 @@ def compute_customer_footprints(
         for rec, kg in _billed_kg(month_billing, allocation):
             key = (rec.billing_account, product_of_sku[rec.sku_id], rec.region_id)
             totals[key] = totals.get(key, 0.0) + beta * kg
-        reports.extend(
-            FootprintReport(account, product, region, month, kg, beta)
-            for (account, product, region), kg in sorted(totals.items())
-        )
+        for key in sorted(totals):  # each total goes as its report is made
+            account, product, region = key
+            reports.append(FootprintReport(account, product, region, month, totals.pop(key), beta))
 
     return FootprintResult(reports=reports, months=months, notices=notices)

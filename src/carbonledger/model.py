@@ -14,6 +14,7 @@ identified by their start timestamp.
 
 from __future__ import annotations
 
+import re
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
@@ -28,11 +29,29 @@ UNALLOCATED_USER = "unallocated-overhead"
 
 HOUR_FORMAT = "%Y-%m-%dT%H:%MZ"
 
+#: The pattern ``datetime.strptime`` builds for ``HOUR_FORMAT``, field for field (``%Y``, ``%m``,
+#: ``%d``, ``%H``, ``%M``), so the same texts parse: single-digit fields, a day with a leading
+#: space, any Unicode decimal digit where ``\d`` stands and a case-blind ``T`` and ``Z``.
+_HOUR_PATTERN = re.compile(
+    r"(\d\d\d\d)-(1[0-2]|0[1-9]|[1-9])-(3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])"
+    r"T(2[0-3]|[0-1]\d|\d):([0-5]\d|\d)Z",
+    re.IGNORECASE,
+)
+
 
 def parse_hour(text: str) -> datetime:
-    """Parse an ISO-8601 hour timestamp like ``2023-09-18T14:00Z`` (UTC only)."""
-    dt = datetime.strptime(text, HOUR_FORMAT).replace(tzinfo=timezone.utc)
-    if dt.minute or dt.second or dt.microsecond:
+    """Parse an ISO-8601 hour timestamp like ``2023-09-18T14:00Z`` (UTC only).
+
+    Accepts and refuses the texts ``datetime.strptime(text, HOUR_FORMAT)``
+    does, with its messages, without importing ``_strptime``.
+    """
+    found = _HOUR_PATTERN.match(text)
+    if found is None:
+        raise ValueError(f"time data {text!r} does not match format {HOUR_FORMAT!r}")
+    if found.end() != len(text):
+        raise ValueError(f"unconverted data remains: {text[found.end():]}")
+    dt = datetime(*map(int, found.groups()), tzinfo=timezone.utc)
+    if dt.minute:
         raise ValueError(f"timestamp {text!r} is not aligned to an hour")
     return dt
 

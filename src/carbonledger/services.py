@@ -66,7 +66,7 @@ def apply_major_realloc(ledger: Ledger, usages: ServiceUsageTable) -> Ledger:
     snapshot, so the result does not depend on provider order. Providers
     whose records carry the storage-style flag split by a weighted blend
     of compute and storage usage, the rest by compute usage alone. Usage
-    rows are grouped by the provider's cell id as ``array("q")`` row
+    rows are grouped by the provider's cell id as ``array("i")`` row
     numbers into the usage columns; a row naming a user, cluster or hour
     off the ledger's axes has no cell to move. The new stage's idle column
     is a copy of the incoming one; its dynamic column starts as a gain
@@ -87,12 +87,12 @@ def apply_major_realloc(ledger: Ledger, usages: ServiceUsageTable) -> Ledger:
         cell = u * span + offset + h
         rows = groups.get(cell)
         if rows is None:
-            rows = groups[cell] = array("q")
+            rows = groups[cell] = array("i")
         rows.append(row)
 
     rows_of, dynamic, gain = ledger.cells.rows, ledger.dynamic, out.dynamic
     copied = len(dynamic)
-    kept_rows, kept = array("q"), array("d")  # each moving provider's row and the dynamic Wh it keeps
+    kept_rows, kept = array("i"), array("d")  # each moving provider's row and the dynamic Wh it keeps
     for cell, rows in groups.items():
         at = rows_of[cell]
         if not 0 <= at < copied or dynamic[at] == 0.0:
@@ -240,7 +240,7 @@ def apply_minor_realloc_round(
     )
     gain_idle, gain_dyn = out.idle, out.dynamic
     # each paying provider's row and the idle and dynamic Wh it keeps
-    kept_rows, kept_idle, kept_dyn = array("q"), array("d"), array("d")
+    kept_rows, kept_idle, kept_dyn = array("i"), array("d"), array("d")
     reached: list[tuple] = []
     moved_total = 0.0
 

@@ -18,8 +18,9 @@ with the bundle it returns. ``read_bundle`` parses each file a chunk of
 rows at a time, column by column, straight into the columns of the four
 column tables (``power_samples``, ``resource_allocations``,
 ``gcu_usage`` and ``service_usage``, each CSV column one column of
-its table) and into records for the other tables; no row of a column
-table becomes a record on read, write or validation. One call
+its table) and into records for the other tables, and drops each chunk
+before it reads the next; no row of a column table becomes a record on
+read, write or validation. One call
 parses each distinct hour string once, so equal hours are one object,
 and stores equal ``TEXT`` and ``OPTIONAL`` cells once: a machine id
 repeated on every power sample and usage row is one string shared by
@@ -44,12 +45,13 @@ import hashlib
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from datetime import date
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .model import (
@@ -152,7 +154,7 @@ class Table:
     field: str
     record: type
     columns: tuple[Column, ...]
-    key: tuple[str, ...] = ()
+    key: tuple[str, ...] = ()  # none, one or two column names
     repeats: str = ""
     subject: str = ""
 
@@ -227,6 +229,40 @@ def _values(records: Sequence, attribute: str) -> Iterable:
     return map(attrgetter(attribute), records)
 
 
+def _repeated_keys(records: Sequence, attributes: Sequence[str]) -> Iterator[tuple[int, tuple]]:
+    """Each row whose key values an earlier row holds, with those values, in key column order.
+
+    A one-column key is checked against one set of its values. A
+    two-column key buckets row numbers by its second column, 4 bytes a row
+    in an ``array("I")``, and checks one bucket at a time against one set
+    of the first column's values. A bucket's rows ascend, so the first row
+    of each key is never the one flagged, and no tuple is made per row.
+    """
+    if len(attributes) == 1:
+        seen = set()
+        for row, value in enumerate(_values(records, attributes[0])):
+            if value in seen:
+                yield row, (value,)
+            seen.add(value)
+        return
+    first, second = attributes
+    buckets: dict[Any, array] = {}
+    for row, value in enumerate(_values(records, second)):
+        bucket = buckets.get(value)
+        if bucket is None:
+            bucket = buckets[value] = array("I")
+        bucket.append(row)
+    column = _values(records, first)
+    if not isinstance(records, ColumnTable):  # a record table's column, made indexable by row
+        column = list(column)
+    for value, rows in buckets.items():
+        seen = set()
+        for row, other in zip(rows, map(column.__getitem__, rows)):
+            if other in seen:
+                yield row, (other, value)
+            seen.add(other)
+
+
 def validate_bundle(bundle: Bundle) -> list[Violation]:
     """Every violation in a bundle: violations are data, not failures.
 
@@ -251,12 +287,9 @@ def validate_bundle(bundle: Bundle) -> list[Violation]:
 
         if table.key:
             key_columns = [column for column in table.columns if column.name in table.key]
-            seen = set()
-            for row, value in enumerate(zip(*(_values(records, column.attribute) for column in key_columns))):
-                if value in seen:
-                    shown = ", ".join(column.codec.format(v) for column, v in zip(key_columns, value))
-                    flag(table.repeats, row, f"repeats key ({shown})")
-                seen.add(value)
+            for row, value in _repeated_keys(records, [column.attribute for column in key_columns]):
+                shown = ", ".join(column.codec.format(v) for column, v in zip(key_columns, value))
+                flag(table.repeats, row, f"repeats key ({shown})")
         for column in table.columns:
             if column.codec is FLOAT:
                 low = -sys.float_info.max if column.low is None else column.low
@@ -383,6 +416,7 @@ def _read_table(
                     raise ValueError("a row has the wrong number of cells")
                 if parsed := [parse(cells) for parse, cells in zip(parsers, zip(*filter(None, chunk)))]:
                     add(parsed)
+                del chunk, parsed  # before the next chunk is read, so only one is alive
         except ValueError as exc:
             _raise_at_first_bad_row(path, table)
             raise InputError(f"{path.name}: {exc}") from None

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carbonledger.allocation import (
+    MAX_CELLS,
     STAGE_MACHINE,
     Axes,
     CellIndex,
@@ -365,6 +366,24 @@ def test_machine_ledger_on_wide_axes_holds_the_same_cells():
     assert isinstance(wide.cells.rows, array) and wide.cells.rows.typecode == "i"
     assert len(wide.cells.rows) == wide_axes.size
     assert cells_of(own) == cells_of(wide) == {("a", "c0", H(0)): (10.0, 20.0)}
+
+
+def test_cell_index_keeps_ids_and_rows_in_four_bytes():
+    ledger = ledger_of({("a", "c0", H(0)): (1.0, 2.0), ("b", "c1", H(1)): (3.0, 4.0)})
+    assert (ledger.cells.ids.typecode, ledger.cells.rows.typecode) == ("i", "i")
+
+
+@pytest.mark.parametrize("users, clusters, hours", [(2**11, 2**10, 2**10), (3000, 1000, 1000)])
+def test_cell_index_refuses_axes_past_four_byte_ids_before_allocating(users, clusters, hours):
+    axes = Axes((f"u{i}" for i in range(users)), (f"c{i}" for i in range(clusters)), map(H, range(hours)))
+    assert axes.size == users * clusters * hours >= MAX_CELLS == 2**31
+
+    def refuse() -> None:
+        with pytest.raises(ValueError, match=f"axes span {axes.size} cell ids"):
+            CellIndex(axes)
+
+    _, _, peak = traced(refuse)
+    assert peak < 1 << 20  # no slot array was allocated: it would take 8 GiB
 
 
 def machine_rows(machines, samples, allocations, usage, axes=None):

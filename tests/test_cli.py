@@ -6,16 +6,17 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from datetime import date, datetime, timezone
 from pathlib import Path
 
 import pytest
 
 import carbonledger
-from carbonledger import check
+from carbonledger import check, tables
 from carbonledger.check import closure_failures, run_end_to_end
 from carbonledger.cli import REPORTS, _clip_bundle, main
-from carbonledger.model import GcuUsageTable, PowerSampleTable, ResourceAllocationTable, ServiceUsageTable
+from carbonledger.model import Bundle, GcuUsageTable, PowerSampleTable, ResourceAllocationTable, ServiceUsageTable
 from carbonledger.oracle import oracle_allocate
 from carbonledger.simulate import ScenarioSpec, generate, preset_spec
 from carbonledger.tables import read_bundle, validate_bundle, write_bundle
@@ -103,6 +104,52 @@ def test_log_level_flag_shows_debug_lines_only_when_asked(tmp_path, caplog):
             assert bool(missing) == shown
     finally:
         root.setLevel(saved)
+
+
+class WatchedBundle(Bundle):
+    """A bundle that takes weak references: a subclass without ``__slots__`` has a ``__weakref__``."""
+
+
+def test_run_releases_the_bundle_before_writing_reports(figure1_dir, tmp_path, monkeypatch):
+    refs, alive = [], []
+    read, write = tables.read_bundle, tables.write_user_energy
+
+    def read_watched(directory):
+        bundle = read(directory)
+        watched = WatchedBundle(**{f.name: getattr(bundle, f.name) for f in dataclasses.fields(bundle)})
+        refs.append(weakref.ref(watched))
+        return watched
+
+    def write_watching(*args, **kwargs):
+        alive.append(refs[0]() is not None)
+        return write(*args, **kwargs)
+
+    monkeypatch.setattr(tables, "read_bundle", read_watched)
+    monkeypatch.setattr(tables, "write_user_energy", write_watching)
+    assert main(["run", "--input", str(figure1_dir), "--output", str(tmp_path / "out")]) == 0
+    assert len(refs) == 1 and alive == [False]
+
+
+#: Runs ``carbonledger run`` from argv[1] into argv[2] and prints its exit code and whether
+#: ``_strptime`` was imported.
+RUN_AND_LIST_STRPTIME = """
+import contextlib, io, sys
+from carbonledger.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["run", "--input", sys.argv[1], "--output", sys.argv[2]])
+print(code, "_strptime" in sys.modules)
+"""
+
+
+def test_run_parses_hours_without_importing_strptime(figure1_dir, tmp_path):
+    src = str(Path(carbonledger.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_AND_LIST_STRPTIME, str(figure1_dir), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]
 
 
 def test_run_empty_date_range_exits_two(figure1_dir, tmp_path):

@@ -1,7 +1,11 @@
+import gc
 import math
 import random
+import tracemalloc
 from array import array
 from dataclasses import fields
+from datetime import datetime, timezone
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,11 +30,14 @@ from carbonledger.model import (
     Sharing,
     SkuRecord,
     SkuUsageRecord,
+    Violation,
     ZoneMapRow,
+    HOUR_FORMAT,
     format_hour,
     parse_hour,
 )
-from carbonledger.tables import validate_bundle
+from carbonledger.simulate import ScenarioSpec, generate
+from carbonledger.tables import TABLES, _repeated_keys, validate_bundle
 
 from conftest import H, alloc, dedicated_machine, ledger_of, sample, shared_machine
 
@@ -38,6 +45,54 @@ from conftest import H, alloc, dedicated_machine, ledger_of, sample, shared_mach
 def test_parse_and_format_hour_roundtrip():
     text = "2023-09-18T14:00Z"
     assert format_hour(parse_hour(text)) == text
+
+
+#: Texts at the edges of what ``strptime(text, HOUR_FORMAT)`` accepts.
+HOUR_EDGE_TEXTS = [
+    "2023-09-18T14:00Z",
+    "2023-6-5T1:0Z",  # single-digit month, day, hour and minute
+    "2023-06-05t01:00z",  # the literals match without case
+    "2023-02-30T00:00Z",  # a day the month does not have
+    "2024-02-29T23:00Z",
+    "2023-02-29T23:00Z",
+    "2023-06- 5T01:00Z",  # a day with a leading space
+    "2023-06-  5T01:00Z",
+    "2023-06-05T01:00Zextra",  # trailing text
+    "2023-06-05T01:00Z\n",
+    " 2023-06-05T01:00Z",
+    "\u0662\u0660\u0662\u0663-06-05T01:00Z",  # Arabic-Indic digits in the year
+    "2023-06-05T\uff11:00Z",  # a fullwidth digit as the hour
+    "2023-\u0660\u0666-05T01:00Z",  # non-ASCII digits where the month allows only ASCII
+    "2023-06-05T01:30Z",  # a minute off the hour
+    "2023-02-30T00:30Z",  # both a bad day and a minute off the hour
+    "0000-01-01T00:00Z",
+    "2023-13-01T00:00Z",
+    "2023-00-01T00:00Z",
+    "2023-06-00T00:00Z",
+    "2023-06-32T00:00Z",
+    "2023-06-05T24:00Z",
+    "2023-06-05T01:60Z",
+    "2023-06-05T01:00",
+    "2023-06-05 01:00Z",
+    "23-06-05T01:00Z",
+    "",
+]
+
+
+@pytest.mark.parametrize("text", HOUR_EDGE_TEXTS)
+def test_parse_hour_agrees_with_strptime(text):
+    try:
+        expected = datetime.strptime(text, HOUR_FORMAT).replace(tzinfo=timezone.utc)
+    except ValueError as exc:
+        expected = exc
+    if isinstance(expected, datetime) and expected.minute:
+        expected = ValueError(f"timestamp {text!r} is not aligned to an hour")
+    if isinstance(expected, datetime):
+        assert parse_hour(text) == expected and parse_hour(text).tzinfo is timezone.utc
+    else:
+        with pytest.raises(ValueError) as refused:
+            parse_hour(text)
+        assert str(refused.value) == str(expected)
 
 
 ALLOCATIONS = [alloc("bob", "c1", 1, gcu=2.0, ram_gib=40.0, hdd_tib=6.0), alloc("alice", gcu=0.5, ssd_tib=1.5)]
@@ -280,6 +335,69 @@ def test_duplicate_feed_rows_flagged():
         ("duplicate-intensity", "z0", f"carbon_intensity repeats key (z0, {format_hour(H(0))})"),
         ("duplicate-pue", "c0", f"pue repeats key (c0, {format_hour(H(0))})"),
     ]
+
+
+def _keyed_bundle() -> Bundle:
+    """A clean generated bundle with at least three rows in every keyed table."""
+    bundle = generate(ScenarioSpec(seed=3, machine_count=12, user_count=4, cluster_count=2, hours=6))
+    zones = sorted({r.zone_id for r in bundle.annual_intensity})
+    bundle.annual_intensity += [AnnualIntensityRecord(z, year, 300.0) for z in zones for year in (2021, 2022, 2024)]
+    assert validate_bundle(bundle) == []
+    return bundle
+
+
+@pytest.mark.parametrize("name", [name for name, table in TABLES.items() if table.key])
+def test_each_later_copy_of_a_key_is_flagged(name):
+    # Copies of the first, middle and last rows go to the table's first, middle and last rows,
+    # three copies of each, so a two-column key repeats in several of its buckets.
+    table = TABLES[name]
+    bundle = _keyed_bundle()
+    records = list(getattr(bundle, table.field))
+    n, mid = len(records), len(records) // 2
+    first, middle, last = records[0], records[mid], records[-1]
+    if table.key[-1] == "hour_utc":
+        assert len({first.hour, middle.hour, last.hour}) > 1
+    setattr(bundle, table.field, [middle, last, *records, first, middle, last, first])
+    key_columns = [column for column in table.columns if column.name in table.key]
+    repeated = _repeated_keys(getattr(bundle, table.field), [column.attribute for column in key_columns])
+    assert sorted(row for row, _ in repeated) == [2 + mid, 2 + n - 1, 2 + n, 2 + n + 1, 2 + n + 2, 2 + n + 3]
+
+    def repeat(record) -> Violation:
+        shown = ", ".join(column.codec.format(getattr(record, column.attribute)) for column in key_columns)
+        subject = getattr(record, table.subject or table.columns[0].attribute)
+        return Violation(table.repeats, subject, f"{table.field} repeats key ({shown})")
+
+    expected = sorted([repeat(record) for record in (first, middle, last) for _ in range(2)],
+                      key=attrgetter("code", "subject", "detail"))
+    assert validate_bundle(bundle) == expected
+
+
+def test_repeated_power_samples_name_each_key():
+    bundle = _keyed_bundle()
+    samples = list(bundle.power_samples)
+    bundle.power_samples = [*samples, samples[0], samples[-1], samples[0]]
+    m0, m11 = samples[0].machine_id, samples[-1].machine_id
+    assert [(v.code, v.subject, v.detail) for v in validate_bundle(bundle)] == [
+        ("duplicate-sample", m0, f"power_samples repeats key ({m0}, 2023-06-05T00:00Z)"),
+        ("duplicate-sample", m0, f"power_samples repeats key ({m0}, 2023-06-05T00:00Z)"),
+        ("duplicate-sample", m11, f"power_samples repeats key ({m11}, 2023-06-05T05:00Z)"),
+    ]
+
+
+def test_validation_holds_a_few_bytes_per_power_sample():
+    # The key checks keep a 4-byte row number per sample, not a tuple and a set entry (about 124 bytes).
+    bundle = generate(ScenarioSpec(seed=7, machine_count=200, user_count=20, cluster_count=4, hours=72))
+    samples = len(bundle.power_samples)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert validate_bundle(bundle) == []
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert samples > 10_000
+    assert peak <= 8 * samples + 256 * 1024
 
 
 def _clean_bundle() -> Bundle:
